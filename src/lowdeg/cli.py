@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import configurations as conf
@@ -60,6 +61,8 @@ def _read_input(path: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} is nested too deeply") from exc
 
 
 def _render_table(data: object, indent: int = 0) -> list[str]:
@@ -111,17 +114,7 @@ def _cmd_pi(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    report = num.genus_bound_main(args.d)
-    data = {
-        "d": report.d,
-        "m": report.m,
-        "epsilon": report.epsilon,
-        "bound_dagger": report.bound_dagger,
-        "bound_no_dagger": report.bound_no_dagger,
-        "bound_non_df_dagger": report.bound_non_df_dagger,
-        "overall": report.overall,
-        "governing": report.governing,
-    }
+    data = asdict(num.genus_bound_main(args.d))
     if args.genus is not None:
         gon = num.gonality_bounds(
             args.d,
@@ -129,13 +122,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
             elliptic_cover=args.elliptic_cover,
             debarre_fahlaoui=args.df,
         )
-        data["gonality"] = {
-            "genus": args.genus,
-            "airr_based": gon.airr_based,
-            "genus_based_geometric": gon.genus_based_geometric,
-            "genus_based_arithmetic": gon.genus_based_arithmetic,
-            "combined": gon.combined,
-        }
+        data["gonality"] = {"genus": args.genus, **asdict(gon)}
     return data, None
 
 
@@ -227,9 +214,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     config = point_config_from_json(_read_input(args.input))
     report = conf.check_sylvester_gallai(config)
-    lines = conf.maximal_lines(config)
     by_size: dict[str, int] = {}
-    for line in lines:
+    for line in report.lines:
         key = str(len(line))
         by_size[key] = by_size.get(key, 0) + 1
     violations = [] if report.is_sylvester_gallai else [
@@ -247,6 +233,8 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if args.random:
+        if args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
         rng = random.Random(args.seed)
         field = PrimeField(args.mod)
         failures = []

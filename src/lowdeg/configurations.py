@@ -4,8 +4,10 @@ Three gadgets live here:
 
 * extraction of the codimension-3 subspace common to a family of
   codimension-2 subspaces that pairwise lie in hyperplanes and jointly span,
-* Sylvester-Gallai checks for plane point sets, with exact collinearity via
-  3x3 determinants (no tolerances anywhere),
+* Sylvester-Gallai checks for plane point sets, which group the points by
+  their dual line: the line through p and q is the cross product p x q,
+  normalized like a point.  :func:`collinear` is the exact triple test
+  (no tolerances anywhere),
 * a finite stand-in for the symmetric square of an elliptic curve: unordered
   pairs over Z/N with the two divisor families "pairs containing x" and
   "pairs summing to s".  The incidence counts of those families reproduce
@@ -205,56 +207,55 @@ class SylvesterGallaiReport:
     """Outcome of the two incidence properties of a plane configuration:
     every connecting line carries a third point (``is_sylvester_gallai``)
     and the size of the largest collinear subset.  When the first property
-    fails, ``witness`` holds the indices of an ordinary pair."""
+    fails, ``witness`` holds the lexicographically first ordinary pair.
+    ``lines`` is :func:`maximal_lines` of the configuration."""
 
     num_points: int
     is_sylvester_gallai: bool
     max_collinear: int
     witness: Optional[Pair]
+    lines: tuple[tuple[int, ...], ...]
 
 
 def check_sylvester_gallai(config: PointConfig) -> SylvesterGallaiReport:
-    """Cubic-time scan of all point triples; exact arithmetic throughout."""
-    if config.ambient != 2:
-        raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
+    """Read the report off :func:`maximal_lines`; exact arithmetic throughout."""
+    lines = maximal_lines(config)
     n = len(config)
     if n < 3:
         raise ConfigurationError(f"need at least 3 points, got {n}")
-    is_sg = True
-    witness: Optional[Pair] = None
-    max_collinear = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            on_line = 2 + sum(
-                1 for k in range(n) if k != i and k != j and collinear(config, i, j, k)
-            )
-            if on_line > max_collinear:
-                max_collinear = on_line
-            if on_line == 2 and witness is None:
-                is_sg = False
-                witness = (i, j)
+    witness = next((line for line in lines if len(line) == 2), None)
     return SylvesterGallaiReport(
         num_points=n,
-        is_sylvester_gallai=is_sg,
-        max_collinear=max_collinear,
+        is_sylvester_gallai=witness is None,
+        max_collinear=max(len(line) for line in lines),
         witness=witness,
+        lines=lines,
     )
 
 
 def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     """All lines spanned by the configuration, as sorted index tuples of the
-    points lying on them (each line listed once)."""
+    points lying on them (each line listed once).
+
+    One pass over the pairs: the line through p and q is the cross product
+    p x q, which is nonzero because the points are distinct, and normalizing
+    it as a :class:`ProjPoint` makes it a key shared by every pair on it.
+    """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
-    n = len(config)
-    lines = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            members = [i, j] + [
-                k for k in range(n) if k != i and k != j and collinear(config, i, j, k)
-            ]
-            lines.add(tuple(sorted(members)))
-    return tuple(sorted(lines))
+    field = config.field
+    coords = [p.coords for p in config.points]
+    on_line: dict[tuple[Scalar, ...], set[int]] = {}
+    for i, p in enumerate(coords):
+        for j in range(i + 1, len(coords)):
+            q = coords[j]
+            dual = (
+                p[1] * q[2] - p[2] * q[1],
+                p[2] * q[0] - p[0] * q[2],
+                p[0] * q[1] - p[1] * q[0],
+            )
+            on_line.setdefault(ProjPoint(field, dual).coords, set()).update((i, j))
+    return tuple(sorted(tuple(sorted(members)) for members in on_line.values()))
 
 
 def hesse_configuration() -> PointConfig:

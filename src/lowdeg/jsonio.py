@@ -48,6 +48,12 @@ def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
     return field, rows
 
 
+def _check_ambient(ambient: object) -> int:
+    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
+        raise LowdegError(f"bad ambient dimension {ambient!r}")
+    return ambient
+
+
 def subspace_to_json(s: ProjSubspace) -> dict:
     return {
         "ambient": s.ambient,
@@ -58,9 +64,7 @@ def subspace_to_json(s: ProjSubspace) -> dict:
 def subspace_from_json(obj: object) -> ProjSubspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise LowdegError("a subspace needs 'ambient' and 'rows' keys")
-    ambient = obj["ambient"]
-    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
-        raise LowdegError(f"bad ambient dimension {ambient!r}")
+    ambient = _check_ambient(obj["ambient"])
     field, rows = parse_matrix(obj["rows"])
     return ProjSubspace.from_vectors(field, ambient, rows)
 
@@ -77,8 +81,10 @@ def point_config_to_json(config: PointConfig) -> dict:
 def point_config_from_json(obj: object) -> PointConfig:
     if not isinstance(obj, dict) or "points" not in obj:
         raise LowdegError("a point configuration needs a 'points' key")
-    field, rows = parse_matrix(obj["points"])
     ambient = obj.get("ambient")
+    if ambient is not None:
+        _check_ambient(ambient)
+    field, rows = parse_matrix(obj["points"])
     points = []
     for row in rows:
         if ambient is not None and len(row) != ambient + 1:

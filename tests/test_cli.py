@@ -164,6 +164,21 @@ class TestSg:
         code, _, err = run(capsys, "sg", "--input", str(path))
         assert code == 1 and "mix" in err
 
+    def test_string_ambient_exit_1(self, capsys, tmp_path):
+        payload = {"ambient": "2", "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+        path = tmp_path / "ambient.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "bad ambient dimension '2'\n"
+
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == f"JSON in {path} is nested too deeply\n"
+
 
 class TestLemma52:
     def planted_file(self, tmp_path):
@@ -222,6 +237,12 @@ class TestLemma52:
         assert first == second
         data = json.loads(first[1])
         assert data["passed"] is True and data["failures"] == []
+
+    def test_random_mode_needs_a_trial(self, capsys):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, "lemma52", "--random", "--trials", trials)
+            assert code == 2 and out == ""
+            assert err == f"--trials must be at least 1, got {trials}\n"
 
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")

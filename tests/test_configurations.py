@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -222,6 +223,43 @@ class TestSylvesterGallai:
         )
         assert collinear(config, 0, 1, 2)
         assert not collinear(config, 0, 1, 3)
+
+    def test_line_grouping_matches_the_triple_scan(self):
+        # the cubic scan over `collinear` is the reference for the one-pass
+        # line grouping; small fields make many collinear triples
+        rng = random.Random(2208)
+        for field in (QQ, GF3, GF5, PrimeField(101), PrimeField(2147483647)):
+            plane_size = math.inf if field == QQ else field.p**2 + field.p + 1
+            for _ in range(30):
+                target = min(rng.randint(3, 14), plane_size)
+                coords = {}
+                while len(coords) < target:
+                    if field == QQ:
+                        raw = tuple(rng.randint(-2, 2) for _ in range(3))
+                    else:
+                        raw = tuple(rng.randrange(min(field.p, 7)) for _ in range(3))
+                    if any(raw):
+                        point = ProjPoint(field, raw)
+                        coords.setdefault(point.coords, point)
+                config = PointConfig(tuple(coords.values()))
+                n = len(config)
+                expected = set()
+                witness = None
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        others = [k for k in range(n) if k not in (i, j) and collinear(config, i, j, k)]
+                        expected.add(tuple(sorted([i, j, *others])))
+                        if not others and witness is None:
+                            witness = (i, j)
+                expected = tuple(sorted(expected))
+                assert maximal_lines(config) == expected
+                report = check_sylvester_gallai(config)
+                assert report.num_points == n
+                assert report.lines == expected
+                assert report.max_collinear == max(len(line) for line in expected)
+                assert report.witness == witness
+                assert report.is_sylvester_gallai == (witness is None)
+                assert sum(math.comb(len(line), 2) for line in expected) == math.comb(n, 2)
 
 
 class TestSym2Model:
