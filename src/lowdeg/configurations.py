@@ -28,6 +28,10 @@ from .projective import ProjPoint, ProjSubspace, join, meet, span
 
 Pair = tuple[int, int]
 
+# Draws a random-instance sampler makes before it gives up: valid requests need a
+# handful, an infeasible one (more members than a small field allows) would never end.
+MAX_REDRAWS = 1000
+
 
 # ---------------------------------------------------------------------------
 # Common codimension-3 subspace of a pencil-like family
@@ -102,16 +106,17 @@ def random_point(rng: random.Random, field: Field, ambient: int) -> ProjPoint:
 
 def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) -> ProjSubspace:
     """Uniform-ish subspace of the requested projective dimension (resamples
-    until the spanning vectors are independent)."""
+    until the spanning vectors are independent, at most ``MAX_REDRAWS`` times)."""
     if not -1 <= dim <= ambient:
         raise LowdegError(f"dimension {dim} out of range for P^{ambient}")
     if dim == -1:
         return ProjSubspace.empty(field, ambient)
-    while True:
+    for _ in range(MAX_REDRAWS):
         vectors = [_random_vector(rng, field, ambient + 1) for _ in range(dim + 1)]
         candidate = ProjSubspace.from_vectors(field, ambient, vectors)
         if candidate.dim == dim:
             return candidate
+    raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
 
 
 def random_common_subspace_instance(
@@ -123,12 +128,13 @@ def random_common_subspace_instance(
     """A valid random input for :func:`common_subspace`: a planted
     codimension-3 subspace fattened by one extra point per member.  Redraws
     until every precondition holds (small fields can produce degenerate
-    draws)."""
+    draws), and raises :class:`ConfigurationError` after ``MAX_REDRAWS``
+    failed draws."""
     if ambient < 3:
         raise ConfigurationError("need ambient dimension at least 3")
     if count < 2:
         raise ConfigurationError("need at least two members")
-    while True:
+    for _ in range(MAX_REDRAWS):
         planted = random_subspace(rng, field, ambient, ambient - 3)
         members = []
         for _ in range(count):
@@ -143,6 +149,9 @@ def random_common_subspace_instance(
         except ConfigurationError:
             continue
         return members
+    raise ConfigurationError(
+        f"no valid family of {count} members in P^{ambient} over {field!r} in {MAX_REDRAWS} draws"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ raises :class:`~lowdeg.errors.MixedFieldError`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -21,6 +22,10 @@ from .errors import MixedFieldError
 Scalar = Union[Fraction, int]
 
 PRIME_LIMIT = 2**31
+
+# The documented format, and what ``str(Fraction)`` writes.  It admits no exponent,
+# so Python's limit on the digits of an int string bounds the cost of a parse.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def is_prime(n: int) -> bool:
@@ -171,6 +176,8 @@ def scalar_from_json(raw: object) -> tuple[Field, Scalar]:
         field = PrimeField(raw["mod"])
         return field, field.coerce(raw["val"])
     if isinstance(raw, str):
+        if not _RATIONAL.fullmatch(raw):
+            raise MixedFieldError(f"malformed rational {raw!r}")
         try:
             return QQ, Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:

@@ -20,7 +20,7 @@ least 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Union
 
 from .errors import LowdegError
 
@@ -191,9 +191,6 @@ class ConfigProfile:
 
     Index i of each array corresponds to n = i + 2.  ``codim_v_lb`` is the
     guaranteed codimension of the common subspace of the n=2 system.
-    ``conjectural_dim_a`` records whether the experimental growth step
-    (``s`` gaining at least dim A per step) was mixed in; it is None for
-    profiles built only from proved bounds.
     """
 
     d: int
@@ -205,7 +202,6 @@ class ConfigProfile:
     rprime_lb: tuple[int, ...]
     sprime_lb: tuple[int, ...]
     codim_v_lb: int
-    conjectural_dim_a: Optional[int] = None
 
     def _index(self, n: int) -> int:
         if not 2 <= n <= self.n_max:
@@ -225,14 +221,7 @@ class ConfigProfile:
         return self.sprime_lb[self._index(n)]
 
 
-def rs_profile(
-    d: int,
-    n_max: int,
-    dagger: bool,
-    r2: int,
-    *,
-    conjectural_dim_a: Optional[int] = None,
-) -> ConfigProfile:
+def rs_profile(d: int, n_max: int, dagger: bool, r2: int) -> ConfigProfile:
     """Run the dimension-ledger recursion and return all lower bounds.
 
     ``r2`` is the dimension of the n=2 system; it is case data rather than a
@@ -245,10 +234,6 @@ def rs_profile(
     r2 = 2 yields r(n) >= n(n+1)/2 - 1.  Without it the span dimension still
     never drops, and for r2 >= 3 the two hard floors r'(3) >= 7 (d >= 4) and
     r'(4) >= 12 (odd d >= 5) are applied.
-
-    ``conjectural_dim_a`` mixes in the *unproved* growth step
-    ``s(n) >= s(n-1) + dim A``; it is an experiment hook, off by default,
-    and is recorded on the returned profile.
     """
     _check_int("d", d, 2)
     _check_int("n_max", n_max, 2)
@@ -258,8 +243,6 @@ def rs_profile(
             f"r2 = {r2} is impossible for degree d = {d}: a degree-d divisor "
             f"spans at most a (d-1)-plane and its spans are hyperplanes"
         )
-    if conjectural_dim_a is not None:
-        _check_int("conjectural_dim_a", conjectural_dim_a, 1)
 
     cap = d - 1
     r_lb = [r2]
@@ -282,8 +265,6 @@ def rs_profile(
                 rp = max(rp, 12)
             sp = rp - prev_r - 1
         s_n = max(prev_s, sp)
-        if conjectural_dim_a is not None:
-            s_n = max(s_n, min(prev_s + conjectural_dim_a, cap))
         if s_n > cap:
             raise LowdegError(
                 f"inconsistent profile: s({n}) lower bound {s_n} exceeds d - 1 = {cap}"
@@ -304,5 +285,4 @@ def rs_profile(
         rprime_lb=tuple(rprime_lb),
         sprime_lb=tuple(sprime_lb),
         codim_v_lb=3,
-        conjectural_dim_a=conjectural_dim_a,
     )

@@ -11,13 +11,15 @@ Conventions:
 * points are homogeneous coordinate vectors scaled so the first nonzero
   coordinate is 1;
 * meets are computed through annihilators (the kernel of the stacked
-  annihilator bases), which are cached per subspace.
+  annihilator bases), each a lazy attribute of its subspace;
+* only the public constructor checks that rows are canonical: every other
+  constructor and operation takes its rows from :func:`rref`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, LowdegError, ProjectionError
@@ -111,23 +113,22 @@ class ProjSubspace:
     def __post_init__(self) -> None:
         if self.ambient < 0:
             raise LowdegError("ambient projective dimension must be >= 0")
-        width = self.ambient + 1
         rows = tuple(tuple(self.field.coerce(x) for x in row) for row in self.rows)
+        if any(len(row) != self.ambient + 1 for row in rows):
+            raise LowdegError(f"every row must have {self.ambient + 1} entries in P^{self.ambient}")
+        # The reduced echelon form is unique, so rows are canonical iff rref keeps them.
+        if rref(rows, self.field)[0] != rows:
+            raise LowdegError("basis is not in reduced row echelon form without zero rows")
         object.__setattr__(self, "rows", rows)
-        last_pivot = -1
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise LowdegError(f"row width {len(row)} does not match ambient {self.ambient}")
-            pivot = next((c for c, x in enumerate(row) if not self.field.is_zero(x)), None)
-            if pivot is None:
-                raise LowdegError("zero rows are not part of a canonical basis")
-            if pivot <= last_pivot or row[pivot] != self.field.one:
-                raise LowdegError("basis is not in reduced row echelon form")
-            if any(
-                not self.field.is_zero(other[pivot]) for j, other in enumerate(rows) if j != i
-            ):
-                raise LowdegError("basis is not in reduced row echelon form")
-            last_pivot = pivot
+
+    @classmethod
+    def _canonical(cls, field: Field, ambient: int, rows: Matrix) -> "ProjSubspace":
+        """Wrap rows that are already a reduced echelon basis, skipping the check."""
+        if ambient < 0:
+            raise LowdegError("ambient projective dimension must be >= 0")
+        subspace = object.__new__(cls)
+        subspace.__dict__.update(field=field, ambient=ambient, rows=rows)
+        return subspace
 
     @classmethod
     def from_vectors(
@@ -140,11 +141,11 @@ class ProjSubspace:
                     f"vector of length {len(v)} cannot span inside P^{ambient}"
                 )
         reduced, _ = rref(vecs, field)
-        return cls(field, ambient, reduced)
+        return cls._canonical(field, ambient, reduced)
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "ProjSubspace":
-        return cls(field, ambient, ())
+        return cls._canonical(field, ambient, ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "ProjSubspace":
@@ -152,7 +153,7 @@ class ProjSubspace:
         rows = tuple(
             tuple(field.one if i == j else field.zero for j in range(width)) for i in range(width)
         )
-        return cls(field, ambient, rows)
+        return cls._canonical(field, ambient, rows)
 
     @property
     def dim(self) -> int:
@@ -167,11 +168,16 @@ class ProjSubspace:
     def is_empty(self) -> bool:
         return not self.rows
 
-    @property
+    @cached_property
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(
             next(c for c, x in enumerate(row) if not self.field.is_zero(x)) for row in self.rows
         )
+
+    @cached_property
+    def annihilator(self) -> Matrix:
+        """Canonical basis of the linear forms that vanish on this subspace."""
+        return _kernel_rows(self.rows, self.pivot_columns, self.ambient + 1, self.field)
 
     def basis_points(self) -> tuple[ProjPoint, ...]:
         return tuple(ProjPoint(self.field, row) for row in self.rows)
@@ -239,20 +245,12 @@ def join(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     return ProjSubspace.from_vectors(field, s1.ambient, list(s1.rows) + list(s2.rows))
 
 
-@lru_cache(maxsize=None)
-def _annihilator_rows(subspace: ProjSubspace) -> Matrix:
-    """Canonical basis of the annihilator of the row space (cached)."""
-    reduced, pivots = subspace.rows, subspace.pivot_columns
-    return _kernel_rows(reduced, pivots, subspace.ambient + 1, subspace.field)
-
-
 def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     """Intersection subspace, via the kernel of the stacked annihilators."""
     field = _check_compatible(s1, s2)
-    stacked = list(_annihilator_rows(s1)) + list(_annihilator_rows(s2))
-    reduced, pivots = rref(stacked, field)
+    reduced, pivots = rref(s1.annihilator + s2.annihilator, field)
     rows = _kernel_rows(reduced, pivots, s1.ambient + 1, field)
-    return ProjSubspace(field, s1.ambient, rows)
+    return ProjSubspace._canonical(field, s1.ambient, rows)
 
 
 def contains(subspace: ProjSubspace, point: ProjPoint) -> bool:

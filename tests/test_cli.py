@@ -244,6 +244,15 @@ class TestLemma52:
             assert code == 2 and out == ""
             assert err == f"--trials must be at least 1, got {trials}\n"
 
+    def test_infeasible_random_family_exit_1(self, capsys):
+        # Over GF(3) only 13 planes of P^4 contain a given line, so 14 distinct
+        # members never exist; the sampler gives up instead of redrawing forever.
+        code, out, err = run(
+            capsys, "lemma52", "--random", "--mod", "3", "--count", "14", "--trials", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
         assert code == 2 and "--input" in err

@@ -105,8 +105,9 @@ class TestScalarJson:
         assert field == gf and value == 3
 
     def test_malformed(self):
-        with pytest.raises(MixedFieldError):
-            scalar_from_json("not-a-number")
+        for raw in ("not-a-number", "1.5", "1_0", "1e400000", "+1", " 1", "1/0"):
+            with pytest.raises(MixedFieldError):
+                scalar_from_json(raw)
         with pytest.raises(MixedFieldError):
             scalar_from_json({"val": 1})
         with pytest.raises(MixedFieldError):

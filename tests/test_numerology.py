@@ -239,17 +239,6 @@ class TestRsProfile:
         with pytest.raises(LowdegError):
             profile.s(1)
 
-    def test_conjectural_hook_is_off_by_default(self):
-        assert rs_profile(8, 6, True, 2).conjectural_dim_a is None
-
-    def test_conjectural_hook_accelerates_growth(self):
-        base = rs_profile(9, 5, True, 3)
-        boosted = rs_profile(9, 5, True, 3, conjectural_dim_a=2)
-        assert boosted.conjectural_dim_a == 2
-        assert boosted.s(4) >= base.s(4) + 1
-        for n in range(3, 6):  # identity survives the experimental step
-            assert boosted.r(n) - boosted.s(n) == boosted.r(n - 1) + 1
-
     @settings(max_examples=80)
     @given(
         d=st.integers(2, 30),

@@ -308,6 +308,13 @@ def test_meet_and_join_are_canonical_and_contained(pair):
     # outputs are valid canonical subspaces: reconstructing from their rows is a no-op
     assert ProjSubspace.from_vectors(met.field, met.ambient, met.rows) == met
     assert ProjSubspace.from_vectors(joined.field, joined.ambient, joined.rows) == joined
+    # the validating public constructor accepts every result built without the check
+    results = [s1, s2, met, joined, span(s1.basis_points(), field=s1.field, ambient=s1.ambient)]
+    if not s1.contains_subspace(s2):
+        results.append(project_subspace_from(s1, s2))
+    for s in results:
+        assert ProjSubspace(s.field, s.ambient, s.rows) == s
+    assert meet(s1, s2) == met  # second call reads the cached annihilators
 
 
 def test_rank_agrees_between_qq_and_big_prime_field():
@@ -334,3 +341,18 @@ def test_subspace_rejects_non_canonical_rows():
         ProjSubspace(QQ, 2, ((Fraction(2), Fraction(0), Fraction(0)),))
     with pytest.raises(LowdegError):
         ProjSubspace(QQ, 2, ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(1), Fraction(0), Fraction(0))))
+    with pytest.raises(LowdegError):
+        ProjSubspace(QQ, 2, ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0),) * 3))
+    with pytest.raises(LowdegError):
+        ProjSubspace(QQ, 2, ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))))
+
+
+def test_negative_ambient_rejected_by_every_constructor():
+    for build in (
+        lambda: ProjSubspace(QQ, -1, ()),
+        lambda: ProjSubspace.from_vectors(QQ, -1, []),
+        lambda: ProjSubspace.empty(QQ, -1),
+        lambda: ProjSubspace.full(QQ, -1),
+    ):
+        with pytest.raises(LowdegError):
+            build()
