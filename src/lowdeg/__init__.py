@@ -50,7 +50,6 @@ from .numerology import (
     GonalityBounds,
     castelnuovo_pi,
     genus_bound_main,
-    genus_bound_non_df,
     genus_bound_special,
     gonality_bounds,
     riemann_hurwitz_check,
@@ -60,7 +59,6 @@ from .numerology import (
 from .projective import (
     ProjPoint,
     ProjSubspace,
-    contains,
     join,
     meet,
     project_from,
@@ -116,13 +114,11 @@ __all__ = [
     "classification_json",
     "classify",
     "common_subspace",
-    "contains",
     "df_class",
     "df_genus",
     "df_gonality_guard",
     "fiber_class",
     "genus_bound_main",
-    "genus_bound_non_df",
     "genus_bound_special",
     "gonality_bounds",
     "hesse_configuration",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LowdegError
-from .numerology import castelnuovo_pi, genus_bound_main, genus_bound_non_df
+from .numerology import castelnuovo_pi, genus_bound_main
 from .sym2_lattice import DFParams, df_class, df_genus, is_effective
 
 KIND_COVER_P1 = "cover_of_P1"
@@ -80,7 +80,7 @@ def _sporadic_case(d: int, genus: int) -> ClassificationCase:
     if d == 5:
         cap_note = "Castelnuovo cap pi(20, 12) = 8"
     else:
-        cap_note = f"genus cap (d-1)(d-2)/2 + 2 = {genus_bound_non_df(d)}"
+        cap_note = f"genus cap (d-1)(d-2)/2 + 2 = {genus_bound_main(d).bound_non_df_dagger}"
     return ClassificationCase(
         kind=KIND_SPORADIC,
         params={"genus": genus},
@@ -132,8 +132,8 @@ def sporadic_genus_cap(d: int) -> int:
     """The cap that sporadic genera must respect: (d-1)(d-2)/2 + 2 in general,
     improved to the Castelnuovo value pi(20, 12) = 8 for d = 5."""
     if d == 5:
-        return max(genus_bound_non_df(5), castelnuovo_pi(20, 12))
-    return genus_bound_non_df(d)
+        return max(genus_bound_main(5).bound_non_df_dagger, castelnuovo_pi(20, 12))
+    return genus_bound_main(d).bound_non_df_dagger
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,12 @@ from .sym2_lattice import (
 
 FORMATS = ("table", "json")
 
+# Caps on flags whose cost grows far faster than their digits: the sym2 check is
+# cubic in the modulus, and random lemma52 trials grow polynomially with the
+# ambient dimension and the family size.
+MAX_CHECK_MODULUS = 256
+MAX_RANDOM_SIZE = 16
+
 
 class InputError(Exception):
     """Malformed input (bad file, bad JSON shape): exit code 2."""
@@ -55,11 +61,12 @@ def _read_input(path: str) -> object:
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's int-string digit limit
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"JSON in {path} is nested too deeply") from exc
@@ -235,6 +242,9 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if args.random:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
+        for flag, value in (("--ambient", args.ambient), ("--count", args.count)):
+            if value > MAX_RANDOM_SIZE:
+                raise InputError(f"{flag} must be at most {MAX_RANDOM_SIZE}, got {value}")
         rng = random.Random(args.seed)
         field = PrimeField(args.mod)
         failures = []
@@ -272,6 +282,10 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    if args.check and args.modulus > MAX_CHECK_MODULUS:
+        raise InputError(
+            f"--check needs --modulus at most {MAX_CHECK_MODULUS}, got {args.modulus}"
+        )
     model = conf.sym2_model(args.modulus)
     data: dict = {"modulus": model.modulus, "num_elements": model.size}
     if args.check:
@@ -283,13 +297,13 @@ def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_rh(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    min_mode = args.source_genus is not None or args.ram_points is not None
+    max_mode = args.source_genus is not None or args.ram_points is not None
     check_mode = any(v is not None for v in (args.gx, args.gy, args.deg, args.ram))
-    if min_mode and check_mode:
+    if max_mode and check_mode:
         raise InputError("rh takes either --gx/--gy/--deg/--ram or --source-genus/--ram-points")
-    if min_mode:
+    if max_mode:
         if args.source_genus is None or args.ram_points is None:
-            raise InputError("rh minimum-degree mode needs both --source-genus and --ram-points")
+            raise InputError("rh maximal-degree mode needs both --source-genus and --ram-points")
         result = num.riemann_hurwitz_min_degree(args.source_genus, args.ram_points)
         return {
             "source_genus": args.source_genus,
@@ -382,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="verify the incidence pairing table")
     p.set_defaults(handler=_cmd_sym2)
 
-    p = sub.add_parser("rh", help="Riemann-Hurwitz consistency or forced minimum degree")
+    p = sub.add_parser("rh", help="Riemann-Hurwitz consistency or forced maximal degree")
     p.add_argument("--gx", type=int, default=None)
     p.add_argument("--gy", type=int, default=None)
     p.add_argument("--deg", type=int, default=None)

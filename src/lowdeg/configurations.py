@@ -200,7 +200,7 @@ def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Sc
         - p[1] * q[0] * r[2]
         - p[0] * q[2] * r[1]
     )
-    return field.coerce(raw)
+    return field.reduce(raw)
 
 
 def collinear(config: PointConfig, i: int, j: int, k: int) -> bool:

@@ -3,8 +3,11 @@
 Rational values are plain :class:`fractions.Fraction` instances, which are
 always stored fully reduced with a positive denominator, so equality of
 values is equality of representations.  Prime-field values are plain ints in
-``[0, p)``.  A field object supplies the arithmetic, which keeps the matrix
-routines in :mod:`lowdeg.projective` generic over both kinds of scalars.
+``[0, p)``.  Arithmetic uses Python's operators; a field object supplies only
+what differs between the two kinds of scalars: ``coerce`` validates a value
+from outside, ``reduce`` maps an operator result to its canonical
+representative, and ``inv`` and ``is_zero``.  That keeps the matrix routines in
+:mod:`lowdeg.projective` generic over both.
 
 Mixing scalars that belong to different fields is a contract violation and
 raises :class:`~lowdeg.errors.MixedFieldError`.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import MixedFieldError
@@ -28,8 +32,11 @@ PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+# Every prime-field scalar of a JSON file names its modulus, so the same few
+# moduli are tested over and over; trial division near 2**31 takes milliseconds.
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Trial division; plenty fast below 2**31."""
+    """Trial division, memoized for the last 64 values asked about."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -56,17 +63,8 @@ class RationalField:
             return Fraction(value)
         raise MixedFieldError(f"cannot interpret {value!r} as a rational number")
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
+    def reduce(self, x: Fraction) -> Fraction:
+        return x
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
@@ -99,6 +97,8 @@ class PrimeField:
     """
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or isinstance(self.p, bool):
@@ -112,14 +112,6 @@ class PrimeField:
     def name(self) -> str:
         return f"GF({self.p})"
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1 % self.p
-
     def coerce(self, value: object) -> int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
@@ -127,17 +119,8 @@ class PrimeField:
             return int(value) % self.p
         raise MixedFieldError(f"cannot interpret {value!r} as an element of {self.name}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
+    def reduce(self, x: int) -> int:
+        return x % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

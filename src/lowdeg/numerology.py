@@ -97,12 +97,6 @@ def genus_bound_main(d: int) -> GenusBoundReport:
     )
 
 
-def genus_bound_non_df(d: int) -> int:
-    """Genus ceiling (d-1)(d-2)/2 + 2 for non-Debarre-Fahlaoui curves."""
-    _check_int("d", d, 3)
-    return (d - 1) * (d - 2) // 2 + 2
-
-
 def genus_bound_special(e: int, r: int, d: int) -> int:
     """Genus ceiling for a degree-e curve in P^r carrying infinitely many
     nondegenerate degree-d points: the Castelnuovo value at (e + 2d, 2r + 1)."""

@@ -50,11 +50,11 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         scale = field.inv(mat[r][c])
-        mat[r] = [field.mul(scale, x) for x in mat[r]]
+        mat[r] = [field.reduce(scale * x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and not field.is_zero(mat[i][c]):
                 factor = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(mat[i], mat[r])]
+                mat[i] = [field.reduce(x - factor * y) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -71,7 +71,7 @@ def _kernel_rows(mat: Matrix, pivots: Sequence[int], width: int, field: Field) -
         v = [field.zero] * width
         v[f] = field.one
         for row, c in zip(mat, pivots):
-            v[c] = field.neg(row[f])
+            v[c] = field.reduce(-row[f])
         vectors.append(v)
     reduced, _ = rref(vectors, field)
     return reduced
@@ -90,7 +90,7 @@ class ProjPoint:
         if lead is None:
             raise LowdegError("homogeneous coordinates must not all vanish")
         scale = self.field.inv(lead)
-        object.__setattr__(self, "coords", tuple(self.field.mul(scale, x) for x in coords))
+        object.__setattr__(self, "coords", tuple(self.field.reduce(scale * x) for x in coords))
 
     @property
     def ambient(self) -> int:
@@ -189,10 +189,11 @@ class ProjSubspace:
         for row, c in zip(self.rows, self.pivot_columns):
             if not field.is_zero(v[c]):
                 factor = v[c]
-                v = [field.sub(x, field.mul(factor, y)) for x, y in zip(v, row)]
+                v = [field.reduce(x - factor * y) for x, y in zip(v, row)]
         return v
 
     def contains_point(self, point: ProjPoint) -> bool:
+        """Membership test; the empty subspace contains no point."""
         _check_compatible(self, point)
         if self.is_empty:
             return False
@@ -251,11 +252,6 @@ def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     reduced, pivots = rref(s1.annihilator + s2.annihilator, field)
     rows = _kernel_rows(reduced, pivots, s1.ambient + 1, field)
     return ProjSubspace._canonical(field, s1.ambient, rows)
-
-
-def contains(subspace: ProjSubspace, point: ProjPoint) -> bool:
-    """Membership test; the empty subspace contains no point."""
-    return subspace.contains_point(point)
 
 
 def project_from(center: ProjSubspace, point: ProjPoint) -> ProjPoint:

@@ -17,7 +17,7 @@ from lowdeg.classify import (
 )
 from lowdeg.errors import LowdegError
 from lowdeg.jsonio import canonical_dumps
-from lowdeg.numerology import castelnuovo_pi, genus_bound_main, genus_bound_non_df
+from lowdeg.numerology import castelnuovo_pi, genus_bound_main
 
 FIXTURE = Path(__file__).parent / "data" / "classification_table.json"
 
@@ -142,11 +142,12 @@ class TestAudit:
         assert report["passed"]
 
     def test_caps_dominate_tabled_genera(self):
-        assert sporadic_genera(4) and max(sporadic_genera(4)) <= genus_bound_non_df(4)
+        assert sporadic_genera(4)
+        assert max(sporadic_genera(4)) <= genus_bound_main(4).bound_non_df_dagger
         assert max(sporadic_genera(5)) <= sporadic_genus_cap(5)
         assert all(g <= genus_bound_main(5).overall for g in sporadic_genera(5))
         quartic = next(c for c in classify(3, True) if c.kind == KIND_PLANE_QUARTIC)
-        assert quartic.params["genus"] <= genus_bound_non_df(3)
+        assert quartic.params["genus"] <= genus_bound_main(3).bound_non_df_dagger
         assert quartic.params["genus"] <= genus_bound_main(3).overall == 4
 
     def test_plane_quartic_location_check_present(self):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowdeg.cli import main
 from lowdeg.jsonio import canonical_dumps
@@ -179,6 +184,25 @@ class TestSg:
         assert code == 2 and out == ""
         assert err == f"JSON in {path} is nested too deeply\n"
 
+    def test_integer_literal_past_the_digit_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"ambient": 2, "points": [[' + "7" * 5000 + ", 0, 1]]}")
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"malformed JSON in {path}: ") and err.count("\n") == 1
+
+    def test_non_utf8_input_exit_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"ambient": 2, "points": [["\xe9"]]}')
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "sg", "--input", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read -: ") and err.count("\n") == 1
+
 
 class TestLemma52:
     def planted_file(self, tmp_path):
@@ -253,6 +277,17 @@ class TestLemma52:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_random_size_caps(self, capsys):
+        data = run_json(
+            capsys, "lemma52", "--random", "--mod", "101", "--trials", "1",
+            "--ambient", "16", "--count", "16",
+        )
+        assert data["passed"] is True
+        for flag in ("--ambient", "--count"):
+            code, out, err = run(capsys, "lemma52", "--random", flag, "17")
+            assert code == 2 and out == ""
+            assert err == f"{flag} must be at most 16, got 17\n"
+
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
         assert code == 2 and "--input" in err
@@ -266,6 +301,14 @@ class TestSym2:
     def test_check_mode(self, capsys):
         data = run_json(capsys, "sym2", "--modulus", "7", "--check")
         assert data["passed"] is True and data["violations"] == []
+
+    def test_check_modulus_cap(self, capsys):
+        data = run_json(capsys, "sym2", "--modulus", "256", "--check")
+        assert data["passed"] is True and data["checks_run"] == 256 * 255 + 256 * 256
+        code, out, err = run(capsys, "sym2", "--modulus", "257", "--check")
+        assert code == 2 and out == ""
+        assert err == "--check needs --modulus at most 256, got 257\n"
+        assert run_json(capsys, "sym2", "--modulus", "257")["num_elements"] == 257 * 258 // 2
 
     def test_modulus_floor_exit_1(self, capsys):
         code, _, err = run(capsys, "sym2", "--modulus", "4")
@@ -342,3 +385,99 @@ class TestHarness:
         code, out, _ = run(capsys, "--format", "json", *argv)
         assert code == 0
         assert_round_trips(out)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the input, one exit code in {0, 1, 2}, at most one line
+# on stderr, and never a traceback.
+
+SCALARS = st.one_of(
+    st.sampled_from(["0", "1", "-2/3", "1/0", "1.5", "1e9", "", "x"]),
+    st.integers(-3, 3),
+    st.fixed_dictionaries(
+        {
+            "val": st.one_of(st.integers(-3, 3), st.just(1.5)),
+            "mod": st.sampled_from([0, 1, 2, 3, 4, 5, -7, 2**31 - 1, 2**31, True]),
+        }
+    ),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SMALL = st.sampled_from(["0", "1", "-1", "2"])
+ROWS = st.one_of(
+    st.lists(st.lists(SCALARS, max_size=5), max_size=5),
+    st.lists(st.lists(SMALL, min_size=3, max_size=3), min_size=3, max_size=6),
+    st.lists(st.lists(SMALL, min_size=5, max_size=5), min_size=3, max_size=3),
+)
+AMBIENTS = st.one_of(st.integers(-1, 4), st.sampled_from(["2", 2.0, True, None]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12,
+)
+SUBSPACES = st.fixed_dictionaries({"ambient": AMBIENTS, "rows": ROWS})
+DOCUMENTS = st.one_of(
+    st.fixed_dictionaries({"ambient": AMBIENTS, "points": ROWS}),
+    st.fixed_dictionaries({"subspaces": st.lists(SUBSPACES, max_size=4)}),
+    JSON_VALUES,
+).map(lambda doc: json.dumps(doc).encode())
+INPUT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    DOCUMENTS,
+    DOCUMENTS.flatmap(lambda raw: st.integers(0, len(raw)).map(lambda cut: raw[:cut])),
+)
+
+
+@st.composite
+def flag_argvs(draw):
+    """At most one flag out of range, so that most runs get to do work."""
+    ranges = {
+        "--modulus": (st.integers(5, 12), [-2, 4, 257, 10**9]),
+        "--trials": (st.integers(1, 2), [0, -5]),
+        "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000]),
+        "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9]),
+        "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40]),
+    }
+    flags = ["--modulus"] if draw(st.booleans()) else ["--trials", "--ambient", "--count", "--mod"]
+    wild = draw(st.sampled_from([None, *flags]))
+    argv = []
+    for flag in flags:
+        in_range, out_of_range = ranges[flag]
+        value = draw(st.sampled_from(out_of_range) if flag == wild else in_range)
+        argv += [flag, str(value)]
+    if flags == ["--modulus"]:
+        return ["sym2", "--check", *argv]
+    return ["lemma52", "--random", "--seed", str(draw(st.integers(0, 3))), *argv]
+
+
+def run_guarded(argv, stdin=b""):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    errors = err.getvalue()
+    assert code in (0, 1, 2)
+    assert errors.count("\n") <= 1 and "Traceback" not in errors
+    assert (code == 0) == (errors == "")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    command=st.sampled_from(["sg", "lemma52"]),
+    fmt=st.sampled_from(["json", "table"]),
+    stdin=INPUT_BYTES,
+)
+def test_fuzzed_input_files(command, fmt, stdin):
+    run_guarded(["--format", fmt, command, "--input", "-"], stdin)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(argv=flag_argvs())
+def test_fuzzed_size_flags(argv):
+    run_guarded(["--format", "json", *argv])

@@ -24,8 +24,10 @@ class TestRationalField:
 
     def test_arithmetic(self):
         a, b = Fraction(1, 2), Fraction(1, 3)
-        assert QQ.add(a, b) == Fraction(5, 6)
-        assert QQ.mul(a, b) == Fraction(1, 6)
+        assert QQ.reduce(a + b) == Fraction(5, 6)
+        assert QQ.reduce(a - b) == Fraction(1, 6)
+        assert QQ.reduce(a * b) == Fraction(1, 6)
+        assert QQ.reduce(-a) == Fraction(-1, 2)
         assert QQ.inv(a) == 2
         with pytest.raises(ZeroDivisionError):
             QQ.inv(QQ.zero)
@@ -59,10 +61,12 @@ class TestPrimeField:
 
     def test_arithmetic_mod_7(self):
         gf = PrimeField(7)
-        assert gf.add(5, 4) == 2
-        assert gf.mul(3, 5) == 1
+        assert (gf.zero, gf.one) == (0, 1)
+        assert gf.reduce(5 + 4) == 2
+        assert gf.reduce(2 - 6) == 3
+        assert gf.reduce(3 * 5) == 1
         assert gf.inv(3) == 5
-        assert gf.neg(2) == 5
+        assert gf.reduce(-2) == 5
         with pytest.raises(ZeroDivisionError):
             gf.inv(0)
 
@@ -77,16 +81,27 @@ class TestPrimeField:
     def test_field_axioms_gf101(self, a, b, c):
         gf = PrimeField(101)
         a, b, c = gf.coerce(a), gf.coerce(b), gf.coerce(c)
-        assert gf.add(a, b) == gf.add(b, a)
-        assert gf.mul(a, b) == gf.mul(b, a)
-        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert all(0 <= gf.reduce(x) < 101 for x in (a + b, a - b, a * b, -a))
+        assert gf.reduce(gf.reduce(a + b) + c) == gf.reduce(a + gf.reduce(b + c))
+        assert gf.reduce(gf.reduce(a * b) * c) == gf.reduce(a * gf.reduce(b * c))
+        assert gf.reduce(a * gf.reduce(b + c)) == gf.reduce(gf.reduce(a * b) + gf.reduce(a * c))
+        assert gf.reduce(a + gf.reduce(-a)) == gf.zero
         if not gf.is_zero(a):
-            assert gf.mul(a, gf.inv(a)) == gf.one
+            assert gf.reduce(a * gf.inv(a)) == gf.one
 
 
 def test_is_prime_small_values():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_primality_is_tested_once_per_modulus():
+    is_prime.cache_clear()
+    for val in range(200):
+        field, value = scalar_from_json({"val": val, "mod": 2147483647})
+        assert field.p == 2147483647 and value == val
+    info = is_prime.cache_info()
+    assert info.misses == 1 and info.hits == 199
 
 
 class TestScalarJson:

@@ -7,7 +7,6 @@ from lowdeg.numerology import (
     UNBOUNDED,
     castelnuovo_pi,
     genus_bound_main,
-    genus_bound_non_df,
     genus_bound_special,
     gonality_bounds,
     riemann_hurwitz_check,
@@ -96,11 +95,9 @@ class TestGenusBoundMain:
 
 class TestOtherGenusBounds:
     def test_non_df_values(self):
-        assert genus_bound_non_df(5) == 8
-        assert genus_bound_non_df(4) == 5
-        assert genus_bound_non_df(3) == 3
-        with pytest.raises(LowdegError):
-            genus_bound_non_df(2)
+        assert genus_bound_main(5).bound_non_df_dagger == 8
+        assert genus_bound_main(4).bound_non_df_dagger == 5
+        assert genus_bound_main(3).bound_non_df_dagger == 3
 
     def test_special_values(self):
         assert genus_bound_special(12, 5, 4) == 9

@@ -15,7 +15,6 @@ from lowdeg.fields import QQ, PrimeField
 from lowdeg.projective import (
     ProjPoint,
     ProjSubspace,
-    contains,
     join,
     meet,
     project_from,
@@ -181,15 +180,15 @@ class TestContains:
     def test_basis_points_are_members(self):
         s = qspace(3, [1, 0, 2, 0], [0, 1, 1, 1])
         for p in s.basis_points():
-            assert contains(s, p)
+            assert s.contains_point(p)
 
     def test_point_off_a_line(self):
         line = qspace(2, [1, 0, 0], [0, 1, 0])
-        assert not contains(line, qpoint(0, 0, 1))
-        assert not contains(line, qpoint(1, 1, 7))
+        assert not line.contains_point(qpoint(0, 0, 1))
+        assert not line.contains_point(qpoint(1, 1, 7))
 
     def test_empty_contains_nothing(self):
-        assert not contains(ProjSubspace.empty(QQ, 2), qpoint(1, 0, 0))
+        assert not ProjSubspace.empty(QQ, 2).contains_point(qpoint(1, 0, 0))
 
 
 class TestProjection:
