@@ -13,41 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
-from . import configurations as conf
-from . import numerology as num
-from .classify import audit_json, classification_json
 from .errors import LowdegError
-from .fields import PrimeField
-from .jsonio import (
-    canonical_dumps,
-    point_config_from_json,
-    subspace_to_json,
-    subspaces_from_json,
-)
-from .sym2_lattice import (
-    DFParams,
-    SurfaceClass,
-    adjunction_genus,
-    df_class,
-    df_gonality_guard,
-    df_genus,
-    is_effective,
-    is_nef,
-    pair,
-)
 
 FORMATS = ("table", "json")
 
 # Caps on flags whose cost grows far faster than their digits: the sym2 check is
 # cubic in the modulus, and random lemma52 trials grow polynomially with the
-# ambient dimension and the family size.
+# ambient dimension and the family size; their time is linear in the trials.
 MAX_CHECK_MODULUS = 256
 MAX_RANDOM_SIZE = 16
+MAX_TRIALS = 10_000
 
 
 class InputError(Exception):
@@ -104,6 +82,8 @@ def _render_scalar(value: object) -> str:
 
 def _emit(data: dict, fmt: str, table: Optional[str] = None) -> None:
     if fmt == "json":
+        from .jsonio import canonical_dumps
+
         print(canonical_dumps(data))
     elif table is not None:
         print(table)
@@ -112,15 +92,22 @@ def _emit(data: dict, fmt: str, table: Optional[str] = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (data, optional table text)
+# Subcommand handlers: each returns (data, optional table text), and each
+# imports the lowdeg modules it runs, so a process loads only those.
 
 
 def _cmd_pi(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from . import numerology as num
+
     value = num.castelnuovo_pi(args.delta, args.ambient)
     return {"delta": args.delta, "ambient": args.ambient, "pi": value}, str(value)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from dataclasses import asdict
+
+    from . import numerology as num
+
     data = asdict(num.genus_bound_main(args.d))
     if args.genus is not None:
         gon = num.gonality_bounds(
@@ -134,6 +121,8 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from . import numerology as num
+
     n_max = args.nmax if args.nmax is not None else max(2, args.d)
     profile = num.rs_profile(args.d, n_max, args.dagger, args.r2)
     rows = [
@@ -172,6 +161,17 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from .sym2_lattice import (
+        DFParams,
+        SurfaceClass,
+        df_class,
+        df_gonality_guard,
+        df_genus,
+        is_effective,
+        is_nef,
+        pair,
+    )
+
     params = DFParams(args.d, args.m)
     cls = df_class(params)
     return {
@@ -187,6 +187,8 @@ def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_cone(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from .sym2_lattice import SurfaceClass, adjunction_genus, is_effective, is_nef, pair
+
     cls = SurfaceClass(args.a, args.b)
     return {
         "a": cls.a,
@@ -199,6 +201,8 @@ def _cmd_cone(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from .classify import classification_json
+
     data = classification_json(args.d, arithmetic=not args.geometric)
     lines = [f"d = {data['d']}  mode = {data['mode']}"]
     for case in data["cases"]:
@@ -209,6 +213,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from .classify import audit_json
+
     data = audit_json(args.d)
     lines = [f"audit d = {data['d']}: {'PASS' if data['passed'] else 'FAIL'}"]
     for check in data["checks"]:
@@ -219,6 +225,9 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from . import configurations as conf
+    from .jsonio import point_config_from_json
+
     config = point_config_from_json(_read_input(args.input))
     report = conf.check_sylvester_gallai(config)
     by_size: dict[str, int] = {}
@@ -239,9 +248,17 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    import random
+
+    from . import configurations as conf
+    from .fields import PrimeField
+    from .jsonio import subspace_to_json, subspaces_from_json
+
     if args.random:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
+        if args.trials > MAX_TRIALS:
+            raise InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
         for flag, value in (("--ambient", args.ambient), ("--count", args.count)):
             if value > MAX_RANDOM_SIZE:
                 raise InputError(f"{flag} must be at most {MAX_RANDOM_SIZE}, got {value}")
@@ -282,6 +299,8 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from . import configurations as conf
+
     if args.check and args.modulus > MAX_CHECK_MODULUS:
         raise InputError(
             f"--check needs --modulus at most {MAX_CHECK_MODULUS}, got {args.modulus}"
@@ -297,6 +316,8 @@ def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_rh(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
+    from . import numerology as num
+
     max_mode = args.source_genus is not None or args.ram_points is not None
     check_mode = any(v is not None for v in (args.gx, args.gy, args.deg, args.ram))
     if max_mode and check_mode:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
 from .fields import Field, PrimeField, Scalar, require_same_field
-from .projective import ProjPoint, ProjSubspace, join, meet, span
+from .projective import ProjPoint, ProjSubspace, _scaled_to_lead_one, join, meet, span
 
 Pair = tuple[int, int]
 
@@ -129,11 +129,19 @@ def random_common_subspace_instance(
     codimension-3 subspace fattened by one extra point per member.  Redraws
     until every precondition holds (small fields can produce degenerate
     draws), and raises :class:`ConfigurationError` after ``MAX_REDRAWS``
-    failed draws."""
+    failed draws, or before any draw when no such family exists: two members
+    in a common hyperplane never span P^n, and the members through one
+    codimension-3 subspace are distinct points of the quotient plane, of
+    which GF(p) has p^2 + p + 1."""
     if ambient < 3:
         raise ConfigurationError("need ambient dimension at least 3")
-    if count < 2:
-        raise ConfigurationError("need at least two members")
+    if count < 3:
+        raise ConfigurationError(f"need at least three members to span P^{ambient}, got {count}")
+    if isinstance(field, PrimeField) and count > field.p**2 + field.p + 1:
+        raise ConfigurationError(
+            f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
+            f"codimension-3 subspace, got {count}"
+        )
     for _ in range(MAX_REDRAWS):
         planted = random_subspace(rng, field, ambient, ambient - 3)
         members = []
@@ -248,7 +256,7 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
 
     One pass over the pairs: the line through p and q is the cross product
     p x q, which is nonzero because the points are distinct, and normalizing
-    it as a :class:`ProjPoint` makes it a key shared by every pair on it.
+    it as :class:`ProjPoint` does makes it a key shared by every pair on it.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
@@ -263,7 +271,7 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
                 p[2] * q[0] - p[0] * q[2],
                 p[0] * q[1] - p[1] * q[0],
             )
-            on_line.setdefault(ProjPoint(field, dual).coords, set()).update((i, j))
+            on_line.setdefault(_scaled_to_lead_one(field, dual), set()).update((i, j))
     return tuple(sorted(tuple(sorted(members)) for members in on_line.values()))
 
 

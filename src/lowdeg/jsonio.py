@@ -13,12 +13,14 @@ JSON re-serializes byte-identically after a parse round trip.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .configurations import PointConfig
 from .errors import LowdegError, MixedFieldError
 from .fields import Field, Scalar, scalar_from_json, scalar_to_json
-from .projective import ProjPoint, ProjSubspace
+
+if TYPE_CHECKING:
+    from .configurations import PointConfig
+    from .projective import ProjSubspace
 
 
 def canonical_dumps(data: object) -> str:
@@ -62,6 +64,9 @@ def subspace_to_json(s: ProjSubspace) -> dict:
 
 
 def subspace_from_json(obj: object) -> ProjSubspace:
+    # The geometry modules load only when a reader needs them, not for canonical_dumps.
+    from .projective import ProjSubspace
+
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise LowdegError("a subspace needs 'ambient' and 'rows' keys")
     ambient = _check_ambient(obj["ambient"])
@@ -79,6 +84,9 @@ def point_config_to_json(config: PointConfig) -> dict:
 
 
 def point_config_from_json(obj: object) -> PointConfig:
+    from .configurations import PointConfig
+    from .projective import ProjPoint
+
     if not isinstance(obj, dict) or "points" not in obj:
         raise LowdegError("a point configuration needs a 'points' key")
     ambient = obj.get("ambient")

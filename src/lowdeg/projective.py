@@ -77,6 +77,16 @@ def _kernel_rows(mat: Matrix, pivots: Sequence[int], width: int, field: Field) -
     return reduced
 
 
+def _scaled_to_lead_one(field: Field, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """``coords`` (operator results, not yet reduced) scaled by the inverse of
+    their first nonzero entry and reduced: the canonical form of a point."""
+    lead = next((x for x in coords if not field.is_zero(x)), None)
+    if lead is None:
+        raise LowdegError("homogeneous coordinates must not all vanish")
+    scale = field.inv(lead)
+    return tuple(field.reduce(scale * x) for x in coords)
+
+
 @dataclass(frozen=True)
 class ProjPoint:
     """A point of P^n: nonzero homogeneous coordinates, first nonzero entry 1."""
@@ -86,11 +96,7 @@ class ProjPoint:
 
     def __post_init__(self) -> None:
         coords = [self.field.coerce(x) for x in self.coords]
-        lead = next((x for x in coords if not self.field.is_zero(x)), None)
-        if lead is None:
-            raise LowdegError("homogeneous coordinates must not all vanish")
-        scale = self.field.inv(lead)
-        object.__setattr__(self, "coords", tuple(self.field.reduce(scale * x) for x in coords))
+        object.__setattr__(self, "coords", _scaled_to_lead_one(self.field, coords))
 
     @property
     def ambient(self) -> int:

@@ -1,13 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdeg.cli import main
+import lowdeg
+from lowdeg.cli import build_parser, main
 from lowdeg.jsonio import canonical_dumps
 
 
@@ -270,12 +275,15 @@ class TestLemma52:
 
     def test_infeasible_random_family_exit_1(self, capsys):
         # Over GF(3) only 13 planes of P^4 contain a given line, so 14 distinct
-        # members never exist; the sampler gives up instead of redrawing forever.
-        code, out, err = run(
-            capsys, "lemma52", "--random", "--mod", "3", "--count", "14", "--trials", "1"
-        )
-        assert code == 1 and out == ""
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # members never exist, and two members never span P^16; the sampler
+        # says so before drawing.
+        for flags, reason in (
+            (("--mod", "3", "--count", "14"), "at most 13 members over GF(3)"),
+            (("--mod", "101", "--count", "2", "--ambient", "16"), "at least three members"),
+        ):
+            code, out, err = run(capsys, "lemma52", "--random", *flags, "--trials", "1")
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and reason in err
 
     def test_random_size_caps(self, capsys):
         data = run_json(
@@ -287,6 +295,11 @@ class TestLemma52:
             code, out, err = run(capsys, "lemma52", "--random", flag, "17")
             assert code == 2 and out == ""
             assert err == f"{flag} must be at most 16, got 17\n"
+
+    def test_trials_cap(self, capsys):
+        code, out, err = run(capsys, "lemma52", "--random", "--trials", "10001")
+        assert code == 2 and out == ""
+        assert err == "--trials must be at most 10000, got 10001\n"
 
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
@@ -337,6 +350,23 @@ class TestRh:
         assert code == 2
 
 
+def subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def run_fresh(args):
+    """Run ``python ARGS`` in a new interpreter that imports this lowdeg."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lowdeg.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def imported_lowdeg_modules(importtime_log):
+    """Module names from ``python -X importtime`` stderr that belong to lowdeg."""
+    names = {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
+    return {name for name in names if name == "lowdeg" or name.startswith("lowdeg.")}
+
+
 class TestHarness:
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -353,6 +383,51 @@ class TestHarness:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout == "8\n"
+
+    def test_fresh_process_runs_every_subcommand(self, capsys, tmp_path):
+        # The handlers import what they run; an in-process run cannot miss an
+        # import, because this test session has already loaded every module.
+        sg_input = tmp_path / "points.json"
+        points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        sg_input.write_text(json.dumps({"ambient": 2, "points": points}))
+        lemma52_input = TestLemma52().planted_file(tmp_path)
+        runs = {
+            "pi": ["pi", "--delta", "20", "--ambient", "12"],
+            "bounds": ["bounds", "--d", "4", "--genus", "7", "--df"],
+            "profile": ["profile", "--d", "5", "--dagger"],
+            "df": ["df", "--d", "4", "--m", "1"],
+            "cone": ["cone", "--a", "1", "--b", "1"],
+            "classify": ["classify", "--d", "4"],
+            "audit": ["audit", "--d", "4"],
+            "sg": ["sg", "--input", str(sg_input)],
+            "lemma52": ["lemma52", "--input", str(lemma52_input)],
+            "sym2": ["sym2", "--modulus", "7", "--check"],
+            "rh": ["rh", "--source-genus", "1", "--ram-points", "4"],
+        }
+        assert set(runs) == set(subcommands())
+        for argv in runs.values():
+            for fmt in ("table", "json"):
+                proc = run_fresh(["-m", "lowdeg", "--format", fmt, *argv])
+                assert (proc.returncode, proc.stderr) == (0, ""), argv
+                assert proc.stdout == run(capsys, "--format", fmt, *argv)[1]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_numerology_commands_import_no_geometry(self, fmt):
+        proc = run_fresh(["-X", "importtime", "-c", "import lowdeg"])
+        assert imported_lowdeg_modules(proc.stderr) == {"lowdeg"}
+        geometry = {
+            "lowdeg.configurations", "lowdeg.projective", "lowdeg.classify", "lowdeg.sym2_lattice"
+        }
+        for argv in (
+            ["pi", "--delta", "20", "--ambient", "12"],
+            ["bounds", "--d", "5", "--genus", "7", "--df"],
+            ["profile", "--d", "5", "--dagger"],
+            ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
+        ):
+            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
+            assert proc.returncode == 0
+            loaded = imported_lowdeg_modules(proc.stderr)
+            assert "lowdeg.numerology" in loaded and not loaded & geometry, argv
 
     def test_env_var_sets_default_format(self, capsys, monkeypatch):
         monkeypatch.setenv("LOWDEG_FORMAT", "json")
@@ -435,7 +510,7 @@ def flag_argvs(draw):
     """At most one flag out of range, so that most runs get to do work."""
     ranges = {
         "--modulus": (st.integers(5, 12), [-2, 4, 257, 10**9]),
-        "--trials": (st.integers(1, 2), [0, -5]),
+        "--trials": (st.integers(1, 2), [0, -5, 10**9]),
         "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000]),
         "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9]),
         "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40]),

@@ -25,6 +25,7 @@ from lowdeg.fields import QQ, PrimeField
 from lowdeg.projective import ProjPoint, ProjSubspace, join, span
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
 
+GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 
@@ -121,6 +122,29 @@ class TestRandomHelpers:
         p = random_point(rng, GF5, 3)
         lead = next(x for x in p.coords if x != 0)
         assert lead == 1
+
+    @staticmethod
+    def assert_rejected_before_any_draw(field, ambient, count, match):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ConfigurationError, match=match):
+            random_common_subspace_instance(rng, field, ambient, count=count)
+        assert rng.getstate() == state
+
+    def test_family_needs_three_members(self):
+        # Two members in a common hyperplane never span P^n.
+        members = random_common_subspace_instance(random.Random(3), GF5, 4, count=3)
+        assert len(members) == 3 and common_subspace(members).dim == 1
+        for field in (GF5, PrimeField(101), QQ):
+            self.assert_rejected_before_any_draw(field, 16, 2, "at least three members")
+
+    def test_family_fits_the_quotient_plane(self):
+        # The members through one codimension-3 subspace are distinct points of
+        # the quotient plane: 7 over GF(2), 13 over GF(3).
+        members = random_common_subspace_instance(random.Random(0), GF2, 3, count=7)
+        assert len(set(members)) == 7 and common_subspace(members).dim == 0
+        self.assert_rejected_before_any_draw(GF2, 3, 8, "at most 7 members over GF")
+        self.assert_rejected_before_any_draw(GF3, 16, 14, "at most 13 members over GF")
 
 
 class TestPointConfig:
