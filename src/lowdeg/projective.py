@@ -78,8 +78,8 @@ def _kernel_rows(mat: Matrix, pivots: Sequence[int], width: int, field: Field) -
 
 
 def _scaled_to_lead_one(field: Field, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """``coords`` (operator results, not yet reduced) scaled by the inverse of
-    their first nonzero entry and reduced: the canonical form of a point."""
+    """``coords`` scaled by the inverse of their first nonzero entry and
+    reduced: the canonical form of a point.  Entries need not be reduced."""
     lead = next((x for x in coords if not field.is_zero(x)), None)
     if lead is None:
         raise LowdegError("homogeneous coordinates must not all vanish")

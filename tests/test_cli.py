@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -406,23 +407,24 @@ class TestHarness:
         }
         assert set(runs) == set(subcommands())
         for argv in runs.values():
-            for fmt in ("table", "json"):
-                proc = run_fresh(["-m", "lowdeg", "--format", fmt, *argv])
-                assert (proc.returncode, proc.stderr) == (0, ""), argv
-                assert proc.stdout == run(capsys, "--format", fmt, *argv)[1]
+            proc = run_fresh(["-m", "lowdeg", "--format", "json", *argv])
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            assert proc.stdout == run(capsys, "--format", "json", *argv)[1]
 
-    @pytest.mark.parametrize("fmt", ["table", "json"])
-    def test_numerology_commands_import_no_geometry(self, fmt):
+    def test_numerology_commands_import_no_geometry(self):
         proc = run_fresh(["-X", "importtime", "-c", "import lowdeg"])
         assert imported_lowdeg_modules(proc.stderr) == {"lowdeg"}
         geometry = {
             "lowdeg.configurations", "lowdeg.projective", "lowdeg.classify", "lowdeg.sym2_lattice"
         }
-        for argv in (
-            ["pi", "--delta", "20", "--ambient", "12"],
-            ["bounds", "--d", "5", "--genus", "7", "--df"],
-            ["profile", "--d", "5", "--dagger"],
-            ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
+        for fmt, argv in itertools.product(
+            ("table", "json"),
+            (
+                ["pi", "--delta", "20", "--ambient", "12"],
+                ["bounds", "--d", "5", "--genus", "7", "--df"],
+                ["profile", "--d", "5", "--dagger"],
+                ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
+            ),
         ):
             proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
             assert proc.returncode == 0
