@@ -266,14 +266,8 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         field = PrimeField(args.mod)
         failures = []
         for trial in range(args.trials):
-            members = conf.random_common_subspace_instance(
-                rng, field, args.ambient, count=args.count
-            )
-            lam = conf.common_subspace(members)
-            ok = lam.dim == args.ambient - 3 and all(
-                s.contains_subspace(lam) for s in members
-            )
-            if not ok:
+            members, planted = conf.planted_family(rng, field, args.ambient, args.count)
+            if conf.common_subspace(members) != planted:
                 failures.append(trial)
         return {
             "mode": "random",

@@ -1,9 +1,11 @@
-"""Brute-force laboratory for incidence configurations.
+"""Incidence configurations: exact checks and seeded random instances.
 
 Three gadgets live here:
 
-* extraction of the codimension-3 subspace common to a family of
-  codimension-2 subspaces that pairwise lie in hyperplanes and jointly span,
+* extraction of the codimension-3 subspace Λ common to a family of
+  codimension-2 subspaces that pairwise lie in hyperplanes and jointly span
+  (Lemma 5.2): such a family is a set of distinct, non-collinear points of
+  the quotient plane P^n / Λ,
 * Sylvester-Gallai checks for plane point sets, which group the points by
   their dual line: the line through p and q is the cross product p x q,
   normalized like a point.  :func:`collinear` is the exact triple test
@@ -24,12 +26,11 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
 from .fields import Field, PrimeField, Scalar, require_same_field
-from .projective import ProjPoint, ProjSubspace, _scaled_to_lead_one, join, meet, span
+from .projective import ProjPoint, ProjSubspace, _scaled_to_lead_one, meet, project_subspace_from
 
 Pair = tuple[int, int]
 
-# Draws a random-instance sampler makes before it gives up: valid requests need a
-# handful, an infeasible one (more members than a small field allows) would never end.
+# Draws random_subspace makes before it gives up on independent spanning vectors.
 MAX_REDRAWS = 1000
 
 
@@ -40,12 +41,12 @@ MAX_REDRAWS = 1000
 def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
     """The codimension-3 subspace contained in every member of the family.
 
-    Preconditions, each checked and reported separately: at least two
-    subspaces, all of codimension 2 in a common P^n, any two of them lying
-    in a common hyperplane, and the whole family spanning P^n.  Under these
-    the intersection of the first two members has codimension 3 and is
-    contained in every other member; the containment is verified rather
-    than assumed.
+    Preconditions: at least two subspaces, all of codimension 2 in a common
+    P^n, any two of them lying in a common hyperplane, and the whole family
+    spanning P^n.  By Lemma 5.2 these hold exactly when Λ, the meet of the
+    first two members, has codimension 3, every member contains Λ, and the
+    members project from Λ to distinct, non-collinear points of the quotient
+    plane P^n / Λ.  That is what is checked, with no joins; Λ is returned.
     """
     subs = list(subspaces)
     if len(subs) < 2:
@@ -63,30 +64,30 @@ def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
             raise ConfigurationError(
                 f"subspace {i} has codimension {s.codim}, expected 2"
             )
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            joined = join(subs[i], subs[j])
-            if joined.dim == ambient - 2:
-                raise ConfigurationError(f"subspaces {i} and {j} coincide")
-            if joined.dim != ambient - 1:
-                raise ConfigurationError(
-                    f"subspaces {i} and {j} span all of P^{ambient}; "
-                    f"they do not lie in a common hyperplane"
-                )
-    total = subs[0]
-    for s in subs[1:]:
-        total = join(total, s)
-    if total.dim != ambient:
-        raise ConfigurationError(
-            f"the family only spans a subspace of dimension {total.dim} in P^{ambient}"
-        )
     lam = meet(subs[0], subs[1])
-    for i, s in enumerate(subs[2:], start=2):
-        if not s.contains_subspace(lam):
-            raise LowdegError(
-                f"verification failed: subspace {i} does not contain the "
-                f"candidate common subspace"
+    if lam.dim == ambient - 2:
+        raise ConfigurationError("subspaces 0 and 1 coincide")
+    if lam.dim < ambient - 3:
+        raise ConfigurationError(
+            f"subspaces 0 and 1 span all of P^{ambient}; they do not lie in a common hyperplane"
+        )
+    first_with_image: dict[tuple[Scalar, ...], int] = {}
+    for i, s in enumerate(subs):
+        # s contains lam exactly when its image is a single point
+        image = project_subspace_from(lam, s).rows
+        if len(image) != 1:
+            raise ConfigurationError(
+                f"subspace {i} does not contain the codimension-3 meet of subspaces 0 and 1"
             )
+        j = first_with_image.setdefault(image[0], i)
+        if j != i:
+            raise ConfigurationError(f"subspaces {j} and {i} coincide")
+    images = ProjSubspace.from_vectors(field, 2, list(first_with_image))
+    if images.dim != 2:
+        raise ConfigurationError(
+            f"the family only spans a subspace of dimension {lam.dim + images.dim + 1} "
+            f"in P^{ambient}"
+        )
     return lam
 
 
@@ -119,20 +120,18 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
     raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
 
 
-def random_common_subspace_instance(
-    rng: random.Random,
-    field: Field,
-    ambient: int,
-    count: int = 4,
-) -> list[ProjSubspace]:
-    """A valid random input for :func:`common_subspace`: a planted
-    codimension-3 subspace fattened by one extra point per member.  Redraws
-    until every precondition holds (small fields can produce degenerate
-    draws), and raises :class:`ConfigurationError` after ``MAX_REDRAWS``
-    failed draws, or before any draw when no such family exists: two members
-    in a common hyperplane never span P^n, and the members through one
-    codimension-3 subspace are distinct points of the quotient plane, of
-    which GF(p) has p^2 + p + 1."""
+def planted_family(
+    rng: random.Random, field: Field, ambient: int, count: int = 4
+) -> tuple[list[ProjSubspace], ProjSubspace]:
+    """``(members, planted)``: a valid input for :func:`common_subspace` and
+    the codimension-3 subspace it must return.
+
+    The members through ``planted`` are the points of the quotient plane, so
+    the family is built, not searched for: three non-collinear quotient
+    points, then distinct further ones, each lifted onto the non-pivot
+    columns of ``planted`` (the coordinates projection reads back).  Raises
+    :class:`ConfigurationError` before any draw when no family exists: fewer
+    than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
     if ambient < 3:
         raise ConfigurationError("need ambient dimension at least 3")
     if count < 3:
@@ -142,24 +141,28 @@ def random_common_subspace_instance(
             f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
             f"codimension-3 subspace, got {count}"
         )
-    for _ in range(MAX_REDRAWS):
-        planted = random_subspace(rng, field, ambient, ambient - 3)
-        members = []
-        for _ in range(count):
-            extra = random_point(rng, field, ambient)
-            candidate = join(planted, span([extra]))
-            if candidate.dim == ambient - 2:
-                members.append(candidate)
-        if len(members) < count:
-            continue
-        try:
-            common_subspace(members)
-        except ConfigurationError:
-            continue
-        return members
-    raise ConfigurationError(
-        f"no valid family of {count} members in P^{ambient} over {field!r} in {MAX_REDRAWS} draws"
-    )
+    planted = random_subspace(rng, field, ambient, ambient - 3)
+    points: list[tuple[Scalar, ...]] = []
+    while len(points) < count:
+        point = random_point(rng, field, 2).coords
+        on_first_line = len(points) == 2 and field.is_zero(_det3(field, *points, point))
+        if point not in points and not on_first_line:
+            points.append(point)
+    free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
+    members = []
+    for point in points:
+        lift = dict(zip(free, point))
+        row = [lift.get(c, field.zero) for c in range(ambient + 1)]
+        members.append(ProjSubspace.from_vectors(field, ambient, [*planted.rows, row]))
+    return members, planted
+
+
+def random_common_subspace_instance(
+    rng: random.Random, field: Field, ambient: int, count: int = 4
+) -> list[ProjSubspace]:
+    """The members of :func:`planted_family`: ``count`` codimension-2 subspaces
+    through one codimension-3 subspace, distinct non-collinear quotient points."""
+    return planted_family(rng, field, ambient, count)[0]
 
 
 # ---------------------------------------------------------------------------

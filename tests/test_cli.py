@@ -268,6 +268,52 @@ class TestLemma52:
         data = json.loads(first[1])
         assert data["passed"] is True and data["failures"] == []
 
+    def test_random_mode_compares_with_the_planted_subspace(self, capsys, monkeypatch):
+        from lowdeg import configurations
+        from lowdeg.projective import ProjSubspace
+
+        real = configurations.common_subspace
+
+        def wrong(members):
+            lam = real(members)
+            n = lam.ambient
+            for shift in (0, 1):
+                units = [[int(c == r + shift) for c in range(n + 1)] for r in range(n - 2)]
+                other = ProjSubspace.from_vectors(lam.field, n, units)
+                if other != lam:
+                    return other
+
+        monkeypatch.setattr(configurations, "common_subspace", wrong)
+        data = run_json(capsys, "lemma52", "--random", "--trials", "6", "--seed", "1")
+        assert data["passed"] is False
+        assert data["failures"] == data["violations"] == list(range(6))
+
+    def test_random_family_filling_the_quotient_plane(self, capsys):
+        # All 13 points of the quotient plane over GF(3) make one family.
+        data = run_json(
+            capsys, "lemma52", "--random", "--ambient", "16", "--count", "13", "--mod", "3",
+            "--trials", "1",
+        )
+        assert data["passed"] is True
+
+    def test_member_missing_the_meet_exit_1(self, capsys, tmp_path):
+        payload = json.loads(self.planted_file(tmp_path).read_text())
+        payload["subspaces"].append(
+            {
+                "ambient": 4,
+                "rows": [
+                    ["1", "0", "0", "0", "0"],
+                    ["0", "0", "1", "0", "0"],
+                    ["0", "0", "0", "1", "0"],
+                ],
+            }
+        )
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "subspace 3 does not contain the codimension-3 meet of subspaces 0 and 1\n"
+
     def test_random_mode_needs_a_trial(self, capsys):
         for trials in ("0", "-3"):
             code, out, err = run(capsys, "lemma52", "--random", "--trials", trials)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lowdeg import configurations, projective
 from lowdeg.configurations import (
     PointConfig,
     Sym2GroupModel,
@@ -14,15 +15,16 @@ from lowdeg.configurations import (
     maximal_lines,
     pairs_containing,
     pairs_with_sum,
+    planted_family,
     random_common_subspace_instance,
     random_point,
     random_subspace,
     sym2_model,
     two_divisor_check,
 )
-from lowdeg.errors import ConfigurationError, MixedFieldError
+from lowdeg.errors import ConfigurationError, LowdegError, MixedFieldError
 from lowdeg.fields import QQ, PrimeField
-from lowdeg.projective import ProjPoint, ProjSubspace, join, span
+from lowdeg.projective import ProjPoint, ProjSubspace, join, meet, span
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
 
 GF2 = PrimeField(2)
@@ -36,6 +38,43 @@ def qpoint(*coords):
 
 def qspace(ambient, *vectors):
     return ProjSubspace.from_vectors(QQ, ambient, vectors)
+
+
+def pairwise_common_subspace(subs):
+    """The O(count^2) reference for :func:`common_subspace`: join every pair
+    of members, then the whole family, then meet the first two and confirm
+    that every member contains the result."""
+    ambient = subs[0].ambient
+    if len(subs) < 2 or any(s.codim != 2 for s in subs):
+        raise ConfigurationError("need at least two members of codimension 2")
+    for i in range(len(subs)):
+        for j in range(i + 1, len(subs)):
+            joined = join(subs[i], subs[j])
+            if joined.dim == ambient - 2:
+                raise ConfigurationError(f"subspaces {i} and {j} coincide")
+            if joined.dim != ambient - 1:
+                raise ConfigurationError(f"subspaces {i} and {j} lie in no common hyperplane")
+    total = subs[0]
+    for s in subs[1:]:
+        total = join(total, s)
+    if total.dim != ambient:
+        raise ConfigurationError(f"the family only spans dimension {total.dim}")
+    lam = meet(subs[0], subs[1])
+    if not all(s.contains_subspace(lam) for s in subs):
+        raise LowdegError("a member misses the meet of the first two")
+    return lam
+
+
+def through(lam, point):
+    return join(lam, span([point]))
+
+
+def random_point_in(rng, subspace):
+    coeffs = random_point(rng, subspace.field, subspace.dim).coords
+    coords = [0] * (subspace.ambient + 1)
+    for c, row in zip(coeffs, subspace.rows):
+        coords = [x + c * y for x, y in zip(coords, row)]
+    return ProjPoint(subspace.field, tuple(coords))
 
 
 class TestCommonSubspace:
@@ -102,6 +141,103 @@ class TestCommonSubspace:
         with pytest.raises(ConfigurationError, match="at least two"):
             common_subspace([s])
 
+    def test_member_missing_the_meet_rejected(self):
+        lam = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        members = [
+            through(lam, qpoint(0, 0, 1, 0, 0)),
+            through(lam, qpoint(0, 0, 0, 1, 0)),
+            through(lam, qpoint(0, 0, 0, 0, 1)),
+            qspace(4, [1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]),
+        ]
+        with pytest.raises(
+            ConfigurationError, match="subspace 3 does not contain the codimension-3 meet"
+        ):
+            common_subspace(members)
+
+    def test_collinear_images_rejected(self):
+        # three members through the line, all inside the hyperplane x4 = 0
+        lam = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        members = [
+            through(lam, qpoint(0, 0, 1, 0, 0)),
+            through(lam, qpoint(0, 0, 0, 1, 0)),
+            through(lam, qpoint(0, 0, 1, 1, 0)),
+            through(lam, qpoint(0, 0, 1, 2, 0)),
+        ]
+        with pytest.raises(
+            ConfigurationError, match=r"only spans a subspace of dimension 3 in P\^4$"
+        ):
+            common_subspace(members)
+
+    def test_later_duplicate_names_both_indices(self):
+        lam = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        members = [
+            through(lam, qpoint(0, 0, 1, 0, 0)),
+            through(lam, qpoint(0, 0, 0, 1, 0)),
+            through(lam, qpoint(0, 0, 0, 0, 1)),
+            through(lam, qpoint(0, 0, 1, 1, 1)),
+            through(lam, qpoint(0, 0, 0, 3, 0)),
+        ]
+        with pytest.raises(ConfigurationError, match="^subspaces 1 and 4 coincide$"):
+            common_subspace(members)
+
+    def test_matches_the_pairwise_scan(self):
+        # Seeded valid families and four kinds of perturbation; the scan and
+        # common_subspace must accept the same families and return the same meet.
+        rng = random.Random(5252)
+        kinds = ("valid", "valid", "duplicate", "replace", "cut", "collinear")
+        outcomes = {True: 0, False: 0}
+        for field in (GF2, GF3, GF5, PrimeField(101), QQ):
+            plane = 7 if field == GF2 else 13
+            for _ in range(220):
+                ambient = rng.randint(3, 5)
+                members, lam = planted_family(rng, field, ambient, rng.randint(3, min(plane, 6)))
+                kind = rng.choice(kinds)
+                if kind == "duplicate":
+                    members.insert(rng.randrange(len(members) + 1), rng.choice(members))
+                elif kind == "replace":
+                    members[rng.randrange(len(members))] = random_subspace(
+                        rng, field, ambient, ambient - 2
+                    )
+                elif kind == "cut":
+                    members = members[:2]
+                elif kind == "collinear":
+                    # more members through lam inside the hyperplane of the first two
+                    hyperplane = join(members[0], members[1])
+                    extra = [through(lam, random_point_in(rng, hyperplane)) for _ in range(3)]
+                    members = members[:2] + [m for m in extra if m.codim == 2]
+                rng.shuffle(members)
+                try:
+                    expected = pairwise_common_subspace(members)
+                except ConfigurationError:
+                    expected = None
+                try:
+                    got = common_subspace(members)
+                except ConfigurationError:
+                    got = None
+                assert got == expected, (field, ambient, kind)
+                outcomes[got is not None] += 1
+        total = sum(outcomes.values())
+        assert total >= 1000
+        assert outcomes[True] >= total / 4 and outcomes[False] >= total / 4
+
+    def test_one_meet_and_no_joins(self, monkeypatch):
+        members, planted = planted_family(random.Random(40), PrimeField(101), 5, 40)
+        calls = {"rref": 0, "join": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(projective, "rref", counting("rref", projective.rref))
+        for module in (projective, configurations):
+            if hasattr(module, "join"):
+                monkeypatch.setattr(module, "join", counting("join", module.join))
+        assert common_subspace(members) == planted
+        assert calls["join"] == 0
+        assert calls["rref"] <= 2 * 40 + 10
+
     def test_mixed_fields_rejected(self):
         sq = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
         s5 = ProjSubspace.from_vectors(
@@ -145,6 +281,17 @@ class TestRandomHelpers:
         assert len(set(members)) == 7 and common_subspace(members).dim == 0
         self.assert_rejected_before_any_draw(GF2, 3, 8, "at most 7 members over GF")
         self.assert_rejected_before_any_draw(GF3, 16, 14, "at most 13 members over GF")
+
+    def test_planted_family_fills_the_quotient_plane(self):
+        # Every quotient point is needed; rejection sampling of whole families
+        # almost never drew them all.
+        for field, count in ((GF2, 7), (GF3, 13)):
+            for seed in range(5):
+                for ambient in (3, 5):
+                    members, planted = planted_family(random.Random(seed), field, ambient, count)
+                    assert len(set(members)) == count
+                    assert planted.codim == 3
+                    assert common_subspace(members) == planted
 
 
 class TestPointConfig:
