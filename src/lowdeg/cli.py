@@ -20,12 +20,15 @@ from .errors import LowdegError
 
 FORMATS = ("table", "json")
 
-# Caps on flags whose cost grows far faster than their digits: the sym2 check is
-# cubic in the modulus, and random lemma52 trials grow polynomially with the
-# ambient dimension and the family size; their time is linear in the trials.
+# Caps on inputs whose cost grows far faster than their size: the sym2 check is
+# quadratic in the modulus, random lemma52 trials grow polynomially with the
+# ambient dimension and the family size (their time is linear in the trials),
+# sg keeps an entry for every pair of points, and profile prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_RANDOM_SIZE = 16
 MAX_TRIALS = 10_000
+MAX_SG_POINTS = 500
+MAX_PROFILE_N = 10_000
 
 
 class InputError(Exception):
@@ -124,6 +127,8 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import numerology as num
 
     n_max = args.nmax if args.nmax is not None else max(2, args.d)
+    if n_max > MAX_PROFILE_N:
+        raise InputError(f"--nmax (default --d) must be at most {MAX_PROFILE_N}, got {n_max}")
     profile = num.rs_profile(args.d, n_max, args.dagger, args.r2)
     rows = [
         {
@@ -229,6 +234,8 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from .jsonio import point_config_from_json
 
     config = point_config_from_json(_read_input(args.input))
+    if len(config) > MAX_SG_POINTS:
+        raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(config)}")
     report = conf.check_sylvester_gallai(config)
     by_size: dict[str, int] = {}
     for line in report.lines:

@@ -12,7 +12,8 @@ Three gadgets live here:
   (no tolerances anywhere),
 * a finite stand-in for the symmetric square of an elliptic curve: unordered
   pairs over Z/N with the two divisor families "pairs containing x" and
-  "pairs summing to s".  The incidence counts of those families reproduce
+  "pairs summing to s".  The incidence counts of those families, read off
+  one membership index (each pair to the divisors containing it), reproduce
   the intersection table of :mod:`lowdeg.sym2_lattice`; the model only
   claims the divisor combinatorics, not an actual curve.
 """
@@ -20,6 +21,7 @@ Three gadgets live here:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -348,34 +350,40 @@ class IncidenceReport:
         return not self.violations
 
 
+def _holders(divisors: Sequence[frozenset[Pair]]) -> dict[Pair, list[int]]:
+    """The membership index: each pair mapped to the indices of the divisors
+    containing it, in index order.  Read off the sets, never a closed formula."""
+    holders: dict[Pair, list[int]] = {}
+    for i, divisor in enumerate(divisors):
+        for p in divisor:
+            holders.setdefault(p, []).append(i)
+    return holders
+
+
 def incidence_pairing_check(model: Sym2GroupModel) -> IncidenceReport:
     """Exhaustively verify the three incidence counts of the divisor families:
     |point(x) & point(y)| = 1, |point(x) & fiber(s)| = 1, |fiber(s) & fiber(t)| = 0
-    for x != y and s != t.  These are the lattice products 1, 1, 0."""
+    for x != y and s != t.  These are the lattice products 1, 1, 0.  Divisor i
+    (points first, then fibers) counts the pairs it shares with each later
+    divisor through the membership index, so the work is quadratic in N."""
     n = model.modulus
-    point_divs = [pairs_containing(model, x) for x in range(n)]
-    fiber_divs = [pairs_with_sum(model, s) for s in range(n)]
-    violations = []
-    checks = 0
-    for x in range(n):
-        for y in range(x + 1, n):
-            checks += 1
-            got = len(point_divs[x] & point_divs[y])
-            if got != 1:
-                violations.append(f"|point({x}) & point({y})| = {got}, expected 1")
-    for x in range(n):
-        for s in range(n):
-            checks += 1
-            got = len(point_divs[x] & fiber_divs[s])
-            if got != 1:
-                violations.append(f"|point({x}) & fiber({s})| = {got}, expected 1")
-    for s in range(n):
-        for t in range(s + 1, n):
-            checks += 1
-            got = len(fiber_divs[s] & fiber_divs[t])
-            if got != 0:
-                violations.append(f"|fiber({s}) & fiber({t})| = {got}, expected 0")
-    return IncidenceReport(modulus=n, checks_run=checks, violations=tuple(violations))
+    divisors = [pairs_containing(model, x) for x in range(n)]
+    divisors += [pairs_with_sum(model, s) for s in range(n)]
+    holders = _holders(divisors)
+    names = [f"point({x})" for x in range(n)] + [f"fiber({s})" for s in range(n)]
+    # point-point, point-fiber and fiber-fiber violations, each in row order
+    violations: tuple[list[str], ...] = ([], [], [])
+    for i, divisor in enumerate(divisors):
+        shared = Counter(j for p in divisor for j in holders[p] if j > i)
+        for j in range(i + 1, 2 * n):
+            kind = (i >= n) + (j >= n)
+            expected = 0 if kind == 2 else 1
+            if shared[j] != expected:
+                violations[kind].append(
+                    f"|{names[i]} & {names[j]}| = {shared[j]}, expected {expected}"
+                )
+    joined = tuple(v for per_kind in violations for v in per_kind)
+    return IncidenceReport(modulus=n, checks_run=n * (2 * n - 1), violations=joined)
 
 
 @dataclass(frozen=True)
@@ -401,21 +409,18 @@ class TwoDivisorReport:
 def two_divisor_check(model: Sym2GroupModel, subset: Iterable[Pair]) -> TwoDivisorReport:
     n = model.modulus
     members = sorted({model.normalize(p) for p in subset})
-    point_divs = {x: pairs_containing(model, x) for x in range(n)}
+    holders = _holders([pairs_containing(model, x) for x in range(n)])
     flagged = tuple(p for p in members if p[0] == p[1])
     violations = []
     for p in members:
-        if p[0] == p[1]:
-            continue
-        holders = [x for x in range(n) if p in point_divs[x]]
-        if len(holders) != 2 or set(holders) != {p[0], p[1]}:
-            violations.append(f"pair {p} lies in point-divisors {holders}, expected {sorted(p)}")
-    member_set = set(members)
-    degrees = tuple((x, len(point_divs[x] & member_set)) for x in range(n))
+        xs = holders.get(p, [])
+        if p[0] != p[1] and (len(xs) != 2 or set(xs) != {p[0], p[1]}):
+            violations.append(f"pair {p} lies in point-divisors {xs}, expected {sorted(p)}")
+    degree = Counter(x for p in members for x in holders.get(p, ()))
     return TwoDivisorReport(
         modulus=n,
         subset_size=len(members),
         flagged_diagonal=flagged,
         violations=tuple(violations),
-        degrees=degrees,
+        degrees=tuple((x, degree[x]) for x in range(n)),
     )

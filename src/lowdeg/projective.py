@@ -261,27 +261,22 @@ def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
 
 
 def project_from(center: ProjSubspace, point: ProjPoint) -> ProjPoint:
-    """Image of ``point`` under projection away from ``center``.
-
-    Quotient coordinates are obtained by reducing against the center's
-    echelon basis and deleting its pivot columns, which is deterministic and
-    independent of how the center was presented.  The image lives in a
-    projective space of dimension ``ambient - dim(center) - 1``; projecting
-    from the empty subspace is the identity.
-    """
-    _check_compatible(center, point)
-    if center.is_empty:
-        return ProjPoint(point.field, point.coords)
-    reduced = center.reduce_vector(point.coords)
-    if all(center.field.is_zero(x) for x in reduced):
+    """Image of ``point`` under projection away from ``center``: the single
+    row of :func:`project_subspace_from` applied to the point's span."""
+    image = project_subspace_from(center, span([point]))
+    if image.is_empty:
         raise ProjectionError("point lies in the projection center")
-    pivot_set = set(center.pivot_columns)
-    quotient = [x for c, x in enumerate(reduced) if c not in pivot_set]
-    return ProjPoint(center.field, tuple(quotient))
+    return ProjPoint(image.field, image.rows[0])
 
 
 def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjSubspace:
-    """Image of a whole subspace under projection away from ``center``."""
+    """Image of a subspace under projection away from ``center``.
+
+    Quotient coordinates come from reducing against the center's echelon
+    basis and deleting its pivot columns, independent of how the center was
+    presented.  The image lives in P^(ambient - dim(center) - 1); projecting
+    from the empty subspace is the identity, and a subspace inside the
+    center has the empty image."""
     field = _check_compatible(center, subspace)
     if center.is_empty:
         return subspace
@@ -296,12 +291,10 @@ def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjS
 
 
 def projected_span_dim(center: ProjSubspace, subspace: ProjSubspace) -> int:
-    """Dimension of the image of ``subspace`` under projection from ``center``.
-
-    Equals ``dim join(subspace, center) - dim center - 1``; requires that the
-    subspace is not contained in the center.
-    """
-    _check_compatible(center, subspace)
-    if center.contains_subspace(subspace):
+    """Dimension of the image of ``subspace`` under projection from ``center``,
+    which is ``dim join(subspace, center) - dim center - 1``; requires that
+    the subspace is not contained in the center."""
+    image = project_subspace_from(center, subspace)
+    if image.is_empty:
         raise ProjectionError("subspace lies in the projection center")
-    return join(subspace, center).dim - center.dim - 1
+    return image.dim

@@ -78,6 +78,14 @@ class TestProfile:
         code, _, err = run(capsys, "profile", "--d", "3", "--r2", "5")
         assert code == 1 and "r2" in err
 
+    def test_nmax_cap(self, capsys):
+        data = run_json(capsys, "profile", "--d", "5", "--nmax", "10000")
+        assert data["n_max"] == 10000 and len(data["rows"]) == 9999
+        for flags, got in ((("--d", "5", "--nmax", "10001"), 10001), (("--d", "20000"), 20000)):
+            code, out, err = run(capsys, "profile", *flags)
+            assert code == 2 and out == ""
+            assert err == f"--nmax (default --d) must be at most 10000, got {got}\n"
+
 
 class TestDfAndCone:
     def test_df_41(self, capsys):
@@ -154,6 +162,18 @@ class TestSg:
         monkeypatch.setattr("sys.stdin", io.StringIO(payload))
         data = run_json(capsys, "sg", "--input", "-")
         assert data["is_sylvester_gallai"] is True  # fully collinear
+
+    def test_point_cap(self, capsys, tmp_path):
+        # 501 distinct points of the plane over GF(23), which has 553
+        affine = [(x, y, 1) for x in range(23) for y in range(23)]
+        gf23 = [[{"val": v, "mod": 23} for v in p] for p in affine + [(1, 0, 0), (0, 1, 0)]]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"ambient": 2, "points": gf23[:500]}))
+        assert run_json(capsys, "sg", "--input", str(path))["num_points"] == 500
+        path.write_text(json.dumps({"ambient": 2, "points": gf23[:501]}))
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == "sg takes at most 500 points, got 501\n"
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -562,16 +582,24 @@ def flag_argvs(draw):
         "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000]),
         "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9]),
         "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40]),
+        "--nmax": (st.integers(2, 12), [-3, 0, 1, 10_001, 10**7]),
     }
-    flags = ["--modulus"] if draw(st.booleans()) else ["--trials", "--ambient", "--count", "--mod"]
+    command = draw(st.sampled_from(["sym2", "lemma52", "profile"]))
+    flags = {
+        "sym2": ["--modulus"],
+        "lemma52": ["--trials", "--ambient", "--count", "--mod"],
+        "profile": ["--nmax"],
+    }[command]
     wild = draw(st.sampled_from([None, *flags]))
     argv = []
     for flag in flags:
         in_range, out_of_range = ranges[flag]
         value = draw(st.sampled_from(out_of_range) if flag == wild else in_range)
         argv += [flag, str(value)]
-    if flags == ["--modulus"]:
+    if command == "sym2":
         return ["sym2", "--check", *argv]
+    if command == "profile":
+        return ["profile", "--d", "5", *argv]
     return ["lemma52", "--random", "--seed", str(draw(st.integers(0, 3))), *argv]
 
 

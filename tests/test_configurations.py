@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -63,6 +65,53 @@ def pairwise_common_subspace(subs):
     if not all(s.contains_subspace(lam) for s in subs):
         raise LowdegError("a member misses the meet of the first two")
     return lam
+
+
+def frozenset_incidence_check(model):
+    """The O(N^3) reference for :func:`incidence_pairing_check`: intersect the
+    frozensets of every pair of divisors.  Returns ``(checks_run, violations)``."""
+    n = model.modulus
+    point_divs = [configurations.pairs_containing(model, x) for x in range(n)]
+    fiber_divs = [configurations.pairs_with_sum(model, s) for s in range(n)]
+    violations = []
+    checks = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            checks += 1
+            got = len(point_divs[x] & point_divs[y])
+            if got != 1:
+                violations.append(f"|point({x}) & point({y})| = {got}, expected 1")
+    for x in range(n):
+        for s in range(n):
+            checks += 1
+            got = len(point_divs[x] & fiber_divs[s])
+            if got != 1:
+                violations.append(f"|point({x}) & fiber({s})| = {got}, expected 1")
+    for s in range(n):
+        for t in range(s + 1, n):
+            checks += 1
+            got = len(fiber_divs[s] & fiber_divs[t])
+            if got != 0:
+                violations.append(f"|fiber({s}) & fiber({t})| = {got}, expected 0")
+    return checks, tuple(violations)
+
+
+def scanning_two_divisor_check(model, subset):
+    """The reference for :func:`two_divisor_check`: scan all N point-divisors
+    for each member, then intersect each with the subset.  Returns
+    ``(violations, degrees)``."""
+    n = model.modulus
+    members = sorted({model.normalize(p) for p in subset})
+    point_divs = [configurations.pairs_containing(model, x) for x in range(n)]
+    violations = []
+    for p in members:
+        if p[0] == p[1]:
+            continue
+        holders = [x for x in range(n) if p in point_divs[x]]
+        if len(holders) != 2 or set(holders) != {p[0], p[1]}:
+            violations.append(f"pair {p} lies in point-divisors {holders}, expected {sorted(p)}")
+    member_set = set(members)
+    return tuple(violations), tuple((x, len(point_divs[x] & member_set)) for x in range(n))
 
 
 def through(lam, point):
@@ -510,3 +559,52 @@ class TestSym2Model:
         model = Sym2GroupModel(7)
         assert model.normalize((9, 1)) == (1, 2)
         assert model.normalize((3, -1)) == (3, 6)
+
+    def test_real_models_match_the_reference(self):
+        rng = random.Random(0)
+        for n in range(5, 41):
+            model = sym2_model(n)
+            report = incidence_pairing_check(model)
+            assert (report.checks_run, report.violations) == frozenset_incidence_check(model)
+            assert report.checks_run == n * (2 * n - 1) and report.passed
+            subset = rng.sample(model.elements(), n)
+            two = two_divisor_check(model, subset)
+            assert (two.violations, two.degrees) == scanning_two_divisor_check(model, subset)
+            assert not two.violations
+
+    def test_corrupted_models_match_the_reference(self, monkeypatch):
+        """One or two divisors each gain or lose one pair; both checks must
+        report exactly what the frozenset intersections report, in order."""
+        kinds = Counter()
+        two_divisor_violations = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            model = sym2_model(rng.randrange(5, 25))
+            names = ("pairs_containing", "pairs_with_sum")
+            originals = {name: getattr(configurations, name) for name in names}
+            corrupted, changed = {}, []
+            for _ in range(rng.choice([1, 2])):
+                key = (rng.choice(sorted(originals)), rng.randrange(model.modulus))
+                before = corrupted.get(key) or originals[key[0]](model, key[1])
+                if rng.random() < 0.5:
+                    changed.append(rng.choice(sorted(before)))
+                    corrupted[key] = before - {changed[-1]}
+                else:
+                    changed.append(rng.choice(sorted(set(model.elements()) - before)))
+                    corrupted[key] = before | {changed[-1]}
+            for name, original in originals.items():
+
+                def divisor(model, k, name=name, original=original):
+                    return corrupted.get((name, k)) or original(model, k)
+
+                monkeypatch.setattr(configurations, name, divisor)
+            report = incidence_pairing_check(model)
+            assert (report.checks_run, report.violations) == frozenset_incidence_check(model)
+            kinds.update(tuple(re.findall(r"(point|fiber)\(", v)) for v in report.violations)
+            subset = rng.sample(model.elements(), model.modulus) + changed
+            two = two_divisor_check(model, subset)
+            assert (two.violations, two.degrees) == scanning_two_divisor_check(model, subset)
+            two_divisor_violations += len(two.violations)
+            monkeypatch.undo()
+        assert set(kinds) == {("point", "point"), ("point", "fiber"), ("fiber", "fiber")}
+        assert two_divisor_violations > 0
