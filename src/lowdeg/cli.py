@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .errors import LowdegError
 
@@ -23,7 +23,7 @@ FORMATS = ("table", "json")
 # Caps on inputs whose cost grows far faster than their size: the sym2 check is
 # quadratic in the modulus, random lemma52 trials grow polynomially with the
 # ambient dimension and the family size (their time is linear in the trials),
-# sg keeps an entry for every pair of points, and profile prints a row per n.
+# sg takes time quadratic in the points, and profile prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_RANDOM_SIZE = 16
 MAX_TRIALS = 10_000
@@ -347,8 +347,18 @@ def _cmd_rh(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line usage errors: ``<prog>: error: <message>``, exit 2.
+    Subparsers are built from the same class.  argparse quotes most offending
+    values, but not unrecognized arguments, so newlines in those become spaces."""
+
+    def error(self, message: str) -> NoReturn:
+        line = message.replace("\n", " ")
+        self.exit(2, f"{self.prog}: error: {line}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowdeg",
         description="Exact calculators for incidence configurations, genus bounds, "
         "and the low-degree-points classification table.",

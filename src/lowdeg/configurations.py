@@ -6,10 +6,12 @@ Three gadgets live here:
   codimension-2 subspaces that pairwise lie in hyperplanes and jointly span
   (Lemma 5.2): such a family is a set of distinct, non-collinear points of
   the quotient plane P^n / Λ,
-* Sylvester-Gallai checks for plane point sets, which group the points by
-  their dual line: the line through p and q is the cross product p x q,
-  normalized like a point.  :func:`collinear` is the exact triple test
-  (no tolerances anywhere),
+* Sylvester-Gallai checks for plane point sets, read off one anchored pass
+  over the points: each anchor groups the later points by their dual line
+  (the cross product p x q, normalized like a point), skipping pairs already
+  on an emitted line, so each line is found once at its first point and the
+  lines come out sorted with n^2 bytes of bookkeeping.  :func:`collinear` is
+  the exact triple test (no tolerances anywhere),
 * a finite stand-in for the symmetric square of an elliptic curve: unordered
   pairs over Z/N with the two divisor families "pairs containing x" and
   "pairs summing to s".  The incidence counts of those families, read off
@@ -24,6 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
@@ -257,27 +260,43 @@ def check_sylvester_gallai(config: PointConfig) -> SylvesterGallaiReport:
 
 def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     """All lines spanned by the configuration, as sorted index tuples of the
-    points lying on them (each line listed once).
+    points lying on them, each line listed once, in sorted order.
 
-    One pass over the pairs: the line through p and q is the cross product
-    p x q, which is nonzero because the points are distinct, and normalizing
-    it as :class:`ProjPoint` does makes it a key shared by every pair on it.
+    One anchored pass: the line through p and q is the cross product p x q,
+    nonzero because the points are distinct, and normalizing it as
+    :class:`ProjPoint` does makes it a key shared by every pair on it.  Each
+    anchor i groups the later points j > i by that key, skipping the pairs
+    already known to share a line, so a line is found once, at its first
+    point.  The output is sorted by construction: the anchors increase, and at
+    one anchor the groups open in increasing order of their second point.  What
+    is kept from one anchor to the next is one byte per pair of points.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
     field = config.field
     coords = [p.coords for p in config.points]
-    on_line: dict[tuple[Scalar, ...], set[int]] = {}
+    n = len(coords)
+    # on_a_line[a][b], for a < b: the pair lies on a line already emitted
+    on_a_line = [bytearray(n) for _ in range(n)]
+    lines: list[tuple[int, ...]] = []
     for i, p in enumerate(coords):
-        for j in range(i + 1, len(coords)):
+        skip = on_a_line[i]
+        through_i: dict[tuple[Scalar, ...], list[int]] = {}
+        for j in range(i + 1, n):
+            if skip[j]:
+                continue
             q = coords[j]
             dual = (
                 p[1] * q[2] - p[2] * q[1],
                 p[2] * q[0] - p[0] * q[2],
                 p[0] * q[1] - p[1] * q[0],
             )
-            on_line.setdefault(_scaled_to_lead_one(field, dual), set()).update((i, j))
-    return tuple(sorted(tuple(sorted(members)) for members in on_line.values()))
+            through_i.setdefault(_scaled_to_lead_one(field, dual), []).append(j)
+        for group in through_i.values():
+            lines.append((i, *group))
+            for a, b in combinations(group, 2):
+                on_a_line[a][b] = 1
+    return tuple(lines)
 
 
 def hesse_configuration() -> PointConfig:

@@ -140,18 +140,20 @@ class TestSg:
         assert data["violations"]
 
     def test_hesse_from_file(self, capsys, tmp_path):
-        points = [
-            [{"val": x, "mod": 3}, {"val": y, "mod": 3}, {"val": 1, "mod": 3}]
-            for x in range(3)
-            for y in range(3)
-        ]
-        path = tmp_path / "hesse.json"
-        path.write_text(json.dumps({"ambient": 2, "points": points}))
-        data = run_json(capsys, "sg", "--input", str(path))
-        assert data["is_sylvester_gallai"] is True
-        assert data["max_collinear"] == 3
-        assert data["lines_by_size"] == {"3": 12}
-        assert data["violations"] == []
+        # the affine planes AG(2,3) (Hesse) and AG(2,5): q^2 + q lines of q points
+        for q in (3, 5):
+            points = [
+                [{"val": x, "mod": q}, {"val": y, "mod": q}, {"val": 1, "mod": q}]
+                for x in range(q)
+                for y in range(q)
+            ]
+            path = tmp_path / f"ag2_{q}.json"
+            path.write_text(json.dumps({"ambient": 2, "points": points}))
+            data = run_json(capsys, "sg", "--input", str(path))
+            assert data["is_sylvester_gallai"] is True
+            assert data["max_collinear"] == q
+            assert data["lines_by_size"] == {str(q): q * q + q}
+            assert data["violations"] == []
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -436,19 +438,30 @@ def imported_lowdeg_modules(importtime_log):
 
 class TestHarness:
     def test_unknown_subcommand_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["definitely-not-a-command"])
-        assert excinfo.value.code == 2
+        # usage errors are one stderr line, with no usage block before it
+        for argv in (
+            ["definitely-not-a-command"],
+            [],
+            ["pi", "--delta", "x", "--ambient", "3"],
+            ["pi", "--delta", "20"],
+            ["--format", "yaml", "pi", "--delta", "20", "--ambient", "12"],
+            ["pi", "--delta", "20", "--ambient", "12", "two\nlines"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert excinfo.value.code == 2, argv
+            assert out == "" and err.count("\n") == 1 and "usage:" not in err, argv
+            assert err.startswith(("lowdeg: error: ", "lowdeg pi: error: ")), argv
+        for argv in (["-h"], ["pi", "-h"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert excinfo.value.code == 0
+            assert out.startswith("usage: lowdeg") and "options:" in out and err == ""
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "lowdeg", "pi", "--delta", "20", "--ambient", "12"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_fresh(["-m", "lowdeg", "pi", "--delta", "20", "--ambient", "12"])
         assert proc.returncode == 0 and proc.stdout == "8\n"
 
     def test_fresh_process_runs_every_subcommand(self, capsys, tmp_path):

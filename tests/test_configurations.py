@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -40,6 +41,50 @@ def qpoint(*coords):
 
 def qspace(ambient, *vectors):
     return ProjSubspace.from_vectors(QQ, ambient, vectors)
+
+
+def affine_plane(field):
+    """Every point (x, y, 1) of AG(2, p), in coordinate order."""
+    return [ProjPoint(field, (x, y, 1)) for x in range(field.p) for y in range(field.p)]
+
+
+def projective_plane(field):
+    """Every point of PG(2, p): the affine plane, then the line at infinity."""
+    at_infinity = [ProjPoint(field, (1, x, 0)) for x in range(field.p)]
+    return affine_plane(field) + at_infinity + [ProjPoint(field, (0, 1, 0))]
+
+
+def planted_lines(rng, field, count):
+    """Up to seven points on each of ``count`` random lines, then a few
+    random points; coinciding points are kept once."""
+    coords = {}
+    for _ in range(count):
+        a, b = (random_point(rng, field, 2).coords for _ in range(2))
+        for _ in range(rng.randint(3, 7)):
+            t = rng.randrange(field.p)
+            raw = tuple(field.reduce(x + t * y) for x, y in zip(a, b))
+            if any(raw):
+                point = ProjPoint(field, raw)
+                coords.setdefault(point.coords, point)
+    for _ in range(rng.randint(0, 4)):
+        point = random_point(rng, field, 2)
+        coords.setdefault(point.coords, point)
+    return list(coords.values())
+
+
+def triple_scan(config):
+    """The cubic reference for :func:`maximal_lines` and the witness: every
+    pair with the points collinear with it, and the first ordinary pair."""
+    n = len(config)
+    lines = set()
+    witness = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            others = [k for k in range(n) if k not in (i, j) and collinear(config, i, j, k)]
+            lines.add(tuple(sorted([i, j, *others])))
+            if not others and witness is None:
+                witness = (i, j)
+    return tuple(sorted(lines)), witness
 
 
 def pairwise_common_subspace(subs):
@@ -443,9 +488,11 @@ class TestSylvesterGallai:
         assert not collinear(config, 0, 1, 3)
 
     def test_line_grouping_matches_the_triple_scan(self):
-        # the cubic scan over `collinear` is the reference for the one-pass
-        # line grouping; small fields make many collinear triples
+        # the cubic scan over `collinear` is the reference for the anchored
+        # line grouping; small fields make many collinear triples, and the
+        # line-rich planes, shuffled, make anchors meet pairs already seen
         rng = random.Random(2208)
+        configs = []
         for field in (QQ, GF3, GF5, PrimeField(101), PrimeField(2147483647)):
             plane_size = math.inf if field == QQ else field.p**2 + field.p + 1
             for _ in range(30):
@@ -459,25 +506,68 @@ class TestSylvesterGallai:
                     if any(raw):
                         point = ProjPoint(field, raw)
                         coords.setdefault(point.coords, point)
-                config = PointConfig(tuple(coords.values()))
-                n = len(config)
-                expected = set()
-                witness = None
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        others = [k for k in range(n) if k not in (i, j) and collinear(config, i, j, k)]
-                        expected.add(tuple(sorted([i, j, *others])))
-                        if not others and witness is None:
-                            witness = (i, j)
-                expected = tuple(sorted(expected))
-                assert maximal_lines(config) == expected
-                report = check_sylvester_gallai(config)
-                assert report.num_points == n
-                assert report.lines == expected
-                assert report.max_collinear == max(len(line) for line in expected)
-                assert report.witness == witness
-                assert report.is_sylvester_gallai == (witness is None)
-                assert sum(math.comb(len(line), 2) for line in expected) == math.comb(n, 2)
+                configs.append(PointConfig(tuple(coords.values())))
+        line_rich = [affine_plane(PrimeField(q)) for q in (3, 5, 7)]
+        line_rich += [projective_plane(PrimeField(q)) for q in (2, 3)]
+        line_rich += [planted_lines(rng, PrimeField(101), rng.randint(2, 5)) for _ in range(4)]
+        for points in line_rich:
+            shuffled = list(points)
+            rng.shuffle(shuffled)
+            configs += [PointConfig(tuple(points)), PointConfig(tuple(shuffled))]
+        rich = 0
+        for config in configs:
+            n = len(config)
+            expected, witness = triple_scan(config)
+            rich += max(map(len, expected)) >= 5
+            assert maximal_lines(config) == expected
+            report = check_sylvester_gallai(config)
+            assert report.num_points == n
+            assert report.lines == expected
+            assert report.max_collinear == max(len(line) for line in expected)
+            assert report.witness == witness
+            assert report.is_sylvester_gallai == (witness is None)
+            assert sum(math.comb(len(line), 2) for line in expected) == math.comb(n, 2)
+        assert rich >= 10  # inputs with a line of five or more points
+
+    def test_each_line_is_normalized_once_per_later_point(self, monkeypatch):
+        # a line of k points costs k - 1 normalizations, at its first point
+        calls = 0
+        normalize = configurations._scaled_to_lead_one
+
+        def counting(field, coords):
+            nonlocal calls
+            calls += 1
+            return normalize(field, coords)
+
+        monkeypatch.setattr(configurations, "_scaled_to_lead_one", counting)
+        plane = affine_plane(PrimeField(7))
+        random.Random(7).shuffle(plane)
+        lines = maximal_lines(PointConfig(tuple(plane)))
+        assert len(lines) == 56 and all(len(line) == 7 for line in lines)
+        assert calls == 56 * 6
+        calls = 0
+        conic = PointConfig(tuple(qpoint(1, t, t * t) for t in range(40)))
+        assert len(maximal_lines(conic)) == math.comb(40, 2)
+        assert calls == math.comb(40, 2)
+
+    def test_bookkeeping_is_small(self):
+        # 200 points in general position: 19900 two-point lines and no
+        # per-pair dict or set beside them
+        rng = random.Random(200)
+        big = PrimeField(2147483647)
+        coords = {}
+        while len(coords) < 200:
+            point = ProjPoint(big, (rng.randrange(big.p), rng.randrange(big.p), 1))
+            coords.setdefault(point.coords, point)
+        config = PointConfig(tuple(coords.values()))
+        tracemalloc.start()
+        try:
+            lines = maximal_lines(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lines) == math.comb(200, 2)
+        assert peak < 4 * 2**20
 
 
 class TestSym2Model:
