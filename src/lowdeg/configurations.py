@@ -7,11 +7,12 @@ Three gadgets live here:
   (Lemma 5.2): such a family is a set of distinct, non-collinear points of
   the quotient plane P^n / Λ,
 * Sylvester-Gallai checks for plane point sets, read off one anchored pass
-  over the points: each anchor groups the later points by their dual line
-  (the cross product p x q, normalized like a point), skipping pairs already
-  on an emitted line, so each line is found once at its first point and the
-  lines come out sorted with n^2 bytes of bookkeeping.  :func:`collinear` is
-  the exact triple test (no tolerances anywhere),
+  over the points: the lines through an anchor p are the points of the
+  quotient line P^2 / p, so each anchor groups the later points by their
+  image there, skipping pairs already on an emitted line.  Each line is
+  found once at its first point, and the lines come out sorted with n^2
+  bytes of bookkeeping.  :func:`collinear` is the exact triple test (no
+  tolerances anywhere),
 * a finite stand-in for the symmetric square of an elliptic curve: unordered
   pairs over Z/N with the two divisor families "pairs containing x" and
   "pairs summing to s".  The incidence counts of those families, read off
@@ -31,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
 from .fields import Field, PrimeField, Scalar, require_same_field
-from .projective import ProjPoint, ProjSubspace, _scaled_to_lead_one, meet, project_subspace_from
+from .projective import ProjPoint, ProjSubspace, meet, project_subspace_from
 
 Pair = tuple[int, int]
 
@@ -262,40 +263,46 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     """All lines spanned by the configuration, as sorted index tuples of the
     points lying on them, each line listed once, in sorted order.
 
-    One anchored pass: the line through p and q is the cross product p x q,
-    nonzero because the points are distinct, and normalizing it as
-    :class:`ProjPoint` does makes it a key shared by every pair on it.  Each
-    anchor i groups the later points j > i by that key, skipping the pairs
-    already known to share a line, so a line is found once, at its first
-    point.  The output is sorted by construction: the anchors increase, and at
-    one anchor the groups open in increasing order of their second point.  What
-    is kept from one anchor to the next is one byte per pair of points.
+    One anchored pass: the lines through p are the points of the quotient
+    line P^2 / p.  Let k be the lead index of p, so p[k] = 1, and a < b the
+    other two.  For a later point q, r = q - q[k] p spans the line pq together
+    with p, is nonzero because the points are distinct, and has r[k] = 0; so
+    the line is the point (r[a] : r[b]) of P^1, keyed by r[b] / r[a], or by
+    ``None`` when r[a] = 0.  Each anchor i groups the later points j > i by
+    that key, skipping the pairs already known to share a line, so a line is
+    found once, at its first point.  The output is sorted by construction:
+    the anchors increase, and at one anchor the groups open in increasing
+    order of their second point.  What is kept from one anchor to the next is
+    one byte per pair of points.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
     field = config.field
+    reduce, inv, is_zero = field.reduce, field.inv, field.is_zero
     coords = [p.coords for p in config.points]
     n = len(coords)
-    # on_a_line[a][b], for a < b: the pair lies on a line already emitted
+    # on_a_line[u][v], for u < v: the pair lies on a line already emitted
     on_a_line = [bytearray(n) for _ in range(n)]
     lines: list[tuple[int, ...]] = []
     for i, p in enumerate(coords):
         skip = on_a_line[i]
-        through_i: dict[tuple[Scalar, ...], list[int]] = {}
+        # points are scaled so their first nonzero coordinate is 1
+        k = p.index(field.one)
+        a, b = (c for c in range(3) if c != k)
+        pa, pb = p[a], p[b]
+        through_i: dict[Optional[Scalar], list[int]] = {}
         for j in range(i + 1, n):
             if skip[j]:
                 continue
             q = coords[j]
-            dual = (
-                p[1] * q[2] - p[2] * q[1],
-                p[2] * q[0] - p[0] * q[2],
-                p[0] * q[1] - p[1] * q[0],
-            )
-            through_i.setdefault(_scaled_to_lead_one(field, dual), []).append(j)
+            t = q[k]
+            ra = q[a] - t * pa
+            key = None if is_zero(ra) else reduce((q[b] - t * pb) * inv(ra))
+            through_i.setdefault(key, []).append(j)
         for group in through_i.values():
             lines.append((i, *group))
-            for a, b in combinations(group, 2):
-                on_a_line[a][b] = 1
+            for u, v in combinations(group, 2):
+                on_a_line[u][v] = 1
     return tuple(lines)
 
 

@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from lowdeg.configurations import (
     two_divisor_check,
 )
 from lowdeg.errors import ConfigurationError, LowdegError, MixedFieldError
-from lowdeg.fields import QQ, PrimeField
+from lowdeg.fields import QQ, PrimeField, RationalField
 from lowdeg.projective import ProjPoint, ProjSubspace, join, meet, span
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
 
@@ -70,6 +71,20 @@ def planted_lines(rng, field, count):
         point = random_point(rng, field, 2)
         coords.setdefault(point.coords, point)
     return list(coords.values())
+
+
+def counting_field(base, *args):
+    """A ``base`` field that logs every ``is_zero`` answer in ``.calls``."""
+
+    class Counting(base):
+        calls = []
+
+        def is_zero(self, a):
+            answer = super().is_zero(a)
+            self.calls.append(answer)
+            return answer
+
+    return Counting(*args)
 
 
 def triple_scan(config):
@@ -529,26 +544,77 @@ class TestSylvesterGallai:
             assert sum(math.comb(len(line), 2) for line in expected) == math.comb(n, 2)
         assert rich >= 10  # inputs with a line of five or more points
 
-    def test_each_line_is_normalized_once_per_later_point(self, monkeypatch):
-        # a line of k points costs k - 1 normalizations, at its first point
-        calls = 0
-        normalize = configurations._scaled_to_lead_one
-
-        def counting(field, coords):
-            nonlocal calls
-            calls += 1
-            return normalize(field, coords)
-
-        monkeypatch.setattr(configurations, "_scaled_to_lead_one", counting)
-        plane = affine_plane(PrimeField(7))
+    def test_each_line_is_keyed_once_per_later_point(self):
+        # a line of k points costs k - 1 keys, at its first point; each key
+        # asks is_zero once, and nothing else in the pass asks it
+        gf7 = counting_field(PrimeField, 7)
+        plane = affine_plane(gf7)
         random.Random(7).shuffle(plane)
-        lines = maximal_lines(PointConfig(tuple(plane)))
+        config = PointConfig(tuple(plane))
+        gf7.calls.clear()
+        lines = maximal_lines(config)
         assert len(lines) == 56 and all(len(line) == 7 for line in lines)
-        assert calls == 56 * 6
-        calls = 0
-        conic = PointConfig(tuple(qpoint(1, t, t * t) for t in range(40)))
+        assert len(gf7.calls) == 56 * 6
+        qq = counting_field(RationalField)
+        conic = PointConfig(tuple(ProjPoint(qq, (1, t, t * t)) for t in range(40)))
+        qq.calls.clear()
         assert len(maximal_lines(conic)) == math.comb(40, 2)
-        assert calls == math.comb(40, 2)
+        assert len(qq.calls) == math.comb(40, 2)
+
+    def test_whole_projective_planes_match_the_triple_scan(self):
+        # every anchor lead index 0, 1 and 2 occurs, and both kinds of key:
+        # r[a] = 0 (the None key) and r[a] != 0
+        rng = random.Random(5577)
+        for q in (5, 7):
+            field = counting_field(PrimeField, q)
+            points = projective_plane(field)
+            rng.shuffle(points)
+            config = PointConfig(tuple(points))
+            assert {p.coords.index(1) for p in points} == {0, 1, 2}
+            field.calls.clear()
+            lines = maximal_lines(config)
+            assert set(field.calls) == {True, False}
+            assert len(field.calls) == (q * q + q + 1) * q
+            assert len(lines) == q * q + q + 1
+            assert all(len(line) == q + 1 for line in lines)
+            assert (lines, None) == triple_scan(config)
+            assert check_sylvester_gallai(config).lines == lines
+
+    def test_rational_points_at_infinity_match_the_triple_scan(self):
+        # lines y = m x + c with multi-digit slopes and intercepts: affine
+        # points on each, its point at infinity (1, m, 0), its point
+        # (0, c, 1) on the line x = 0, beside (0, 1, 0) and (0, 0, 1)
+        rng = random.Random(3141)
+        qq = counting_field(RationalField)
+
+        def point(*coords):
+            return ProjPoint(qq, coords)
+
+        def multi_digit():
+            return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+        coords = {}
+        for p in (point(0, 0, 1), point(0, 1, 0)):
+            coords[p.coords] = p
+        for _ in range(5):
+            m, c = multi_digit(), multi_digit()
+            on_line = [point(1, m, 0), point(0, c, 1)]
+            for _ in range(rng.randint(1, 3)):
+                x = multi_digit()
+                on_line.append(point(x, m * x + c, 1))
+            for p in on_line:
+                coords.setdefault(p.coords, p)
+        points = list(coords.values())
+        rng.shuffle(points)
+        config = PointConfig(tuple(points))
+        assert {p.coords.index(1) for p in points} == {0, 1, 2}
+        expected, witness = triple_scan(config)
+        assert max(map(len, expected)) == 7  # the line x = 0
+        qq.calls.clear()
+        assert maximal_lines(config) == expected
+        assert set(qq.calls) == {True, False}
+        report = check_sylvester_gallai(config)
+        assert report.lines == expected and report.witness == witness
 
     def test_bookkeeping_is_small(self):
         # 200 points in general position: 19900 two-point lines and no
