@@ -35,6 +35,16 @@ class InputError(Exception):
     """Malformed input (bad file, bad JSON shape): exit code 2."""
 
 
+def _check_magnitudes(*flags: tuple[str, int]) -> None:
+    """Cap exact-integer flags at ``numerology.MAX_INPUT`` in absolute value:
+    past it the answers outgrow the digits ``str`` and ``json.dumps`` print."""
+    from .numerology import MAX_INPUT
+
+    for flag, value in flags:
+        if abs(value) > MAX_INPUT:
+            raise InputError(f"{flag} must be at most {MAX_INPUT} in absolute value")
+
+
 def _read_input(path: str) -> object:
     try:
         if path == "-":
@@ -177,6 +187,7 @@ def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         pair,
     )
 
+    _check_magnitudes(("--d", args.d), ("--m", args.m))
     params = DFParams(args.d, args.m)
     cls = df_class(params)
     return {
@@ -194,6 +205,7 @@ def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_cone(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from .sym2_lattice import SurfaceClass, adjunction_genus, is_effective, is_nef, pair
 
+    _check_magnitudes(("--a", args.a), ("--b", args.b))
     cls = SurfaceClass(args.a, args.b)
     return {
         "a": cls.a,
@@ -302,6 +314,7 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import configurations as conf
 
+    _check_magnitudes(("--modulus", args.modulus))
     if args.check and args.modulus > MAX_CHECK_MODULUS:
         raise InputError(
             f"--check needs --modulus at most {MAX_CHECK_MODULUS}, got {args.modulus}"

@@ -10,8 +10,8 @@ Conventions:
 * the empty subspace has projective dimension -1 and an empty basis;
 * points are homogeneous coordinate vectors scaled so the first nonzero
   coordinate is 1;
-* meets are computed through annihilators (the kernel of the stacked
-  annihilator bases), each a lazy attribute of its subspace;
+* ``meet(s1, s2)`` is the kernel of projecting ``s2`` away from ``s1``,
+  found by one elimination over the rows ``[b mod s1 | b]``, b in ``s2``;
 * only the public constructor checks that rows are canonical: every other
   constructor and operation takes its rows from :func:`rref`.
 """
@@ -60,21 +60,6 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
         if r == len(mat):
             break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
-
-
-def _kernel_rows(mat: Matrix, pivots: Sequence[int], width: int, field: Field) -> Matrix:
-    """Canonical basis of ``{x : mat @ x = 0}`` for ``mat`` already in rref."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = [field.zero] * width
-        v[f] = field.one
-        for row, c in zip(mat, pivots):
-            v[c] = field.reduce(-row[f])
-        vectors.append(v)
-    reduced, _ = rref(vectors, field)
-    return reduced
 
 
 def _scaled_to_lead_one(field: Field, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -180,11 +165,6 @@ class ProjSubspace:
             next(c for c, x in enumerate(row) if not self.field.is_zero(x)) for row in self.rows
         )
 
-    @cached_property
-    def annihilator(self) -> Matrix:
-        """Canonical basis of the linear forms that vanish on this subspace."""
-        return _kernel_rows(self.rows, self.pivot_columns, self.ambient + 1, self.field)
-
     def basis_points(self) -> tuple[ProjPoint, ...]:
         return tuple(ProjPoint(self.field, row) for row in self.rows)
 
@@ -201,8 +181,6 @@ class ProjSubspace:
     def contains_point(self, point: ProjPoint) -> bool:
         """Membership test; the empty subspace contains no point."""
         _check_compatible(self, point)
-        if self.is_empty:
-            return False
         return all(self.field.is_zero(x) for x in self.reduce_vector(point.coords))
 
     def contains_subspace(self, other: "ProjSubspace") -> bool:
@@ -253,10 +231,13 @@ def join(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
 
 
 def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
-    """Intersection subspace, via the kernel of the stacked annihilators."""
+    """Intersection subspace: the kernel of projecting ``s2`` away from ``s1``.
+    Reduced rows of ``[b mod s1 | b]`` (``b`` a basis row of ``s2``) with a
+    zero left half carry the echelon basis of the intersection on the right."""
     field = _check_compatible(s1, s2)
-    reduced, pivots = rref(s1.annihilator + s2.annihilator, field)
-    rows = _kernel_rows(reduced, pivots, s1.ambient + 1, field)
+    width = s1.ambient + 1
+    reduced, pivots = rref([s1.reduce_vector(b) + list(b) for b in s2.rows], field)
+    rows = tuple(row[width:] for row, c in zip(reduced, pivots) if c >= width)
     return ProjSubspace._canonical(field, s1.ambient, rows)
 
 

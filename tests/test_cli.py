@@ -108,6 +108,23 @@ class TestDfAndCone:
         data = run_json(capsys, "cone", "--a", "0", "--b", "1")
         assert data["effective"] is True and data["adjunction_genus"] == 0
 
+    def test_magnitude_caps(self, capsys):
+        data = run_json(capsys, "cone", "--a", "1000000", "--b", "-1000000")
+        assert data["self_pairing"] == -(10**12)
+        assert run_json(capsys, "df", "--d", "1000000", "--m", "1000000")["genus"] == 1
+        nines = "9" * 4000
+        for command, flag, other in (
+            ("cone", "--a", ["--b", "1"]),
+            ("cone", "--b", ["--a", "1"]),
+            ("df", "--d", ["--m", "1"]),
+            ("df", "--m", ["--d", "4"]),
+            ("sym2", "--modulus", []),
+        ):
+            for value in ("1000001", "-1000001", nines, "-" + nines):
+                code, out, err = run(capsys, "--format", "json", command, flag, value, *other)
+                assert code == 2 and out == "", (flag, value[:8])
+                assert err == f"{flag} must be at most 1000000 in absolute value\n"
+
 
 class TestClassifyAndAudit:
     def test_classify_modes(self, capsys):
@@ -586,22 +603,32 @@ INPUT_BYTES = st.one_of(
 )
 
 
+FOUR_THOUSAND_NINES = int("9" * 4000)
+
+
 @st.composite
 def flag_argvs(draw):
     """At most one flag out of range, so that most runs get to do work."""
+    huge = [10**6 + 1, -(10**6) - 1, FOUR_THOUSAND_NINES, -FOUR_THOUSAND_NINES]
     ranges = {
-        "--modulus": (st.integers(5, 12), [-2, 4, 257, 10**9]),
+        "--modulus": (st.integers(5, 12), [-2, 4, 257, 10**9, *huge]),
         "--trials": (st.integers(1, 2), [0, -5, 10**9]),
         "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000]),
         "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9]),
         "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40]),
         "--nmax": (st.integers(2, 12), [-3, 0, 1, 10_001, 10**7]),
+        "--a": (st.integers(-20, 20), huge),
+        "--b": (st.integers(-20, 20), huge),
+        "--d": (st.integers(2, 12), [-3, 0, 1, *huge]),
+        "--m": (st.integers(1, 2), [-3, 0, 13, *huge]),
     }
-    command = draw(st.sampled_from(["sym2", "lemma52", "profile"]))
+    command = draw(st.sampled_from(["sym2", "lemma52", "profile", "cone", "df"]))
     flags = {
         "sym2": ["--modulus"],
         "lemma52": ["--trials", "--ambient", "--count", "--mod"],
         "profile": ["--nmax"],
+        "cone": ["--a", "--b"],
+        "df": ["--d", "--m"],
     }[command]
     wild = draw(st.sampled_from([None, *flags]))
     argv = []
@@ -610,9 +637,11 @@ def flag_argvs(draw):
         value = draw(st.sampled_from(out_of_range) if flag == wild else in_range)
         argv += [flag, str(value)]
     if command == "sym2":
-        return ["sym2", "--check", *argv]
+        return ["sym2", *argv] + (["--check"] if draw(st.booleans()) else [])
     if command == "profile":
         return ["profile", "--d", "5", *argv]
+    if command in ("cone", "df"):
+        return [command, *argv]
     return ["lemma52", "--random", "--seed", str(draw(st.integers(0, 3))), *argv]
 
 

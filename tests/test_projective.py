@@ -153,6 +153,29 @@ class TestMeetJoin:
                 break  # certified general: stacked basis has full rank
         assert meet(s1, s2).is_empty
 
+    def test_degenerate_operands(self):
+        # meet reduces s2 against s1, so each case runs in both orders
+        rng = random.Random(20261018)
+        for field in (QQ, PrimeField(2), GF101):
+            for ambient in range(0, 6):
+                width = ambient + 1
+                for _ in range(6):
+                    vectors = [
+                        [rng.randrange(-4, 5) for _ in range(width)]
+                        for _ in range(rng.randint(1, width))
+                    ]
+                    s = ProjSubspace.from_vectors(field, ambient, vectors)
+                    inner = ProjSubspace.from_vectors(field, ambient, vectors[:1])
+                    empty = ProjSubspace.empty(field, ambient)
+                    full = ProjSubspace.full(field, ambient)
+                    cases = [(empty, s, empty), (full, s, s), (inner, s, inner), (s, s, s)]
+                    for a, b, expected in cases:
+                        for s1, s2 in ((a, b), (b, a)):
+                            met = meet(s1, s2)
+                            assert met == expected
+                            assert s1.contains_subspace(met) and s2.contains_subspace(met)
+                            assert met.dim + join(s1, s2).dim == s1.dim + s2.dim
+
     def test_join_of_two_points_is_a_line(self):
         assert join(span([qpoint(1, 0, 0)]), span([qpoint(0, 1, 0)])).dim == 1
 
@@ -313,7 +336,7 @@ def test_meet_and_join_are_canonical_and_contained(pair):
         results.append(project_subspace_from(s1, s2))
     for s in results:
         assert ProjSubspace(s.field, s.ambient, s.rows) == s
-    assert meet(s1, s2) == met  # second call reads the cached annihilators
+    assert meet(s2, s1) == met
 
 
 def test_rank_agrees_between_qq_and_big_prime_field():
