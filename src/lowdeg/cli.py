@@ -249,10 +249,6 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if len(config) > MAX_SG_POINTS:
         raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(config)}")
     report = conf.check_sylvester_gallai(config)
-    by_size: dict[str, int] = {}
-    for line in report.lines:
-        key = str(len(line))
-        by_size[key] = by_size.get(key, 0) + 1
     violations = [] if report.is_sylvester_gallai else [
         {"pair": list(report.witness), "reason": "no third collinear point"}
     ]
@@ -261,7 +257,7 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         "is_sylvester_gallai": report.is_sylvester_gallai,
         "max_collinear": report.max_collinear,
         "witness": list(report.witness) if report.witness is not None else None,
-        "lines_by_size": by_size,
+        "lines_by_size": {str(size): count for size, count in report.lines_by_size.items()},
         "violations": violations,
     }, None
 

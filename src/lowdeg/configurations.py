@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
 from .fields import Field, PrimeField, Scalar, require_same_field
@@ -185,16 +185,18 @@ class PointConfig:
         if not self.points:
             raise ConfigurationError("a point configuration must be nonempty")
         first = self.points[0]
-        seen = set()
-        for p in self.points:
+        first_index: dict[tuple[Scalar, ...], int] = {}
+        for i, p in enumerate(self.points):
             require_same_field(first.field, p.field)
             if p.ambient != first.ambient:
                 raise ConfigurationError(
                     f"points live in P^{first.ambient} and P^{p.ambient}"
                 )
-            if p.coords in seen:
-                raise ConfigurationError(f"duplicate point {p.coords}")
-            seen.add(p.coords)
+            j = first_index.setdefault(p.coords, i)
+            if j != i:
+                raise ConfigurationError(
+                    f"duplicate point: points {j} and {i} are the same point of P^{p.ambient}"
+                )
 
     @property
     def field(self) -> Field:
@@ -234,34 +236,48 @@ class SylvesterGallaiReport:
     every connecting line carries a third point (``is_sylvester_gallai``)
     and the size of the largest collinear subset.  When the first property
     fails, ``witness`` holds the lexicographically first ordinary pair.
-    ``lines`` is :func:`maximal_lines` of the configuration."""
+    ``lines_by_size`` counts the lines of :func:`maximal_lines` by their
+    number of points, in the order the sizes first occur there; the lines
+    themselves are not kept."""
 
     num_points: int
     is_sylvester_gallai: bool
     max_collinear: int
     witness: Optional[Pair]
-    lines: tuple[tuple[int, ...], ...]
+    lines_by_size: dict[int, int]
 
 
 def check_sylvester_gallai(config: PointConfig) -> SylvesterGallaiReport:
-    """Read the report off :func:`maximal_lines`; exact arithmetic throughout."""
-    lines = maximal_lines(config)
+    """Fold the lines of :func:`maximal_lines` into the report as they are
+    found; exact arithmetic throughout."""
+    lines_by_size: dict[int, int] = {}
+    witness: Optional[Pair] = None
+    # the pass raises the ambient error, so it comes before the count check
+    for line in _anchored_lines(config):
+        size = len(line)
+        lines_by_size[size] = lines_by_size.get(size, 0) + 1
+        if size == 2 and witness is None:
+            witness = line
     n = len(config)
     if n < 3:
         raise ConfigurationError(f"need at least 3 points, got {n}")
-    witness = next((line for line in lines if len(line) == 2), None)
     return SylvesterGallaiReport(
         num_points=n,
         is_sylvester_gallai=witness is None,
-        max_collinear=max(len(line) for line in lines),
+        max_collinear=max(lines_by_size),
         witness=witness,
-        lines=lines,
+        lines_by_size=lines_by_size,
     )
 
 
 def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     """All lines spanned by the configuration, as sorted index tuples of the
-    points lying on them, each line listed once, in sorted order.
+    points lying on them, each line listed once, in sorted order."""
+    return tuple(_anchored_lines(config))
+
+
+def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
+    """The lines of :func:`maximal_lines`, yielded in order as they are found.
 
     One anchored pass: the lines through p are the points of the quotient
     line P^2 / p.  Let k be the lead index of p, so p[k] = 1, and a < b the
@@ -283,7 +299,6 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     n = len(coords)
     # on_a_line[u][v], for u < v: the pair lies on a line already emitted
     on_a_line = [bytearray(n) for _ in range(n)]
-    lines: list[tuple[int, ...]] = []
     for i, p in enumerate(coords):
         skip = on_a_line[i]
         # points are scaled so their first nonzero coordinate is 1
@@ -300,10 +315,9 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
             key = None if is_zero(ra) else reduce((q[b] - t * pb) * inv(ra))
             through_i.setdefault(key, []).append(j)
         for group in through_i.values():
-            lines.append((i, *group))
             for u, v in combinations(group, 2):
                 on_a_line[u][v] = 1
-    return tuple(lines)
+            yield (i, *group)
 
 
 def hesse_configuration() -> PointConfig:

@@ -13,9 +13,5 @@ class AmbientMismatchError(LowdegError):
     """Operands live in projective spaces of different dimensions."""
 
 
-class ProjectionError(LowdegError):
-    """The projection center contains the object being projected."""
-
-
 class ConfigurationError(LowdegError):
     """A configuration violates the preconditions of an operation."""

@@ -8,10 +8,13 @@ operation (span, meet, join, projection) returns canonical output.
 Conventions:
 
 * the empty subspace has projective dimension -1 and an empty basis;
-* points are homogeneous coordinate vectors scaled so the first nonzero
-  coordinate is 1;
+* a point is stored as its one-row reduced echelon form: the coordinates
+  scaled so the first nonzero one is 1;
 * ``meet(s1, s2)`` is the kernel of projecting ``s2`` away from ``s1``,
   found by one elimination over the rows ``[b mod s1 | b]``, b in ``s2``;
+* :func:`rref` is the one routine that puts a point or a subspace in
+  canonical form, and the one that finds pivots: a subspace keeps the pivot
+  columns it returned;
 * only the public constructor checks that rows are canonical: every other
   constructor and operation takes its rows from :func:`rref`.
 """
@@ -19,10 +22,9 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import AmbientMismatchError, LowdegError, ProjectionError
+from .errors import AmbientMismatchError, LowdegError
 from .fields import Field, Scalar, require_same_field
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -62,26 +64,19 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def _scaled_to_lead_one(field: Field, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """``coords`` scaled by the inverse of their first nonzero entry and
-    reduced: the canonical form of a point.  Entries need not be reduced."""
-    lead = next((x for x in coords if not field.is_zero(x)), None)
-    if lead is None:
-        raise LowdegError("homogeneous coordinates must not all vanish")
-    scale = field.inv(lead)
-    return tuple(field.reduce(scale * x) for x in coords)
-
-
 @dataclass(frozen=True)
 class ProjPoint:
-    """A point of P^n: nonzero homogeneous coordinates, first nonzero entry 1."""
+    """A point of P^n, stored as the one-row reduced echelon form of its
+    nonzero homogeneous coordinates: the first nonzero entry is 1."""
 
     field: Field
     coords: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        coords = [self.field.coerce(x) for x in self.coords]
-        object.__setattr__(self, "coords", _scaled_to_lead_one(self.field, coords))
+        rows, _ = rref([self.coords], self.field)
+        if not rows:
+            raise LowdegError("homogeneous coordinates must not all vanish")
+        object.__setattr__(self, "coords", rows[0])
 
     @property
     def ambient(self) -> int:
@@ -94,7 +89,10 @@ class ProjSubspace:
 
     ``rows`` must already be a reduced echelon basis with no zero rows; use
     :meth:`from_vectors` or :func:`span` to build one from arbitrary
-    spanning vectors.
+    spanning vectors.  ``pivot_columns`` holds the pivots :func:`rref`
+    returned with the rows; it is an attribute, not a dataclass field, so
+    equality, hashing and ``repr`` still read only ``field``, ``ambient``
+    and ``rows``.
     """
 
     field: Field
@@ -108,17 +106,22 @@ class ProjSubspace:
         if any(len(row) != self.ambient + 1 for row in rows):
             raise LowdegError(f"every row must have {self.ambient + 1} entries in P^{self.ambient}")
         # The reduced echelon form is unique, so rows are canonical iff rref keeps them.
-        if rref(rows, self.field)[0] != rows:
+        reduced, pivots = rref(rows, self.field)
+        if reduced != rows:
             raise LowdegError("basis is not in reduced row echelon form without zero rows")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "pivot_columns", pivots)
 
     @classmethod
-    def _canonical(cls, field: Field, ambient: int, rows: Matrix) -> "ProjSubspace":
-        """Wrap rows that are already a reduced echelon basis, skipping the check."""
+    def _canonical(
+        cls, field: Field, ambient: int, rows: Matrix, pivots: tuple[int, ...]
+    ) -> "ProjSubspace":
+        """Wrap rows that are already a reduced echelon basis, with their pivot
+        columns, skipping the check."""
         if ambient < 0:
             raise LowdegError("ambient projective dimension must be >= 0")
         subspace = object.__new__(cls)
-        subspace.__dict__.update(field=field, ambient=ambient, rows=rows)
+        subspace.__dict__.update(field=field, ambient=ambient, rows=rows, pivot_columns=pivots)
         return subspace
 
     @classmethod
@@ -131,12 +134,11 @@ class ProjSubspace:
                 raise AmbientMismatchError(
                     f"vector of length {len(v)} cannot span inside P^{ambient}"
                 )
-        reduced, _ = rref(vecs, field)
-        return cls._canonical(field, ambient, reduced)
+        return cls._canonical(field, ambient, *rref(vecs, field))
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "ProjSubspace":
-        return cls._canonical(field, ambient, ())
+        return cls._canonical(field, ambient, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "ProjSubspace":
@@ -144,7 +146,7 @@ class ProjSubspace:
         rows = tuple(
             tuple(field.one if i == j else field.zero for j in range(width)) for i in range(width)
         )
-        return cls._canonical(field, ambient, rows)
+        return cls._canonical(field, ambient, rows, tuple(range(width)))
 
     @property
     def dim(self) -> int:
@@ -158,15 +160,6 @@ class ProjSubspace:
     @property
     def is_empty(self) -> bool:
         return not self.rows
-
-    @cached_property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(
-            next(c for c, x in enumerate(row) if not self.field.is_zero(x)) for row in self.rows
-        )
-
-    def basis_points(self) -> tuple[ProjPoint, ...]:
-        return tuple(ProjPoint(self.field, row) for row in self.rows)
 
     def reduce_vector(self, vector: Sequence[Scalar]) -> list[Scalar]:
         """Subtract the component along this subspace, zeroing its pivot columns."""
@@ -237,17 +230,10 @@ def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     field = _check_compatible(s1, s2)
     width = s1.ambient + 1
     reduced, pivots = rref([s1.reduce_vector(b) + list(b) for b in s2.rows], field)
-    rows = tuple(row[width:] for row, c in zip(reduced, pivots) if c >= width)
-    return ProjSubspace._canonical(field, s1.ambient, rows)
-
-
-def project_from(center: ProjSubspace, point: ProjPoint) -> ProjPoint:
-    """Image of ``point`` under projection away from ``center``: the single
-    row of :func:`project_subspace_from` applied to the point's span."""
-    image = project_subspace_from(center, span([point]))
-    if image.is_empty:
-        raise ProjectionError("point lies in the projection center")
-    return ProjPoint(image.field, image.rows[0])
+    # pivots increase, so the rows with a zero left half come last
+    k = sum(c < width for c in pivots)
+    rows = tuple(row[width:] for row in reduced[k:])
+    return ProjSubspace._canonical(field, s1.ambient, rows, tuple(c - width for c in pivots[k:]))
 
 
 def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjSubspace:
@@ -269,13 +255,3 @@ def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjS
         if any(not field.is_zero(x) for x in quotient):
             images.append(quotient)
     return ProjSubspace.from_vectors(field, subspace.ambient - len(center.rows), images)
-
-
-def projected_span_dim(center: ProjSubspace, subspace: ProjSubspace) -> int:
-    """Dimension of the image of ``subspace`` under projection from ``center``,
-    which is ``dim join(subspace, center) - dim center - 1``; requires that
-    the subspace is not contained in the center."""
-    image = project_subspace_from(center, subspace)
-    if image.is_empty:
-        raise ProjectionError("subspace lies in the projection center")
-    return image.dim

@@ -214,6 +214,14 @@ class TestSg:
         code, _, err = run(capsys, "sg", "--input", str(path))
         assert code == 1 and "mix" in err
 
+    def test_duplicate_point_exit_1(self, capsys, tmp_path):
+        payload = {"ambient": 2, "points": [["1", "0", "0"], ["2", "0", "0"]]}
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "duplicate point: points 0 and 1 are the same point of P^2\n"
+
     def test_string_ambient_exit_1(self, capsys, tmp_path):
         payload = {"ambient": "2", "points": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
         path = tmp_path / "ambient.json"

@@ -73,6 +73,11 @@ def planted_lines(rng, field, count):
     return list(coords.values())
 
 
+def sizes_in_order(lines):
+    """Each line size with its number of lines, in order of first occurrence."""
+    return list(Counter(len(line) for line in lines).items())
+
+
 def counting_field(base, *args):
     """A ``base`` field that logs every ``is_zero`` answer in ``.calls``."""
 
@@ -215,7 +220,7 @@ class TestCommonSubspace:
             lam = common_subspace(members)
             assert lam.dim == 1
             for member in members:
-                assert all(member.contains_point(p) for p in lam.basis_points())
+                assert all(member.contains_point(ProjPoint(GF5, row)) for row in lam.rows)
 
     def test_two_members_never_satisfy_both_preconditions(self):
         # codim-2 pairs in a hyperplane cannot span everything
@@ -407,6 +412,12 @@ class TestPointConfig:
     def test_duplicates_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             PointConfig((qpoint(1, 0, 0), qpoint(2, 0, 0)))
+        points = (qpoint(1, 0, 0), qpoint(0, 1, 0), qpoint(Fraction(1, 3), 0, 0))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^duplicate point: points 0 and 2 are the same point of P\^2$",
+        ):
+            PointConfig(points)
 
     def test_mixed_ambient_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -490,6 +501,9 @@ class TestSylvesterGallai:
         config = PointConfig((qpoint(1, 0, 0, 0), qpoint(0, 1, 0, 0), qpoint(0, 0, 1, 0)))
         with pytest.raises(ConfigurationError):
             check_sylvester_gallai(config)
+        # the ambient error comes before the point count error
+        with pytest.raises(ConfigurationError, match=r"expected points in P\^2, got P\^3"):
+            check_sylvester_gallai(PointConfig((qpoint(1, 0, 0, 0), qpoint(0, 1, 0, 0))))
 
     def test_requires_three_points(self):
         with pytest.raises(ConfigurationError):
@@ -537,7 +551,7 @@ class TestSylvesterGallai:
             assert maximal_lines(config) == expected
             report = check_sylvester_gallai(config)
             assert report.num_points == n
-            assert report.lines == expected
+            assert list(report.lines_by_size.items()) == sizes_in_order(expected)
             assert report.max_collinear == max(len(line) for line in expected)
             assert report.witness == witness
             assert report.is_sylvester_gallai == (witness is None)
@@ -578,7 +592,7 @@ class TestSylvesterGallai:
             assert len(lines) == q * q + q + 1
             assert all(len(line) == q + 1 for line in lines)
             assert (lines, None) == triple_scan(config)
-            assert check_sylvester_gallai(config).lines == lines
+            assert check_sylvester_gallai(config).lines_by_size == {q + 1: q * q + q + 1}
 
     def test_rational_points_at_infinity_match_the_triple_scan(self):
         # lines y = m x + c with multi-digit slopes and intercepts: affine
@@ -614,7 +628,8 @@ class TestSylvesterGallai:
         assert maximal_lines(config) == expected
         assert set(qq.calls) == {True, False}
         report = check_sylvester_gallai(config)
-        assert report.lines == expected and report.witness == witness
+        assert list(report.lines_by_size.items()) == sizes_in_order(expected)
+        assert report.witness == witness
 
     def test_bookkeeping_is_small(self):
         # 200 points in general position: 19900 two-point lines and no
@@ -634,6 +649,26 @@ class TestSylvesterGallai:
             tracemalloc.stop()
         assert len(lines) == math.comb(200, 2)
         assert peak < 4 * 2**20
+
+    def test_report_keeps_counts_not_lines(self):
+        # 500 points in general position: 124750 two-point lines are counted
+        # as they are found, never held
+        rng = random.Random(500)
+        big = PrimeField(2147483647)
+        coords = {}
+        while len(coords) < 500:
+            point = random_point(rng, big, 2)
+            coords.setdefault(point.coords, point)
+        config = PointConfig(tuple(coords.values()))
+        tracemalloc.start()
+        try:
+            report = check_sylvester_gallai(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.lines_by_size == {2: math.comb(500, 2)}
+        assert report.witness == (0, 1) and report.max_collinear == 2
+        assert peak < 2 * 2**20
 
 
 class TestSym2Model:

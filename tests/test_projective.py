@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from lowdeg.errors import (
     AmbientMismatchError,
     LowdegError,
     MixedFieldError,
-    ProjectionError,
 )
 from lowdeg.fields import QQ, PrimeField
 from lowdeg.projective import (
@@ -17,9 +17,7 @@ from lowdeg.projective import (
     ProjSubspace,
     join,
     meet,
-    project_from,
     project_subspace_from,
-    projected_span_dim,
     rref,
     span,
 )
@@ -39,6 +37,12 @@ def qspace(ambient, *vectors):
 
 def unit(ambient, i):
     return qpoint(*(1 if j == i else 0 for j in range(ambient + 1)))
+
+
+def image_of(center, point):
+    """The image of one point under projection from ``center``: a point, or
+    the empty subspace when the point lies in the center."""
+    return project_subspace_from(center, span([point]))
 
 
 class TestRref:
@@ -202,8 +206,8 @@ class TestMeetJoin:
 class TestContains:
     def test_basis_points_are_members(self):
         s = qspace(3, [1, 0, 2, 0], [0, 1, 1, 1])
-        for p in s.basis_points():
-            assert s.contains_point(p)
+        for row in s.rows:
+            assert s.contains_point(ProjPoint(s.field, row))
 
     def test_point_off_a_line(self):
         line = qspace(2, [1, 0, 0], [0, 1, 0])
@@ -219,7 +223,7 @@ class TestProjection:
         center = span([qpoint(0, 0, 1)])
         # three points on a line through the center
         images = {
-            project_from(center, p).coords
+            image_of(center, p).rows[0]
             for p in (qpoint(1, 1, 0), qpoint(1, 1, 1), qpoint(1, 1, 4))
         }
         assert len(images) == 1
@@ -227,7 +231,7 @@ class TestProjection:
     def test_line_missing_center_projects_injectively(self):
         center = span([qpoint(0, 0, 1)])
         images = {
-            project_from(center, p).coords
+            image_of(center, p).rows[0]
             for p in (qpoint(1, 0, 0), qpoint(0, 1, 0), qpoint(1, 1, 0))
         }
         assert len(images) == 3
@@ -235,23 +239,23 @@ class TestProjection:
 
     def test_empty_center_is_identity(self):
         p = qpoint(3, 1, 4)
-        assert project_from(ProjSubspace.empty(QQ, 2), p) == p
+        image = image_of(ProjSubspace.empty(QQ, 2), p)
+        assert image == span([p]) and ProjPoint(QQ, image.rows[0]) == p
 
     def test_point_in_center_rejected(self):
         center = span([qpoint(1, 0, 0), qpoint(0, 1, 0)])
-        with pytest.raises(ProjectionError):
-            project_from(center, qpoint(1, 1, 0))
+        # the image is empty
+        assert image_of(center, qpoint(1, 1, 0)).is_empty
 
     def test_quotient_dimension(self):
         center = qspace(5, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0])
-        image = project_from(center, qpoint(0, 0, 0, 1, 2, 3))
-        assert image.ambient == 5 - (center.dim + 1)
+        image = image_of(center, qpoint(0, 0, 0, 1, 2, 3))
+        assert image.ambient == 5 - (center.dim + 1) and image.dim == 0
 
     def test_disjoint_plane_keeps_dimension_in_p5(self):
         center = qspace(5, [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1])
         plane = qspace(5, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0])
         assert meet(center, plane).is_empty
-        assert projected_span_dim(center, plane) == 2
         assert project_subspace_from(center, plane).dim == 2
 
 
@@ -259,26 +263,25 @@ class TestProjectedSpanDim:
     def test_point_center_line(self):
         center = span([unit(3, 0)])
         line = qspace(3, [0, 1, 0, 0], [0, 0, 1, 0])
-        assert projected_span_dim(center, line) == 1
+        assert project_subspace_from(center, line).dim == 1
 
     def test_concurrent_lines_collapse(self):
         center = qspace(3, [1, 0, 0, 0], [0, 1, 0, 0])
         line = qspace(3, [0, 1, 0, 0], [0, 0, 1, 0])  # meets the center at one point
-        assert projected_span_dim(center, line) == 0
+        assert project_subspace_from(center, line).dim == 0
 
     def test_planes_meeting_in_a_point_in_p5(self):
         s = qspace(5, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0])
         v = qspace(5, [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0])
         assert meet(s, v).dim == 0
-        assert projected_span_dim(v, s) == s.dim - meet(s, v).dim - 1 == 1
+        assert project_subspace_from(v, s).dim == s.dim - meet(s, v).dim - 1 == 1
 
     def test_subspace_inside_center_rejected(self):
         v = qspace(3, [1, 0, 0, 0], [0, 1, 0, 0])
         s = qspace(3, [1, 0, 0, 0])
-        with pytest.raises(ProjectionError):
-            projected_span_dim(v, s)
-        with pytest.raises(ProjectionError):
-            projected_span_dim(v, ProjSubspace.empty(QQ, 3))
+        # the image is empty
+        assert project_subspace_from(v, s).is_empty
+        assert project_subspace_from(v, ProjSubspace.empty(QQ, 3)).is_empty
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,6 @@ def test_projection_law(pair):
     if s.is_empty or center.contains_subspace(s):
         return
     expected = s.dim - meet(center, s).dim - 1
-    assert projected_span_dim(center, s) == expected
     assert project_subspace_from(center, s).dim == expected
 
 
@@ -331,7 +333,8 @@ def test_meet_and_join_are_canonical_and_contained(pair):
     assert ProjSubspace.from_vectors(met.field, met.ambient, met.rows) == met
     assert ProjSubspace.from_vectors(joined.field, joined.ambient, joined.rows) == joined
     # the validating public constructor accepts every result built without the check
-    results = [s1, s2, met, joined, span(s1.basis_points(), field=s1.field, ambient=s1.ambient)]
+    points = [ProjPoint(s1.field, row) for row in s1.rows]
+    results = [s1, s2, met, joined, span(points, field=s1.field, ambient=s1.ambient)]
     if not s1.contains_subspace(s2):
         results.append(project_subspace_from(s1, s2))
     for s in results:
@@ -378,3 +381,75 @@ def test_negative_ambient_rejected_by_every_constructor():
     ):
         with pytest.raises(LowdegError):
             build()
+
+
+def lead_one(field, coords):
+    """The reference canonical form of a point: ``coords`` scaled by the
+    inverse of their first nonzero entry, then reduced."""
+    coerced = [field.coerce(x) for x in coords]
+    lead = next((x for x in coerced if not field.is_zero(x)), None)
+    if lead is None:
+        raise LowdegError("homogeneous coordinates must not all vanish")
+    scale = field.inv(lead)
+    return tuple(field.reduce(scale * x) for x in coerced)
+
+
+def rescanned_pivots(s):
+    """The reference pivots: the first nonzero column of each basis row."""
+    return tuple(next(c for c, x in enumerate(row) if not s.field.is_zero(x)) for row in s.rows)
+
+
+def test_stored_pivots_and_points_match_the_rescan():
+    # every constructor and operation keeps the pivots rref returned, and a
+    # point is its one-row echelon form; both match the references above
+    rng = random.Random(20261018)
+    nonempty_meets = zero_vectors = 0
+    for field in (QQ, PrimeField(2), GF5, GF101):
+        for ambient in range(7):
+            width = ambient + 1
+
+            def vectors():
+                return [
+                    [rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(width)]
+                    for _ in range(rng.randint(1, width))
+                ]
+
+            for _ in range(8):
+                s1, s2 = (ProjSubspace.from_vectors(field, ambient, vectors()) for _ in range(2))
+                points = []
+                for v in vectors():
+                    try:
+                        expected = lead_one(field, v)
+                    except LowdegError as exc:
+                        with pytest.raises(LowdegError, match=f"^{exc}$"):
+                            ProjPoint(field, v)
+                        zero_vectors += 1
+                    else:
+                        points.append(ProjPoint(field, v))
+                        assert points[-1].coords == expected
+                met = meet(s1, s2)
+                nonempty_meets += not met.is_empty
+                built = [
+                    s1,
+                    s2,
+                    ProjSubspace(field, ambient, s1.rows),
+                    ProjSubspace.empty(field, ambient),
+                    ProjSubspace.full(field, ambient),
+                    span(points, field=field, ambient=ambient),
+                    join(s1, s2),
+                    met,
+                    meet(s2, s1),
+                ]
+                if s1.dim < ambient:  # the quotient by all of P^n has no points
+                    built.append(project_subspace_from(s1, s2))
+                for s in built:
+                    assert s.pivot_columns == rescanned_pivots(s)
+    assert nonempty_meets >= 100 and zero_vectors >= 20
+
+
+def test_pivots_are_not_a_field():
+    s = ProjSubspace.from_vectors(GF5, 3, [[0, 2, 1, 0], [1, 0, 0, 4]])
+    assert s.pivot_columns == (0, 1)
+    assert [f.name for f in dataclasses.fields(s)] == ["field", "ambient", "rows"]
+    assert "pivot_columns" not in repr(s)
+    assert s == ProjSubspace(GF5, 3, s.rows) and hash(s) == hash(ProjSubspace(GF5, 3, s.rows))
