@@ -17,7 +17,7 @@ sporadic cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import LowdegError
 from .numerology import castelnuovo_pi, genus_bound_main
@@ -32,14 +32,10 @@ KIND_PLANE_QUARTIC = "plane_quartic_pointless"
 SPORADIC_GENERA = {4: (4, 5), 5: (5, 6, 7, 8)}
 
 
-@dataclass
-class ClassificationCase:
+class ClassificationCase(NamedTuple):
     kind: str
     params: dict
     provenance: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params), "provenance": self.provenance}
 
 
 def _cover_cases(d: int, arithmetic: bool) -> list[ClassificationCase]:
@@ -124,7 +120,7 @@ def classification_json(d: int, arithmetic: bool = True) -> dict:
     return {
         "d": d,
         "mode": "arithmetic" if arithmetic else "geometric",
-        "cases": [case.to_json_dict() for case in classify(d, arithmetic)],
+        "cases": [case._asdict() for case in classify(d, arithmetic)],
     }
 
 
@@ -136,17 +132,15 @@ def sporadic_genus_cap(d: int) -> int:
     return genus_bound_main(d).bound_non_df_dagger
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     d: int
-    checks: tuple[AuditCheck, ...] = field(default_factory=tuple)
+    checks: tuple[AuditCheck, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -245,7 +239,5 @@ def audit_json(d: int) -> dict:
     return {
         "d": report.d,
         "passed": report.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
+        "checks": [c._asdict() for c in report.checks],
     }

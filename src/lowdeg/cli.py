@@ -117,11 +117,9 @@ def _cmd_pi(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    from dataclasses import asdict
-
     from . import numerology as num
 
-    data = asdict(num.genus_bound_main(args.d))
+    data = num.genus_bound_main(args.d)._asdict()
     if args.genus is not None:
         gon = num.gonality_bounds(
             args.d,
@@ -129,7 +127,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
             elliptic_cover=args.elliptic_cover,
             debarre_fahlaoui=args.df,
         )
-        data["gonality"] = {"genus": args.genus, **asdict(gon)}
+        data["gonality"] = {"genus": args.genus, **gon._asdict()}
     return data, None
 
 
@@ -472,7 +470,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LowdegError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    _emit(data, fmt, table)
+    try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
+        _emit(data, fmt, table)
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            # Point stdout at the null device, so the flush at exit finds
+            # nothing to retry and prints no second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

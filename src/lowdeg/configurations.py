@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ConfigurationError, LowdegError
 from .fields import Field, PrimeField, Scalar, require_same_field
@@ -379,8 +379,7 @@ def pairs_with_sum(model: Sym2GroupModel, s: int) -> frozenset[Pair]:
     return frozenset(model.normalize((x, s - x)) for x in range(model.modulus))
 
 
-@dataclass(frozen=True)
-class IncidenceReport:
+class IncidenceReport(NamedTuple):
     modulus: int
     checks_run: int
     violations: tuple[str, ...]
@@ -426,8 +425,7 @@ def incidence_pairing_check(model: Sym2GroupModel) -> IncidenceReport:
     return IncidenceReport(modulus=n, checks_run=n * (2 * n - 1), violations=joined)
 
 
-@dataclass(frozen=True)
-class TwoDivisorReport:
+class TwoDivisorReport(NamedTuple):
     """Membership audit of a subset against the point-divisor family.
 
     Every off-diagonal pair must lie in exactly two point-divisors (the

@@ -16,7 +16,6 @@ raises :class:`~lowdeg.errors.MixedFieldError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -87,7 +86,6 @@ class RationalField:
 QQ = RationalField()
 
 
-@dataclass(frozen=True)
 class PrimeField:
     """The field with ``p`` elements, represented as ints in ``[0, p)``.
 
@@ -96,17 +94,26 @@ class PrimeField:
     over GF(3).
     """
 
-    p: int
+    __slots__ = ("p",)
     zero = 0
     one = 1
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise MixedFieldError(f"modulus must be an int, got {self.p!r}")
-        if self.p >= PRIME_LIMIT:
-            raise MixedFieldError(f"modulus {self.p} exceeds the 2**31 limit")
-        if not is_prime(self.p):
-            raise MixedFieldError(f"modulus {self.p} is not prime")
+    def __init__(self, p: int) -> None:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise MixedFieldError(f"modulus must be an int, got {p!r}")
+        if p >= PRIME_LIMIT:
+            raise MixedFieldError(f"modulus {p} exceeds the 2**31 limit")
+        if not is_prime(p):
+            raise MixedFieldError(f"modulus {p} is not prime")
+        self.p = p
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @property
     def name(self) -> str:

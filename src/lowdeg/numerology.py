@@ -19,8 +19,7 @@ least 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, NamedTuple, Union
 
 from .errors import LowdegError
 
@@ -49,8 +48,7 @@ def castelnuovo_pi(delta: int, n: int) -> int:
     return m * (m - 1) * (n - 1) // 2 + m * eps
 
 
-@dataclass(frozen=True)
-class GenusBoundReport:
+class GenusBoundReport(NamedTuple):
     """Genus ceilings for a d-minimal curve, kept per-branch.
 
     ``bound_dagger`` applies when through a general point of the curve there
@@ -106,8 +104,7 @@ def genus_bound_special(e: int, r: int, d: int) -> int:
     return castelnuovo_pi(e + 2 * d, 2 * r + 1)
 
 
-@dataclass(frozen=True)
-class GonalityBounds:
+class GonalityBounds(NamedTuple):
     airr_based: int
     genus_based_geometric: int
     genus_based_arithmetic: int
@@ -179,8 +176,7 @@ def riemann_hurwitz_check(g_x: int, g_y: int, degree: int, ram_excess: int) -> b
     return 2 * g_x - 2 == degree * (2 * g_y - 2) + ram_excess
 
 
-@dataclass(frozen=True)
-class ConfigProfile:
+class ConfigProfile(NamedTuple):
     """Per-n lower bounds for the dimension ledger, n running from 2 to n_max.
 
     Index i of each array corresponds to n = i + 2.  ``codim_v_lb`` is the

@@ -21,7 +21,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import AmbientMismatchError, LowdegError
@@ -64,53 +63,61 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-@dataclass(frozen=True)
 class ProjPoint:
     """A point of P^n, stored as the one-row reduced echelon form of its
     nonzero homogeneous coordinates: the first nonzero entry is 1."""
 
-    field: Field
-    coords: tuple[Scalar, ...]
+    __slots__ = ("field", "coords")
 
-    def __post_init__(self) -> None:
-        rows, _ = rref([self.coords], self.field)
+    def __init__(self, field: Field, coords: Sequence[Scalar]) -> None:
+        rows, _ = rref([coords], field)
         if not rows:
             raise LowdegError("homogeneous coordinates must not all vanish")
-        object.__setattr__(self, "coords", rows[0])
+        self.field = field
+        self.coords = rows[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(field={self.field!r}, coords={self.coords!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.field, self.coords) == (other.field, other.coords)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coords))
 
     @property
     def ambient(self) -> int:
         return len(self.coords) - 1
 
 
-@dataclass(frozen=True)
 class ProjSubspace:
     """A linear subspace of P^n in canonical reduced-echelon-basis form.
 
     ``rows`` must already be a reduced echelon basis with no zero rows; use
     :meth:`from_vectors` or :func:`span` to build one from arbitrary
     spanning vectors.  ``pivot_columns`` holds the pivots :func:`rref`
-    returned with the rows; it is an attribute, not a dataclass field, so
-    equality, hashing and ``repr`` still read only ``field``, ``ambient``
-    and ``rows``.
+    returned with the rows; equality, hashing and ``repr`` read only
+    ``field``, ``ambient`` and ``rows``.
     """
 
-    field: Field
-    ambient: int
-    rows: Matrix
+    __slots__ = ("field", "ambient", "rows", "pivot_columns")
 
-    def __post_init__(self) -> None:
-        if self.ambient < 0:
+    def __init__(self, field: Field, ambient: int, rows: Matrix) -> None:
+        if ambient < 0:
             raise LowdegError("ambient projective dimension must be >= 0")
-        rows = tuple(tuple(self.field.coerce(x) for x in row) for row in self.rows)
-        if any(len(row) != self.ambient + 1 for row in rows):
-            raise LowdegError(f"every row must have {self.ambient + 1} entries in P^{self.ambient}")
+        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        if any(len(row) != ambient + 1 for row in rows):
+            raise LowdegError(f"every row must have {ambient + 1} entries in P^{ambient}")
         # The reduced echelon form is unique, so rows are canonical iff rref keeps them.
-        reduced, pivots = rref(rows, self.field)
+        reduced, pivots = rref(rows, field)
         if reduced != rows:
             raise LowdegError("basis is not in reduced row echelon form without zero rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivot_columns", pivots)
+        self.field = field
+        self.ambient = ambient
+        self.rows = rows
+        self.pivot_columns = pivots
 
     @classmethod
     def _canonical(
@@ -120,9 +127,26 @@ class ProjSubspace:
         columns, skipping the check."""
         if ambient < 0:
             raise LowdegError("ambient projective dimension must be >= 0")
-        subspace = object.__new__(cls)
-        subspace.__dict__.update(field=field, ambient=ambient, rows=rows, pivot_columns=pivots)
+        subspace = cls.__new__(cls)
+        subspace.field = field
+        subspace.ambient = ambient
+        subspace.rows = rows
+        subspace.pivot_columns = pivots
         return subspace
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(field={self.field!r}, ambient={self.ambient!r}, "
+            f"rows={self.rows!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.field, self.ambient, self.rows) == (other.field, other.ambient, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.ambient, self.rows))
 
     @classmethod
     def from_vectors(
@@ -243,8 +267,11 @@ def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjS
     basis and deleting its pivot columns, independent of how the center was
     presented.  The image lives in P^(ambient - dim(center) - 1); projecting
     from the empty subspace is the identity, and a subspace inside the
-    center has the empty image."""
+    center has the empty image.  All of P^n is no center: its quotient has
+    no points."""
     field = _check_compatible(center, subspace)
+    if center.dim == center.ambient:
+        raise LowdegError(f"cannot project from all of P^{center.ambient}")
     if center.is_empty:
         return subspace
     pivot_set = set(center.pivot_columns)

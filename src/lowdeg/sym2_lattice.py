@@ -19,23 +19,31 @@ abundant degree-d points beyond covers of the line or of an elliptic curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LowdegError
 
 
-@dataclass(frozen=True)
 class SurfaceClass:
     """Integer class ``a*section + b*fiber`` in the numerical lattice."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b"):
-            v = getattr(self, name)
+    def __init__(self, a: int, b: int) -> None:
+        for name, v in (("a", a), ("b", b)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise LowdegError(f"{name} must be an integer, got {v!r}")
+        self.a = a
+        self.b = b
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         return SurfaceClass(self.a + other.a, self.b + other.b)
@@ -89,22 +97,32 @@ def adjunction_genus(c: SurfaceClass) -> int:
     return 1 + total // 2
 
 
-@dataclass(frozen=True)
 class DFParams:
     """Parameters ``(d, m)`` of a Debarre-Fahlaoui class, ``1 <= m <= d``."""
 
-    d: int
-    m: int
+    __slots__ = ("d", "m")
 
-    def __post_init__(self) -> None:
-        for name in ("d", "m"):
-            v = getattr(self, name)
+    def __init__(self, d: int, m: int) -> None:
+        for name, v in (("d", d), ("m", m)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise LowdegError(f"{name} must be an integer, got {v!r}")
-        if self.d < 2:
-            raise LowdegError(f"d must be at least 2, got {self.d}")
-        if not 1 <= self.m <= self.d:
-            raise LowdegError(f"m must satisfy 1 <= m <= d = {self.d}, got {self.m}")
+        if d < 2:
+            raise LowdegError(f"d must be at least 2, got {d}")
+        if not 1 <= m <= d:
+            raise LowdegError(f"m must satisfy 1 <= m <= d = {d}, got {m}")
+        self.d = d
+        self.m = m
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(d={self.d!r}, m={self.m!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.d, self.m) == (other.d, other.m)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.m))
 
 
 def df_class(params: DFParams) -> SurfaceClass:

@@ -449,15 +449,29 @@ def subcommands():
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports this lowdeg."""
+    return {**os.environ, "PYTHONPATH": str(Path(lowdeg.__file__).parents[1])}
+
+
 def run_fresh(args):
     """Run ``python ARGS`` in a new interpreter that imports this lowdeg."""
-    env = {**os.environ, "PYTHONPATH": str(Path(lowdeg.__file__).parents[1])}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=fresh_env())
+
+
+def assert_one_write_error_line(err):
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def imported_modules(importtime_log):
+    """Module names from ``python -X importtime`` stderr."""
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
 
 
 def imported_lowdeg_modules(importtime_log):
     """Module names from ``python -X importtime`` stderr that belong to lowdeg."""
-    names = {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
+    names = imported_modules(importtime_log)
     return {name for name in names if name == "lowdeg" or name.startswith("lowdeg.")}
 
 
@@ -534,6 +548,62 @@ class TestHarness:
             assert proc.returncode == 0
             loaded = imported_lowdeg_modules(proc.stderr)
             assert "lowdeg.numerology" in loaded and not loaded & geometry, argv
+
+    def test_commands_outside_configurations_import_no_dataclasses(self):
+        # only the configurations module still builds dataclasses (sg, lemma52, sym2)
+        for fmt, argv in itertools.product(
+            ("table", "json"),
+            (
+                ["pi", "--delta", "20", "--ambient", "12"],
+                ["bounds", "--d", "5", "--genus", "7", "--df"],
+                ["profile", "--d", "5", "--dagger"],
+                ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
+                ["df", "--d", "4", "--m", "1"],
+                ["cone", "--a", "5", "--b", "-1"],
+                ["classify", "--d", "5"],
+                ["audit", "--d", "5"],
+            ),
+        ):
+            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
+            assert proc.returncode == 0
+            assert not imported_modules(proc.stderr) & {"dataclasses", "inspect"}, argv
+
+    def test_reader_closing_early_is_one_line_exit_1(self):
+        # 10 000 rows overfill the pipe, so the writer is still blocked when the reader leaves
+        argv = ["-m", "lowdeg", "profile", "--d", "5000", "--nmax", "10000"]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen([sys.executable, *argv], **pipes, env=fresh_env()) as proc:
+            assert proc.stdout.readline().startswith(b"d = 5000")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 1
+        assert_one_write_error_line(err)
+        assert "Broken pipe" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_is_one_line_exit_1(self):
+        for fmt, argv in itertools.product(
+            ("table", "json"),
+            (
+                ["pi", "--delta", "20", "--ambient", "12"],
+                ["profile", "--d", "50", "--nmax", "5000"],
+            ),
+        ):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "lowdeg", "--format", fmt, *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True, env=fresh_env(),
+                )
+            assert proc.returncode == 1, argv
+            assert_one_write_error_line(proc.stderr)
+
+    def test_closed_stdout_is_one_line_exit_1(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lowdeg", "pi", "--delta", "20", "--ambient", "12"],
+            stderr=subprocess.PIPE, text=True, env=fresh_env(), preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == 1
+        assert_one_write_error_line(proc.stderr)
 
     def test_env_var_sets_default_format(self, capsys, monkeypatch):
         monkeypatch.setenv("LOWDEG_FORMAT", "json")

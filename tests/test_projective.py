@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -440,8 +439,12 @@ def test_stored_pivots_and_points_match_the_rescan():
                     met,
                     meet(s2, s1),
                 ]
-                if s1.dim < ambient:  # the quotient by all of P^n has no points
+                if s1.dim < ambient:
                     built.append(project_subspace_from(s1, s2))
+                else:  # the quotient by all of P^n has no points
+                    message = rf"^cannot project from all of P\^{ambient}$"
+                    with pytest.raises(LowdegError, match=message):
+                        project_subspace_from(s1, s2)
                 for s in built:
                     assert s.pivot_columns == rescanned_pivots(s)
     assert nonempty_meets >= 100 and zero_vectors >= 20
@@ -450,6 +453,29 @@ def test_stored_pivots_and_points_match_the_rescan():
 def test_pivots_are_not_a_field():
     s = ProjSubspace.from_vectors(GF5, 3, [[0, 2, 1, 0], [1, 0, 0, 4]])
     assert s.pivot_columns == (0, 1)
-    assert [f.name for f in dataclasses.fields(s)] == ["field", "ambient", "rows"]
+    assert repr(s) == "ProjSubspace(field=GF(5), ambient=3, rows=((1, 0, 0, 4), (0, 1, 3, 0)))"
     assert "pivot_columns" not in repr(s)
     assert s == ProjSubspace(GF5, 3, s.rows) and hash(s) == hash(ProjSubspace(GF5, 3, s.rows))
+    assert hash(s) == hash((s.field, s.ambient, s.rows))
+    # wrong pivots change none of equality, hash and repr
+    unpivoted = ProjSubspace._canonical(GF5, 3, s.rows, ())
+    assert unpivoted == s and hash(unpivoted) == hash(s) and repr(unpivoted) == repr(s)
+
+
+def test_value_classes_compare_hash_and_print_their_fields():
+    p = ProjPoint(GF5, [0, 2, 1])
+    q = ProjPoint(QQ, [0, Fraction(2, 3), 1])
+    assert repr(GF5) == "GF(5)"
+    assert repr(p) == "ProjPoint(field=GF(5), coords=(0, 1, 3))"
+    assert repr(q) == (
+        "ProjPoint(field=QQ, coords=(Fraction(0, 1), Fraction(1, 1), Fraction(3, 2)))"
+    )
+    assert hash(GF5) == hash((5,))
+    assert hash(p) == hash((GF5, (0, 1, 3))) and hash(q) == hash((QQ, q.coords))
+    assert p == ProjPoint(GF5, [0, 4, 2]) and p != ProjPoint(PrimeField(7), [0, 2, 1])
+    # equal fields are not enough: the classes must match too
+
+    class Subfield(PrimeField):
+        pass
+
+    assert GF5 == PrimeField(5) and GF5 != Subfield(5) and p != (GF5, (0, 1, 3))

@@ -155,3 +155,10 @@ def test_surface_class_requires_ints():
         SurfaceClass(1.5, 0)
     with pytest.raises(LowdegError):
         SurfaceClass(1, True)
+
+
+def test_values_compare_hash_and_print_their_fields():
+    c, params = SurfaceClass(5, -1), DFParams(4, 1)
+    assert repr(c) == "SurfaceClass(a=5, b=-1)" and repr(params) == "DFParams(d=4, m=1)"
+    assert hash(c) == hash((5, -1)) and hash(params) == hash((4, 1))
+    assert c == df_class(params) and c != (5, -1) and params != SurfaceClass(4, 1)
