@@ -20,14 +20,18 @@ from .errors import LowdegError
 
 FORMATS = ("table", "json")
 
-# Caps on inputs whose cost grows far faster than their size: the sym2 check is
-# quadratic in the modulus, random lemma52 trials grow polynomially with the
-# ambient dimension and the family size (their time is linear in the trials),
-# sg takes time quadratic in the points, and profile prints a row per n.
+# Caps on inputs whose cost grows far faster than their size, each checked
+# before the work starts.  The sym2 check is quadratic in the modulus.  Random
+# lemma52 runs cost trials x count x (ambient+1)^3 units of work, a few
+# microseconds each at most, so the largest accepted run takes seconds.  sg
+# keys C(n, 2) pairs of points, each at a cost that grows with B^2, B the bit
+# length of the longest coordinate numerator or denominator, and it holds n^2
+# bytes of bookkeeping, so it has both a work bound and a point cap.  profile
+# prints a row per n.
 MAX_CHECK_MODULUS = 256
-MAX_RANDOM_SIZE = 16
-MAX_TRIALS = 10_000
+MAX_LEMMA52_WORK = 5_000_000
 MAX_SG_POINTS = 500
+MAX_SG_WORK = 30_000_000_000
 MAX_PROFILE_N = 10_000
 
 
@@ -246,6 +250,19 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     config = point_config_from_json(_read_input(args.input))
     if len(config) > MAX_SG_POINTS:
         raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(config)}")
+    # Python ints have a numerator and a denominator, so this reads both fields
+    bits = max(
+        n.bit_length()
+        for point in config.points
+        for x in point.coords
+        for n in (x.numerator, x.denominator)
+    )
+    work = len(config) * (len(config) - 1) // 2 * bits**2
+    if work > MAX_SG_WORK:
+        raise InputError(
+            f"sg takes at most {MAX_SG_WORK} units of work, C(n, 2) x B^2 for n points "
+            f"whose longest numerator or denominator has B bits, got {work}"
+        )
     report = conf.check_sylvester_gallai(config)
     violations = [] if report.is_sylvester_gallai else [
         {"pair": list(report.witness), "reason": "no third collinear point"}
@@ -270,13 +287,15 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if args.random:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
-        if args.trials > MAX_TRIALS:
-            raise InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
-        for flag, value in (("--ambient", args.ambient), ("--count", args.count)):
-            if value > MAX_RANDOM_SIZE:
-                raise InputError(f"{flag} must be at most {MAX_RANDOM_SIZE}, got {value}")
-        rng = random.Random(args.seed)
         field = PrimeField(args.mod)
+        conf.check_family_shape(field, args.ambient, args.count)
+        work = args.trials * args.count * (args.ambient + 1) ** 3
+        if work > MAX_LEMMA52_WORK:
+            raise InputError(
+                f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
+                f"--trials x --count x (--ambient + 1)^3, got {work}"
+            )
+        rng = random.Random(args.seed)
         failures = []
         for trial in range(args.trials):
             members, planted = conf.planted_family(rng, field, args.ambient, args.count)

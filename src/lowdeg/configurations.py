@@ -15,10 +15,10 @@ Three gadgets live here:
   tolerances anywhere),
 * a finite stand-in for the symmetric square of an elliptic curve: unordered
   pairs over Z/N with the two divisor families "pairs containing x" and
-  "pairs summing to s".  The incidence counts of those families, read off
-  one membership index (each pair to the divisors containing it), reproduce
-  the intersection table of :mod:`lowdeg.sym2_lattice`; the model only
-  claims the divisor combinatorics, not an actual curve.
+  "pairs summing to s".  Each divisor is read once, into one membership
+  index (each pair to the divisors containing it); the incidence counts come
+  off that index alone and reproduce the lattice table of :mod:`lowdeg.sym2_lattice`;
+  the model only claims the divisor combinatorics, not an actual curve.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
             )
     for i, s in enumerate(subs):
         if s.codim != 2:
-            raise ConfigurationError(
-                f"subspace {i} has codimension {s.codim}, expected 2"
-            )
+            raise ConfigurationError(f"subspace {i} has codimension {s.codim}, expected 2")
     lam = meet(subs[0], subs[1])
     if lam.dim == ambient - 2:
         raise ConfigurationError("subspaces 0 and 1 coincide")
@@ -126,18 +124,9 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
     raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
 
 
-def planted_family(
-    rng: random.Random, field: Field, ambient: int, count: int = 4
-) -> tuple[list[ProjSubspace], ProjSubspace]:
-    """``(members, planted)``: a valid input for :func:`common_subspace` and
-    the codimension-3 subspace it must return.
-
-    The members through ``planted`` are the points of the quotient plane, so
-    the family is built, not searched for: three non-collinear quotient
-    points, then distinct further ones, each lifted onto the non-pivot
-    columns of ``planted`` (the coordinates projection reads back).  Raises
-    :class:`ConfigurationError` before any draw when no family exists: fewer
-    than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
+def check_family_shape(field: Field, ambient: int, count: int) -> None:
+    """Raise :class:`ConfigurationError` when no family for :func:`planted_family`
+    exists: fewer than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
     if ambient < 3:
         raise ConfigurationError("need ambient dimension at least 3")
     if count < 3:
@@ -147,13 +136,26 @@ def planted_family(
             f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
             f"codimension-3 subspace, got {count}"
         )
+
+
+def planted_family(
+    rng: random.Random, field: Field, ambient: int, count: int = 4
+) -> tuple[list[ProjSubspace], ProjSubspace]:
+    """``(members, planted)``: a valid input for :func:`common_subspace` and
+    the codimension-3 subspace it must return.
+
+    The members through ``planted`` are the points of the quotient plane, so
+    the family is built, not searched for: three non-collinear quotient
+    points, then distinct further ones, each lifted onto the non-pivot
+    columns of ``planted`` (the coordinates projection reads back)."""
+    check_family_shape(field, ambient, count)
     planted = random_subspace(rng, field, ambient, ambient - 3)
-    points: list[tuple[Scalar, ...]] = []
+    points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
     while len(points) < count:
         point = random_point(rng, field, 2).coords
         on_first_line = len(points) == 2 and field.is_zero(_det3(field, *points, point))
         if point not in points and not on_first_line:
-            points.append(point)
+            points[point] = None
     free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
     members = []
     for point in points:
@@ -324,9 +326,7 @@ def hesse_configuration() -> PointConfig:
     """The nine points (x, y, 1), x, y in GF(3): a Sylvester-Gallai
     configuration whose twelve lines carry three points each."""
     gf3 = PrimeField(3)
-    points = tuple(
-        ProjPoint(gf3, (x, y, 1)) for x in range(3) for y in range(3)
-    )
+    points = tuple(ProjPoint(gf3, (x, y, 1)) for x in range(3) for y in range(3))
     return PointConfig(points)
 
 
@@ -389,9 +389,9 @@ class IncidenceReport(NamedTuple):
         return not self.violations
 
 
-def _holders(divisors: Sequence[frozenset[Pair]]) -> dict[Pair, list[int]]:
+def _holders(divisors: Iterable[frozenset[Pair]]) -> dict[Pair, list[int]]:
     """The membership index: each pair mapped to the indices of the divisors
-    containing it, in index order.  Read off the sets, never a closed formula."""
+    containing it, in index order.  Each set is read once, never a closed formula."""
     holders: dict[Pair, list[int]] = {}
     for i, divisor in enumerate(divisors):
         for p in divisor:
@@ -402,24 +402,24 @@ def _holders(divisors: Sequence[frozenset[Pair]]) -> dict[Pair, list[int]]:
 def incidence_pairing_check(model: Sym2GroupModel) -> IncidenceReport:
     """Exhaustively verify the three incidence counts of the divisor families:
     |point(x) & point(y)| = 1, |point(x) & fiber(s)| = 1, |fiber(s) & fiber(t)| = 0
-    for x != y and s != t.  These are the lattice products 1, 1, 0.  Divisor i
-    (points first, then fibers) counts the pairs it shares with each later
-    divisor through the membership index, so the work is quadratic in N."""
+    for x != y and s != t, the lattice products 1, 1, 0.  Each pair of the
+    membership index adds one to the count shared by every two divisors holding it."""
     n = model.modulus
-    divisors = [pairs_containing(model, x) for x in range(n)]
-    divisors += [pairs_with_sum(model, s) for s in range(n)]
-    holders = _holders(divisors)
+    divisors = (f(model, k) for f in (pairs_containing, pairs_with_sum) for k in range(n))
+    shared = [[0] * (2 * n) for _ in range(2 * n)]  # [i][j], i < j: |divisor i & divisor j|
+    for held_by in _holders(divisors).values():
+        for i, j in combinations(held_by, 2):
+            shared[i][j] += 1
     names = [f"point({x})" for x in range(n)] + [f"fiber({s})" for s in range(n)]
     # point-point, point-fiber and fiber-fiber violations, each in row order
     violations: tuple[list[str], ...] = ([], [], [])
-    for i, divisor in enumerate(divisors):
-        shared = Counter(j for p in divisor for j in holders[p] if j > i)
+    for i, row in enumerate(shared):
         for j in range(i + 1, 2 * n):
             kind = (i >= n) + (j >= n)
             expected = 0 if kind == 2 else 1
-            if shared[j] != expected:
+            if row[j] != expected:
                 violations[kind].append(
-                    f"|{names[i]} & {names[j]}| = {shared[j]}, expected {expected}"
+                    f"|{names[i]} & {names[j]}| = {row[j]}, expected {expected}"
                 )
     joined = tuple(v for per_kind in violations for v in per_kind)
     return IncidenceReport(modulus=n, checks_run=n * (2 * n - 1), violations=joined)
@@ -447,7 +447,7 @@ class TwoDivisorReport(NamedTuple):
 def two_divisor_check(model: Sym2GroupModel, subset: Iterable[Pair]) -> TwoDivisorReport:
     n = model.modulus
     members = sorted({model.normalize(p) for p in subset})
-    holders = _holders([pairs_containing(model, x) for x in range(n)])
+    holders = _holders(pairs_containing(model, x) for x in range(n))
     flagged = tuple(p for p in members if p[0] == p[1])
     violations = []
     for p in members:

@@ -16,10 +16,10 @@ import json
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import LowdegError, MixedFieldError
-from .fields import Field, Scalar, scalar_from_json, scalar_to_json
 
 if TYPE_CHECKING:
     from .configurations import PointConfig
+    from .fields import Field, Scalar
     from .projective import ProjSubspace
 
 
@@ -29,6 +29,10 @@ def canonical_dumps(data: object) -> str:
 
 def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
     """Parse a list of rows of serialized scalars, enforcing one common field."""
+    # The arithmetic modules load only when a scalar is read or written, not for
+    # canonical_dumps; the geometry modules only in the readers that build them.
+    from .fields import scalar_from_json
+
     if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
         raise LowdegError("expected a list of rows")
     field: Field | None = None
@@ -57,6 +61,8 @@ def _check_ambient(ambient: object) -> int:
 
 
 def subspace_to_json(s: ProjSubspace) -> dict:
+    from .fields import scalar_to_json
+
     return {
         "ambient": s.ambient,
         "rows": [[scalar_to_json(s.field, x) for x in row] for row in s.rows],
@@ -64,7 +70,6 @@ def subspace_to_json(s: ProjSubspace) -> dict:
 
 
 def subspace_from_json(obj: object) -> ProjSubspace:
-    # The geometry modules load only when a reader needs them, not for canonical_dumps.
     from .projective import ProjSubspace
 
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
@@ -75,6 +80,8 @@ def subspace_from_json(obj: object) -> ProjSubspace:
 
 
 def point_config_to_json(config: PointConfig) -> dict:
+    from .fields import scalar_to_json
+
     return {
         "ambient": config.ambient,
         "points": [

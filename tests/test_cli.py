@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,29 @@ class TestSg:
         assert code == 2 and out == ""
         assert err == "sg takes at most 500 points, got 501\n"
 
+    def test_work_bound(self, capsys, tmp_path, monkeypatch):
+        # C(n, 2) x B^2, with B the longest numerator or denominator in bits.
+        # The rejected edge at the shipped bound: 500 points with 491-bit
+        # coordinates (490 bits would pass).
+        assert math.comb(500, 2) * 490**2 <= lowdeg.cli.MAX_SG_WORK
+        points = [["1", str(k), str(2**490 + k)] for k in range(500)]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"ambient": 2, "points": points}))
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "sg takes at most 30000000000 units of work, C(n, 2) x B^2 for n points "
+            f"whose longest numerator or denominator has B bits, got {124750 * 491**2}\n"
+        )
+        # the accepted edge: four points, B = 3 from the denominator 5
+        points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1/5", "1"]]
+        path.write_text(json.dumps({"ambient": 2, "points": points}))
+        monkeypatch.setattr("lowdeg.cli.MAX_SG_WORK", 6 * 3**2)
+        assert run_json(capsys, "sg", "--input", str(path))["num_points"] == 4
+        monkeypatch.setattr("lowdeg.cli.MAX_SG_WORK", 6 * 3**2 - 1)
+        code, out, err = run(capsys, "sg", "--input", str(path))
+        assert code == 2 and out == "" and err.endswith(", got 54\n")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -379,21 +403,37 @@ class TestLemma52:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and reason in err
 
-    def test_random_size_caps(self, capsys):
+    def test_random_size_caps(self, capsys, monkeypatch):
+        # One work rule, --trials x --count x (--ambient + 1)^3, replaces the
+        # separate caps: a large ambient runs when the other factors are small.
         data = run_json(
             capsys, "lemma52", "--random", "--mod", "101", "--trials", "1",
-            "--ambient", "16", "--count", "16",
+            "--ambient", "17", "--count", "3",
         )
-        assert data["passed"] is True
-        for flag in ("--ambient", "--count"):
-            code, out, err = run(capsys, "lemma52", "--random", flag, "17")
-            assert code == 2 and out == ""
-            assert err == f"{flag} must be at most 16, got 17\n"
+        assert data["passed"] is True and data["ambient"] == 17
+        # the accepted edge: work equal to the bound runs, one more trial does not
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", 3 * 4 * 5**3)
+        data = run_json(capsys, "lemma52", "--random", "--trials", "3")
+        assert data["passed"] is True and data["trials"] == 3
+        code, out, err = run(capsys, "lemma52", "--random", "--trials", "4")
+        assert code == 2 and out == "" and err.endswith(", got 2000\n")
+        # a family that cannot exist is reported as such, before the work rule
+        code, out, err = run(
+            capsys, "lemma52", "--random", "--ambient", "16", "--count", "2", "--trials", "4"
+        )
+        assert code == 1 and out == ""
+        assert err == "need at least three members to span P^16, got 2\n"
 
     def test_trials_cap(self, capsys):
+        # the rejected edge at the shipped bound: the default family, 4 members
+        # in P^4, runs at most 10000 trials
+        assert 10_000 * 4 * 5**3 == lowdeg.cli.MAX_LEMMA52_WORK
         code, out, err = run(capsys, "lemma52", "--random", "--trials", "10001")
         assert code == 2 and out == ""
-        assert err == "--trials must be at most 10000, got 10001\n"
+        assert err == (
+            "lemma52 --random takes at most 5000000 units of work, "
+            "--trials x --count x (--ambient + 1)^3, got 5000500\n"
+        )
 
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
@@ -550,7 +590,8 @@ class TestHarness:
             assert "lowdeg.numerology" in loaded and not loaded & geometry, argv
 
     def test_commands_outside_configurations_import_no_dataclasses(self):
-        # only the configurations module still builds dataclasses (sg, lemma52, sym2)
+        # only the configurations module still builds dataclasses (sg, lemma52, sym2),
+        # and commands that print no field element load no exact arithmetic
         for fmt, argv in itertools.product(
             ("table", "json"),
             (
@@ -566,7 +607,9 @@ class TestHarness:
         ):
             proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
             assert proc.returncode == 0
-            assert not imported_modules(proc.stderr) & {"dataclasses", "inspect"}, argv
+            loaded = imported_modules(proc.stderr)
+            assert not loaded & {"dataclasses", "inspect"}, argv
+            assert not loaded & {"lowdeg.fields", "fractions", "decimal"}, (fmt, argv)
 
     def test_reader_closing_early_is_one_line_exit_1(self):
         # 10 000 rows overfill the pipe, so the writer is still blocked when the reader leaves

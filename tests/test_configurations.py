@@ -751,6 +751,19 @@ class TestSym2Model:
         assert model.normalize((9, 1)) == (1, 2)
         assert model.normalize((3, -1)) == (3, 6)
 
+    def test_check_lets_each_divisor_go_once_indexed(self):
+        # N = 128: the index and the 256 x 256 count table, with no divisor
+        # set kept beside them (3.6 MiB when all 256 sets stayed alive)
+        model = sym2_model(128)
+        tracemalloc.start()
+        try:
+            report = incidence_pairing_check(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.checks_run == 128 * 255
+        assert peak < 2.75 * 2**20
+
     def test_real_models_match_the_reference(self):
         rng = random.Random(0)
         for n in range(5, 41):
