@@ -23,13 +23,16 @@ FORMATS = ("table", "json")
 # Caps on inputs whose cost grows far faster than their size, each checked
 # before the work starts.  The sym2 check is quadratic in the modulus.  Random
 # lemma52 runs cost trials x count x (ambient+1)^3 units of work, a few
-# microseconds each at most, so the largest accepted run takes seconds.  sg
+# microseconds each at most, so the largest accepted run takes seconds; a
+# family that fills most of the quotient plane also pays its redraws of
+# quotient points, each about as costly as LEMMA52_DRAW_WORK units.  sg
 # keys C(n, 2) pairs of points, each at a cost that grows with B^2, B the bit
 # length of the longest coordinate numerator or denominator, and it holds n^2
 # bytes of bookkeeping, so it has both a work bound and a point cap.  profile
 # prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_LEMMA52_WORK = 5_000_000
+LEMMA52_DRAW_WORK = 9
 MAX_SG_POINTS = 500
 MAX_SG_WORK = 30_000_000_000
 MAX_PROFILE_N = 10_000
@@ -294,6 +297,14 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
             raise InputError(
                 f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
                 f"--trials x --count x (--ambient + 1)^3, got {work}"
+            )
+        redraws = conf.excess_draws(field, args.count)
+        work += args.trials * LEMMA52_DRAW_WORK * redraws
+        if work > MAX_LEMMA52_WORK:
+            raise InputError(
+                f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
+                f"--trials x (--count x (--ambient + 1)^3 + {LEMMA52_DRAW_WORK} x {redraws} "
+                f"redraws of quotient points), got {work}"
             )
         rng = random.Random(args.seed)
         failures = []

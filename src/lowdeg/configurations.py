@@ -138,6 +138,15 @@ def check_family_shape(field: Field, ambient: int, count: int) -> None:
         )
 
 
+def excess_draws(field: PrimeField, count: int) -> int:
+    """The quotient-point draws of :func:`planted_family` beyond ``count``,
+    in integer arithmetic: with i of the N = p^2 + p + 1 points drawn, a new
+    one takes N / (N - i) draws on average, of which this counts the floor.
+    It is 0 while ``count`` is at most N / 2.  Needs ``count`` <= N."""
+    n = field.p**2 + field.p + 1
+    return sum(n // (n - i) for i in range(count)) - count
+
+
 def planted_family(
     rng: random.Random, field: Field, ambient: int, count: int = 4
 ) -> tuple[list[ProjSubspace], ProjSubspace]:

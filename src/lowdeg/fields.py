@@ -9,6 +9,12 @@ from outside, ``reduce`` maps an operator result to its canonical
 representative, and ``inv`` and ``is_zero``.  That keeps the matrix routines in
 :mod:`lowdeg.projective` generic over both.
 
+A canonical zero, ``Fraction(0)`` or the int ``0``, is falsy and every other
+canonical scalar is truthy, so code holding values from ``coerce`` or
+``reduce`` tests them for zero by truthiness.  ``is_zero`` remains for
+unreduced values, such as the differences of products in the Sylvester-Gallai
+pass, where any multiple of ``p``, not only ``0``, is zero in the field.
+
 Mixing scalars that belong to different fields is a contract violation and
 raises :class:`~lowdeg.errors.MixedFieldError`.
 """

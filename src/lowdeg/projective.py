@@ -16,7 +16,11 @@ Conventions:
   canonical form, and the one that finds pivots: a subspace keeps the pivot
   columns it returned;
 * only the public constructor checks that rows are canonical: every other
-  constructor and operation takes its rows from :func:`rref`.
+  constructor and operation takes its rows from :func:`rref`;
+* elimination is sparse: a pivot row is scaled, and subtracted from other
+  rows, over its nonzero columns only, found by the truthiness of canonical
+  scalars; :func:`rref` and ``reduce_vector`` coerce their input, and the
+  operations pass canonical rows to ``_reduce`` as they are.
 """
 
 from __future__ import annotations
@@ -43,19 +47,25 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
             raise LowdegError("matrix rows must all have the same length")
     else:
         return (), ()
+    reduce = field.reduce
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        scale = field.inv(mat[r][c])
-        mat[r] = [field.reduce(scale * x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                factor = mat[i][c]
-                mat[i] = [field.reduce(x - factor * y) for x, y in zip(mat[i], mat[r])]
+        row = mat[r]
+        # rows r.. are zero before column c, so the pivot row is zero off its support
+        support = [k for k in range(c, width) if row[k]]
+        scale = field.inv(row[c])
+        for k in support:
+            row[k] = reduce(scale * row[k])
+        for i, other in enumerate(mat):
+            factor = other[c]
+            if factor and i != r:
+                for k in support:
+                    other[k] = reduce(other[k] - factor * row[k])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -187,24 +197,32 @@ class ProjSubspace:
 
     def reduce_vector(self, vector: Sequence[Scalar]) -> list[Scalar]:
         """Subtract the component along this subspace, zeroing its pivot columns."""
-        field = self.field
-        v = [field.coerce(x) for x in vector]
+        if len(vector) != self.ambient + 1:
+            raise AmbientMismatchError(
+                f"vector of length {len(vector)} does not live in P^{self.ambient}"
+            )
+        return self._reduce([self.field.coerce(x) for x in vector])
+
+    def _reduce(self, vector: Sequence[Scalar]) -> list[Scalar]:
+        """:meth:`reduce_vector` of canonical scalars of the right length."""
+        reduce = self.field.reduce
+        v = list(vector)
         for row, c in zip(self.rows, self.pivot_columns):
-            if not field.is_zero(v[c]):
-                factor = v[c]
-                v = [field.reduce(x - factor * y) for x, y in zip(v, row)]
+            factor = v[c]
+            if factor:
+                for k in range(c, len(v)):
+                    if row[k]:
+                        v[k] = reduce(v[k] - factor * row[k])
         return v
 
     def contains_point(self, point: ProjPoint) -> bool:
         """Membership test; the empty subspace contains no point."""
         _check_compatible(self, point)
-        return all(self.field.is_zero(x) for x in self.reduce_vector(point.coords))
+        return not any(self._reduce(point.coords))
 
     def contains_subspace(self, other: "ProjSubspace") -> bool:
         _check_compatible(self, other)
-        return all(
-            all(self.field.is_zero(x) for x in self.reduce_vector(row)) for row in other.rows
-        )
+        return not any(any(self._reduce(row)) for row in other.rows)
 
 
 def _check_compatible(a: ProjSubspace | ProjPoint, b: ProjSubspace | ProjPoint) -> Field:
@@ -253,7 +271,7 @@ def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     zero left half carry the echelon basis of the intersection on the right."""
     field = _check_compatible(s1, s2)
     width = s1.ambient + 1
-    reduced, pivots = rref([s1.reduce_vector(b) + list(b) for b in s2.rows], field)
+    reduced, pivots = rref([s1._reduce(b) + list(b) for b in s2.rows], field)
     # pivots increase, so the rows with a zero left half come last
     k = sum(c < width for c in pivots)
     rows = tuple(row[width:] for row in reduced[k:])
@@ -277,8 +295,8 @@ def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjS
     pivot_set = set(center.pivot_columns)
     images = []
     for row in subspace.rows:
-        reduced = center.reduce_vector(row)
+        reduced = center._reduce(row)
         quotient = [x for c, x in enumerate(reduced) if c not in pivot_set]
-        if any(not field.is_zero(x) for x in quotient):
+        if any(quotient):
             images.append(quotient)
-    return ProjSubspace.from_vectors(field, subspace.ambient - len(center.rows), images)
+    return ProjSubspace._canonical(field, subspace.ambient - len(center.rows), *rref(images, field))

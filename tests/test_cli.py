@@ -435,6 +435,39 @@ class TestLemma52:
             "--trials x --count x (--ambient + 1)^3, got 5000500\n"
         )
 
+    def test_redraws_count_as_work(self, capsys, monkeypatch):
+        # the whole plane over GF(277) passes the base rule (4928448 units)
+        # but pays about N ln N redraws of its N = 77007 quotient points
+        code, out, err = run(
+            capsys, "lemma52", "--random", "--ambient", "3", "--count", "77007", "--mod", "277",
+            "--trials", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "lemma52 --random takes at most 5000000 units of work, --trials x (--count x "
+            "(--ambient + 1)^3 + 9 x 801374 redraws of quotient points), got 12140814\n"
+        )
+        # the whole plane over GF(2): 7 x 4^3 units and 7 + 3 + 2 + 1 + 1 + 1 + 1 - 7
+        # redraws per trial, at LEMMA52_DRAW_WORK units each
+        assert lowdeg.cli.LEMMA52_DRAW_WORK == 9
+        argv = (
+            "lemma52", "--random", "--mod", "2", "--ambient", "3", "--count", "7", "--trials", "2"
+        )
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", 2 * (7 * 64 + 9 * 9))
+        assert run_json(capsys, *argv)["passed"] is True
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", 2 * (7 * 64 + 9 * 9) - 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(" + 9 x 9 redraws of quotient points), got 1058\n")
+        # no redraws are charged up to half the plane: 16 of GF(5)'s 31 points
+        # pay none, as 31 // (31 - 15) = 1, and 17 pay one
+        argv = ("lemma52", "--random", "--ambient", "3", "--trials", "1", "--count")
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", 16 * 64)
+        assert run_json(capsys, *argv, "16")["passed"] is True
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", 17 * 64 + 8)
+        code, out, err = run(capsys, *argv, "17")
+        assert code == 2 and err.endswith(" + 9 x 1 redraws of quotient points), got 1097\n")
+
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
         assert code == 2 and "--input" in err

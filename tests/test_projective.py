@@ -1,16 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowdeg import projective
+from lowdeg.configurations import common_subspace, planted_family
 from lowdeg.errors import (
     AmbientMismatchError,
     LowdegError,
     MixedFieldError,
 )
-from lowdeg.fields import QQ, PrimeField
+from lowdeg.fields import QQ, PrimeField, RationalField
 from lowdeg.projective import (
     ProjPoint,
     ProjSubspace,
@@ -24,6 +27,7 @@ from lowdeg.projective import (
 GF5 = PrimeField(5)
 GF101 = PrimeField(101)
 BIG_PRIME = PrimeField(2147483647)
+GF3 = PrimeField(3)
 
 
 def qpoint(*coords):
@@ -479,3 +483,157 @@ def test_value_classes_compare_hash_and_print_their_fields():
         pass
 
     assert GF5 == PrimeField(5) and GF5 != Subfield(5) and p != (GF5, (0, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination against the dense reference
+
+
+def dense_rref(rows, field):
+    """The reference elimination: every scaling and every row update spans
+    the full width, and zero tests go through ``is_zero``."""
+    mat = [[field.coerce(x) for x in row] for row in rows]
+    if not mat:
+        return (), ()
+    width = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(width):
+        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][c])), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        scale = field.inv(mat[r][c])
+        mat[r] = [field.reduce(scale * x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][c]):
+                factor = mat[i][c]
+                mat[i] = [field.reduce(x - factor * y) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def dense_reduce_vector(s, vector):
+    """The reference for :meth:`ProjSubspace.reduce_vector`, full width."""
+    field = s.field
+    v = [field.coerce(x) for x in vector]
+    for row, c in zip(s.rows, s.pivot_columns):
+        if not field.is_zero(v[c]):
+            factor = v[c]
+            v = [field.reduce(x - factor * y) for x, y in zip(v, row)]
+    return v
+
+
+def test_sparse_elimination_matches_the_dense_reference():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for field in (QQ, GF3, GF101, BIG_PRIME):
+
+        def entry(density):
+            # raw values: QQ mixes ints and fractions, GF(p) takes any int
+            if rng.random() >= density:
+                return 0
+            if field == QQ:
+                fraction = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                return rng.choice((rng.randint(-9, 9), fraction))
+            return rng.randint(-2 * field.p, 2 * field.p)
+
+        def matrix(n_rows, width, density):
+            rows = [[entry(density) for _ in range(width)] for _ in range(n_rows)]
+            kind = rng.choice(("plain", "duplicate", "zero", "combination"))
+            if kind == "duplicate":
+                rows.insert(rng.randrange(n_rows + 1), list(rng.choice(rows)))
+            elif kind == "zero":
+                rows.insert(rng.randrange(n_rows + 1), [0] * width)
+            elif kind == "combination":
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.append([2 * x - 3 * y for x, y in zip(a, b)])
+            kinds[kind] += 1
+            return rows
+
+        for _ in range(150):
+            width = rng.randint(1, 9)
+            density = rng.choice((0.15, 0.4, 1.0))
+            rows = matrix(rng.randint(1, 6), width, density)
+            reduced, pivots = rref(rows, field)
+            assert (reduced, pivots) == dense_rref(rows, field)
+            kinds["rank deficient"] += len(reduced) < len(rows)
+            kinds["mostly zero"] += sum(x == 0 for row in rows for x in row) > width * len(rows) / 2
+            s1 = ProjSubspace.from_vectors(field, width - 1, rows)
+            other = matrix(rng.randint(1, width), width, density)
+            s2 = ProjSubspace.from_vectors(field, width - 1, other)
+            for v in [entry(density) for _ in range(width)], *s2.rows:
+                assert s1.reduce_vector(v) == dense_reduce_vector(s1, v)
+            # [b mod s1 | b], as meet builds it
+            wide = [dense_reduce_vector(s1, b) + list(b) for b in s2.rows]
+            assert rref(wide, field) == dense_rref(wide, field)
+            kinds["wide"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def counting_field(base, *args):
+    """A ``base`` field that counts its ``coerce`` and ``reduce`` calls in ``.calls``."""
+
+    class Counting(base):
+        calls = Counter()
+
+        def coerce(self, value):
+            self.calls["coerce"] += 1
+            return super().coerce(value)
+
+        def reduce(self, x):
+            self.calls["reduce"] += 1
+            return super().reduce(x)
+
+    return Counting(*args)
+
+
+class TestEliminationWork:
+    def test_rref_reduces_only_support_cells(self):
+        # pivot rows [1 . . 2 . .], [. . 1 . . .] and [. . . 1 . 5]: each support
+        # is reduced once to scale it and once per row it is subtracted from,
+        # 2 + 2 (row 1), 1, then 2 + 2 (row 0); the dense form reduces 30 cells
+        rows = [[1, 0, 0, 2, 0, 0], [3, 0, 0, 0, 0, 5], [0, 0, 4, 0, 0, 0]]
+        for field in (counting_field(PrimeField, 7), counting_field(RationalField)):
+            reduced, pivots = rref(rows, field)
+            assert pivots == (0, 2, 3)
+            assert field.calls == {"coerce": 18, "reduce": 9}
+
+    def test_coerce_once_per_rref_input_cell(self, monkeypatch):
+        cells = Counter()
+        original = projective.rref
+
+        def counting_cells(rows, field):
+            cells["rref"] += sum(len(row) for row in rows)
+            return original(rows, field)
+
+        monkeypatch.setattr(projective, "rref", counting_cells)
+        for field in (counting_field(PrimeField, 101), counting_field(RationalField)):
+            rng = random.Random(52)
+            members, planted = planted_family(rng, field, 5, 6)
+            s1 = ProjSubspace.from_vectors(field, 5, [[1, 2, 0, 0, 3, 1], [0, 1, 1, 4, 0, 2]])
+            cells.clear()
+            field.calls.clear()
+            met = meet(s1, members[0])
+            # the four rows of a codimension-2 member, each as [b mod s1 | b]: 4 x 12 cells
+            assert cells["rref"] == 48 and field.calls["coerce"] == 48
+            assert members[0].contains_subspace(met) and s1.contains_subspace(met)
+            assert field.calls["coerce"] == 48
+            cells.clear()
+            field.calls.clear()
+            assert common_subspace(members) == planted
+            # one meet (48), four quotient rows of 3 cells for each of the six
+            # members (72), and their six image points in the plane (18)
+            assert cells["rref"] == 48 + 72 + 18 and field.calls["coerce"] == 138
+
+
+def test_reduce_vector_checks_the_length():
+    s = ProjSubspace.from_vectors(GF5, 3, [[1, 0, 0, 2], [0, 1, 0, 3]])
+    assert s.reduce_vector([1, 2, 3, 4]) == [0, 0, 3, 1]
+    for vector in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        message = rf"^vector of length {len(vector)} does not live in P\^3$"
+        with pytest.raises(AmbientMismatchError, match=message):
+            s.reduce_vector(vector)
