@@ -12,24 +12,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from typing import NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .errors import LowdegError
+
+if TYPE_CHECKING:
+    from .fields import Scalar
 
 FORMATS = ("table", "json")
 
 # Caps on inputs whose cost grows far faster than their size, each checked
 # before the work starts.  The sym2 check is quadratic in the modulus.  Random
-# lemma52 runs cost trials x count x (ambient+1)^3 units of work, a few
+# lemma52 runs cost trials x count x (ambient+1)^3 units of work, about 2
 # microseconds each at most, so the largest accepted run takes seconds; a
 # family that fills most of the quotient plane also pays its redraws of
-# quotient points, each about as costly as LEMMA52_DRAW_WORK units.  sg
-# keys C(n, 2) pairs of points, each at a cost that grows with B^2, B the bit
-# length of the longest coordinate numerator or denominator, and it holds n^2
-# bytes of bookkeeping, so it has both a work bound and a point cap.  profile
-# prints a row per n.
+# quotient points, each about as costly as LEMMA52_DRAW_WORK units.  A
+# lemma52 --input file is charged in the same units once it is read and
+# before any elimination, by a rule fitted to timed files over QQ and
+# GF(2^31 - 1), where an entry costs more as it grows.  sg keys C(n, 2) pairs
+# of points, each at a cost that grows with B^2, B the bit length of the
+# longest coordinate numerator or denominator, and it holds n^2 bytes of
+# bookkeeping, so it has both a work bound and a point cap, which it checks
+# before building the points.  profile prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_LEMMA52_WORK = 5_000_000
 LEMMA52_DRAW_WORK = 9
@@ -246,20 +253,32 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     return data, "\n".join(lines)
 
 
+def _max_bits(rows: Iterable[Sequence[Scalar]]) -> int:
+    """B, the bit length of the longest numerator or denominator among the
+    entries (0 for none); Python ints have both, so this reads either field."""
+    return max(
+        (n.bit_length() for row in rows for x in row for n in (x.numerator, x.denominator)),
+        default=0,
+    )
+
+
+def _integral_rows(rows: Iterable[Sequence[Scalar]]) -> Iterator[list[int]]:
+    """Each row scaled by the lcm of its denominators, so that its entries are integers."""
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        yield [x.numerator * (scale // x.denominator) for x in row]
+
+
 def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import configurations as conf
-    from .jsonio import point_config_from_json
+    from .jsonio import points_from_json
+    from .projective import ProjPoint
 
-    config = point_config_from_json(_read_input(args.input))
-    if len(config) > MAX_SG_POINTS:
-        raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(config)}")
-    # Python ints have a numerator and a denominator, so this reads both fields
-    bits = max(
-        n.bit_length()
-        for point in config.points
-        for x in point.coords
-        for n in (x.numerator, x.denominator)
-    )
+    field, rows = points_from_json(_read_input(args.input))
+    if len(rows) > MAX_SG_POINTS:
+        raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(rows)}")
+    config = conf.PointConfig(tuple(ProjPoint(field, row) for row in rows))
+    bits = _max_bits(point.coords for point in config.points)
     work = len(config) * (len(config) - 1) // 2 * bits**2
     if work > MAX_SG_WORK:
         raise InputError(
@@ -286,6 +305,7 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import configurations as conf
     from .fields import PrimeField
     from .jsonio import subspace_to_json, subspaces_from_json
+    from .projective import ProjSubspace
 
     if args.random:
         if args.trials < 1:
@@ -324,8 +344,31 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         }, None
     if args.input is None:
         raise InputError("lemma52 needs --input FILE or --random")
-    members = subspaces_from_json(_read_input(args.input))
-    lam = conf.common_subspace(members)
+    field, members = subspaces_from_json(_read_input(args.input))
+    # 2 x R x (n + 1)^2 x (1 + G/1024)^2 units, in integers: a row costs (n + 1)^2
+    # cell operations, a member at least n + 2 rows with its projection and fixed
+    # costs, and an operation costs more as its G-bit entries grow.  Over QQ an
+    # echelon entry is a ratio of minors of the rows cleared of denominators, so
+    # G can reach (n + 1) x B; over GF(p) entries stay below p.
+    n = max((ambient for ambient, _ in members), default=0)
+    charged_rows = sum(max(len(vectors), n + 2) for _, vectors in members)
+    if isinstance(field, PrimeField):
+        growth = field.p.bit_length()
+    else:
+        growth = (n + 1) * _max_bits(
+            row for _, vectors in members for row in _integral_rows(vectors)
+        )
+    work = charged_rows * (n + 1) ** 2 * (1024 + growth) ** 2 // 2**19
+    if work > MAX_LEMMA52_WORK:
+        raise InputError(
+            f"lemma52 --input takes at most {MAX_LEMMA52_WORK} units of work, "
+            "2 x R x (n + 1)^2 x (1 + G/1024)^2 for R rows in P^n, at least n + 2 a member, "
+            "whose entries reach G bits: (n + 1) x B over QQ, B the bits of the longest entry "
+            f"of a row scaled to integers, and the bits of p over GF(p), got {work}"
+        )
+    lam = conf.common_subspace(
+        [ProjSubspace.from_vectors(field, ambient, vectors) for ambient, vectors in members]
+    )
     return {
         "mode": "input",
         "num_subspaces": len(members),

@@ -1,13 +1,14 @@
 """Canonical JSON encoding and the on-disk formats for points and subspaces.
 
-Scalars over the rationals are serialized as strings ``"p/q"`` (the ``/q``
-omitted when the denominator is 1); prime-field scalars as objects
-``{"val": v, "mod": p}``.  A subspace is ``{"ambient": n, "rows": [[...]]}``
-and a point configuration ``{"ambient": n, "points": [[...]]}``.  All
-entries of one file must come from a single field.
-
-:func:`canonical_dumps` is the one serializer used everywhere, so emitted
-JSON re-serializes byte-identically after a parse round trip.
+Rational scalars are strings ``"p/q"`` (``/q`` omitted when it is 1) and
+prime-field scalars objects ``{"val": v, "mod": p}``.  A subspace is
+``{"ambient": n, "rows": [[...]]}`` and a point configuration
+``{"ambient": n, "points": [[...]]}``.  The readers decode and stop: they
+check what the format owns (keys, ambients, row lengths against a declared
+ambient, and one field per file) and return the field with rows of scalars,
+for the caller to build points and subspaces from.  :func:`canonical_dumps`
+is the one serializer, so emitted JSON re-serializes byte-identically after
+a parse round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import LowdegError, MixedFieldError
+from .errors import AmbientMismatchError, LowdegError, MixedFieldError
 
 if TYPE_CHECKING:
     from .configurations import PointConfig
@@ -29,8 +30,7 @@ def canonical_dumps(data: object) -> str:
 
 def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
     """Parse a list of rows of serialized scalars, enforcing one common field."""
-    # The arithmetic modules load only when a scalar is read or written, not for
-    # canonical_dumps; the geometry modules only in the readers that build them.
+    # The arithmetic modules load only when a scalar is read or written.
     from .fields import scalar_from_json
 
     if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
@@ -44,9 +44,7 @@ def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
             if field is None:
                 field = entry_field
             elif field != entry_field:
-                raise MixedFieldError(
-                    f"entries mix {field!r} and {entry_field!r} in one matrix"
-                )
+                raise MixedFieldError(f"entries mix {field!r} and {entry_field!r} in one matrix")
             row.append(value)
         rows.append(row)
     if field is None:
@@ -69,16 +67,6 @@ def subspace_to_json(s: ProjSubspace) -> dict:
     }
 
 
-def subspace_from_json(obj: object) -> ProjSubspace:
-    from .projective import ProjSubspace
-
-    if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
-        raise LowdegError("a subspace needs 'ambient' and 'rows' keys")
-    ambient = _check_ambient(obj["ambient"])
-    field, rows = parse_matrix(obj["rows"])
-    return ProjSubspace.from_vectors(field, ambient, rows)
-
-
 def point_config_to_json(config: PointConfig) -> dict:
     from .fields import scalar_to_json
 
@@ -90,33 +78,44 @@ def point_config_to_json(config: PointConfig) -> dict:
     }
 
 
-def point_config_from_json(obj: object) -> PointConfig:
-    from .configurations import PointConfig
-    from .projective import ProjPoint
-
+def points_from_json(obj: object) -> tuple[Field, list[list[Scalar]]]:
+    """The field and coordinate rows of a point configuration document."""
     if not isinstance(obj, dict) or "points" not in obj:
         raise LowdegError("a point configuration needs a 'points' key")
     ambient = obj.get("ambient")
-    if ambient is not None:
-        _check_ambient(ambient)
+    width = None if ambient is None else _check_ambient(ambient) + 1
     field, rows = parse_matrix(obj["points"])
-    points = []
     for row in rows:
-        if ambient is not None and len(row) != ambient + 1:
-            raise LowdegError(
-                f"point of length {len(row)} does not match ambient {ambient}"
-            )
-        points.append(ProjPoint(field, tuple(row)))
-    return PointConfig(tuple(points))
+        if width is not None and len(row) != width:
+            raise LowdegError(f"point of length {len(row)} does not match ambient {ambient}")
+    return field, rows
 
 
-def subspaces_from_json(obj: object) -> list[ProjSubspace]:
+def subspaces_from_json(obj: object) -> tuple[Field | None, list[tuple[int, list[list[Scalar]]]]]:
+    """The field and each member's ``(ambient, rows)``; the field is None for no members."""
+    from .fields import require_same_field
+
     if not isinstance(obj, dict) or "subspaces" not in obj:
         raise LowdegError("expected a 'subspaces' key holding a list of subspaces")
     raw = obj["subspaces"]
     if not isinstance(raw, list):
         raise LowdegError("'subspaces' must be a list")
-    return [subspace_from_json(item) for item in raw]
+    field: Field | None = None
+    members = []
+    for item in raw:
+        if not isinstance(item, dict) or "ambient" not in item or "rows" not in item:
+            raise LowdegError("a subspace needs 'ambient' and 'rows' keys")
+        ambient = _check_ambient(item["ambient"])
+        member_field, rows = parse_matrix(item["rows"])
+        for row in rows:
+            if len(row) != ambient + 1:
+                raise AmbientMismatchError(
+                    f"vector of length {len(row)} cannot span inside P^{ambient}"
+                )
+        # The first member fixes the field: a file over many primes stops at the second.
+        field = member_field if field is None else require_same_field(field, member_field)
+        members.append((ambient, rows))
+    return field, members
 
 
 def subspaces_to_json(subspaces: Sequence[ProjSubspace]) -> dict:

@@ -385,6 +385,59 @@ class TestLemma52:
         assert code == 1 and out == ""
         assert err == "subspace 3 does not contain the codimension-3 meet of subspaces 0 and 1\n"
 
+    def test_one_field_per_file(self, capsys, tmp_path):
+        # 60 members of P^0, each over its own prime near 2^31: the reader stops
+        # at the second field, so it tests only two moduli for primality
+        from lowdeg.fields import is_prime
+
+        candidates = range(2**31 - 1, 2**30, -2)
+        primes = list(itertools.islice(filter(is_prime, candidates), 60))
+        members = [{"ambient": 0, "rows": [[{"val": 1, "mod": p}]]} for p in primes]
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps({"subspaces": members}))
+        is_prime.cache_clear()
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "cannot mix values from GF(2147483647) and GF(2147483629)\n"
+        assert is_prime.cache_info().misses <= 2
+
+    def test_input_work_bound(self, capsys, tmp_path, monkeypatch):
+        # 2 x R x (n + 1)^2 x (1 + G/1024)^2, each member counted as at least
+        # n + 2 rows, with G = (n + 1) x B over QQ.  Three members of P^80 with
+        # 79 rows of random 2-digit integers (B = 7) take 10 s to eliminate.
+        members = [{"ambient": 80, "rows": [["99"] * 81] * 79}] * 3
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"subspaces": members}))
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            "lemma52 --input takes at most 5000000 units of work, "
+            "2 x R x (n + 1)^2 x (1 + G/1024)^2 for R rows in P^n, at least n + 2 a member, "
+            "whose entries reach G bits: (n + 1) x B over QQ, B the bits of the longest entry "
+            f"of a row scaled to integers, and the bits of p over GF(p), "
+            f"got {3 * 82 * 81**2 * (1024 + 81 * 7) ** 2 // 2**19}\n"
+        )
+        # Rows are cleared of denominators before B is read: 1/5, 1/7 and 1/9
+        # become 63, 45 and 35, so B = 6 where no numerator or denominator
+        # has more than 4 bits.  The accepted edge runs, one unit less does not.
+        payload = json.loads(self.planted_file(tmp_path).read_text())
+        payload["subspaces"][0]["rows"][0] = ["1/5", "1/7", "1/9", "0", "0"]
+        path.write_text(json.dumps(payload))
+        work = 3 * 6 * 5**2 * (1024 + 5 * 6) ** 2 // 2**19
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", work)
+        assert run_json(capsys, "lemma52", "--input", str(path))["dim"] == 1
+        monkeypatch.setattr("lowdeg.cli.MAX_LEMMA52_WORK", work - 1)
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 2 and out == "" and err.endswith(f", got {work}\n")
+        # over GF(p) entries stay below p, so G is the bit length of p
+        payload = json.loads(self.planted_file(tmp_path).read_text())
+        for member in payload["subspaces"]:
+            rows = member["rows"]
+            member["rows"] = [[{"val": int(x), "mod": 2**31 - 1} for x in r] for r in rows]
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 2 and err.endswith(f", got {3 * 6 * 5**2 * (1024 + 31) ** 2 // 2**19}\n")
+
     def test_random_mode_needs_a_trial(self, capsys):
         for trials in ("0", "-3"):
             code, out, err = run(capsys, "lemma52", "--random", "--trials", trials)
@@ -622,6 +675,24 @@ class TestHarness:
             loaded = imported_lowdeg_modules(proc.stderr)
             assert "lowdeg.numerology" in loaded and not loaded & geometry, argv
 
+    def test_readers_import_no_geometry(self):
+        # the readers decode and stop; building points and subspaces is the caller's
+        code = (
+            "import sys\n"
+            "from lowdeg.jsonio import points_from_json, subspaces_from_json\n"
+            "print(points_from_json({'ambient': 2, 'points': [['1', '0', '1/2']]}))\n"
+            "gf5 = [[{'val': 1, 'mod': 5}, {'val': 7, 'mod': 5}]]\n"
+            "print(subspaces_from_json({'subspaces': [{'ambient': 1, 'rows': gf5}]}))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('lowdeg')))\n"
+        )
+        proc = run_fresh(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "(QQ, [[Fraction(1, 1), Fraction(0, 1), Fraction(1, 2)]])\n"
+            "(GF(5), [(1, [[1, 2]])])\n"
+            "['lowdeg', 'lowdeg.errors', 'lowdeg.fields', 'lowdeg.jsonio']\n"
+        )
+
     def test_commands_outside_configurations_import_no_dataclasses(self):
         # only the configurations module still builds dataclasses (sg, lemma52, sym2),
         # and commands that print no field element load no exact arithmetic
@@ -730,6 +801,8 @@ SCALARS = st.one_of(
     st.none(),
     st.booleans(),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(100, 4000).map(lambda digits: f"-{'7' * digits}/{digits}"),
+    st.fixed_dictionaries({"val": st.integers(0, 2**31 - 2), "mod": st.just(2**31 - 1)}),
 )
 SMALL = st.sampled_from(["0", "1", "-1", "2"])
 ROWS = st.one_of(
@@ -745,10 +818,48 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 SUBSPACES = st.fixed_dictionaries({"ambient": AMBIENTS, "rows": ROWS})
+
+
+def long_points(n, digits):
+    """n plane points with a coordinate of ``digits`` digits: past sg's work bound."""
+    return {"ambient": 2, "points": [["1", str(k), "9" * digits] for k in range(n)]}
+
+
+def many_points(n):
+    """n distinct points over GF(2^31 - 1): past sg's point cap when n > 500."""
+    rows = [[{"val": v, "mod": 2**31 - 1} for v in (1, k, k * k)] for k in range(n)]
+    return {"ambient": 2, "points": rows}
+
+
+def wide_members(ambient, scalar):
+    """Three one-row members in P^ambient, each charged ambient + 2 rows of work."""
+    row = [scalar(k) for k in range(ambient + 1)]
+    return {"subspaces": [{"ambient": ambient, "rows": [row]}] * 3}
+
+
+# Documents that the work bounds reject before any elimination or scan: long
+# coordinates and the point cap for sg; for lemma52 --input, long rationals
+# with distinct denominators, 2-digit rationals in P^80 and up, and
+# GF(2^31 - 1) in P^100 and up.
+OVERSIZED = st.one_of(
+    st.builds(long_points, st.integers(30, 40), st.integers(3000, 4000)),
+    st.builds(many_points, st.integers(501, 520)),
+    st.builds(
+        lambda ambient, digits: wide_members(ambient, lambda k: f"{k}/{'3' * digits}{k}"),
+        st.integers(16, 20),
+        st.integers(300, 4000),
+    ),
+    st.builds(lambda ambient: wide_members(ambient, lambda k: f"{k % 97}/7"), st.integers(80, 90)),
+    st.builds(
+        lambda ambient: wide_members(ambient, lambda k: {"val": k, "mod": 2**31 - 1}),
+        st.integers(100, 110),
+    ),
+)
 DOCUMENTS = st.one_of(
     st.fixed_dictionaries({"ambient": AMBIENTS, "points": ROWS}),
     st.fixed_dictionaries({"subspaces": st.lists(SUBSPACES, max_size=4)}),
     JSON_VALUES,
+    OVERSIZED,
 ).map(lambda doc: json.dumps(doc).encode())
 INPUT_BYTES = st.one_of(
     st.binary(max_size=64),
@@ -812,6 +923,7 @@ def run_guarded(argv, stdin=b""):
     assert code in (0, 1, 2)
     assert errors.count("\n") <= 1 and "Traceback" not in errors
     assert (code == 0) == (errors == "")
+    return code, errors
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -822,6 +934,16 @@ def run_guarded(argv, stdin=b""):
 )
 def test_fuzzed_input_files(command, fmt, stdin):
     run_guarded(["--format", fmt, command, "--input", "-"], stdin)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(doc=OVERSIZED)
+def test_oversized_files_meet_a_bound(doc):
+    command = "sg" if "points" in doc else "lemma52"
+    argv = ["--format", "json", command, "--input", "-"]
+    code, errors = run_guarded(argv, json.dumps(doc).encode())
+    assert code == 2
+    assert errors.startswith(("sg takes at most ", "lemma52 --input takes at most ")), errors
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
