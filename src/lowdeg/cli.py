@@ -3,9 +3,10 @@
 Every subcommand prints either canonical JSON (``--format json``) or a plain
 human-readable rendering (``--format table``, the default).  The environment
 variable ``LOWDEG_FORMAT`` overrides the default; an explicit ``--format``
-beats both.  Exit codes: 0 on success, 1 on a domain error, 2 on malformed
-input or usage errors.  Randomized subcommands take ``--seed`` and
-``--trials`` and are bit-reproducible for a fixed seed.
+beats both.  Exit codes: 0 on success; 2 on usage errors, unreadable files,
+malformed JSON and inputs past a cap or work bound; 1 on a domain error, bad
+content in a well-formed file included.  Randomized subcommands take
+``--seed`` and ``--trials`` and are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     import random
 
-    from . import configurations as conf
+    from . import lemma52
     from .fields import PrimeField
     from .jsonio import subspace_to_json, subspaces_from_json
     from .projective import ProjSubspace
@@ -311,14 +312,14 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         field = PrimeField(args.mod)
-        conf.check_family_shape(field, args.ambient, args.count)
+        lemma52.check_family_shape(field, args.ambient, args.count)
         work = args.trials * args.count * (args.ambient + 1) ** 3
         if work > MAX_LEMMA52_WORK:
             raise InputError(
                 f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
                 f"--trials x --count x (--ambient + 1)^3, got {work}"
             )
-        redraws = conf.excess_draws(field, args.count)
+        redraws = lemma52.excess_draws(field, args.count)
         work += args.trials * LEMMA52_DRAW_WORK * redraws
         if work > MAX_LEMMA52_WORK:
             raise InputError(
@@ -329,8 +330,8 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         rng = random.Random(args.seed)
         failures = []
         for trial in range(args.trials):
-            members, planted = conf.planted_family(rng, field, args.ambient, args.count)
-            if conf.common_subspace(members) != planted:
+            members, planted = lemma52.planted_family(rng, field, args.ambient, args.count)
+            if lemma52.common_subspace(members) != planted:
                 failures.append(trial)
         return {
             "mode": "random",
@@ -366,30 +367,38 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
             "whose entries reach G bits: (n + 1) x B over QQ, B the bits of the longest entry "
             f"of a row scaled to integers, and the bits of p over GF(p), got {work}"
         )
-    lam = conf.common_subspace(
+    lam = lemma52.common_subspace(
         [ProjSubspace.from_vectors(field, ambient, vectors) for ambient, vectors in members]
     )
+    # Python's limit on the digits of an int string guards reading; the rule above
+    # bounds how far Λ's entries grow, so the limit is lifted while they become text.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        common = subspace_to_json(lam)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return {
         "mode": "input",
         "num_subspaces": len(members),
-        "common_subspace": subspace_to_json(lam),
+        "common_subspace": common,
         "dim": lam.dim,
         "violations": [],
     }, None
 
 
 def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    from . import configurations as conf
+    from . import sym2_pairs
 
     _check_magnitudes(("--modulus", args.modulus))
     if args.check and args.modulus > MAX_CHECK_MODULUS:
         raise InputError(
             f"--check needs --modulus at most {MAX_CHECK_MODULUS}, got {args.modulus}"
         )
-    model = conf.sym2_model(args.modulus)
+    model = sym2_pairs.sym2_model(args.modulus)
     data: dict = {"modulus": model.modulus, "num_elements": model.size}
     if args.check:
-        report = conf.incidence_pairing_check(model)
+        report = sym2_pairs.incidence_pairing_check(model)
         data["checks_run"] = report.checks_run
         data["violations"] = list(report.violations)
         data["passed"] = report.passed

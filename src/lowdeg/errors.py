@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote input."""
 
 
 class LowdegError(ValueError):
@@ -15,3 +15,12 @@ class AmbientMismatchError(LowdegError):
 
 class ConfigurationError(LowdegError):
     """A configuration violates the preconditions of an operation."""
+
+
+def brief(value: object) -> str:
+    """``repr(value)`` for an error message, cut to a prefix and its length
+    when it is long, so that a message quoting an input stays one short line."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import MixedFieldError
+from .errors import MixedFieldError, brief
 
 Scalar = Union[Fraction, int]
 
@@ -37,20 +37,39 @@ PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+# Bases 2, 3, 5 and 7 make Miller-Rabin exact below this bound (Jaeschke 1993),
+# which lies above PRIME_LIMIT.
+_MILLER_RABIN_BOUND = 3_215_031_751
+
+
 # Every prime-field scalar of a JSON file names its modulus, so the same few
-# moduli are tested over and over; trial division near 2**31 takes milliseconds.
+# moduli are tested over and over.
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Trial division, memoized for the last 64 values asked about."""
+    """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, memoized for the
+    last 64 values asked about.  Raises ``ValueError`` from 3 215 031 751 on,
+    where these bases stop being exact; :class:`PrimeField` never asks."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for base in (2, 3, 5, 7):
+        if n % base == 0:
+            return n == base
+    # n - 1 = d * 2^s with d odd; a prime n passes every base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,7 +85,7 @@ class RationalField:
             return value
         if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
-        raise MixedFieldError(f"cannot interpret {value!r} as a rational number")
+        raise MixedFieldError(f"cannot interpret {brief(value)} as a rational number")
 
     def reduce(self, x: Fraction) -> Fraction:
         return x
@@ -106,9 +125,9 @@ class PrimeField:
 
     def __init__(self, p: int) -> None:
         if not isinstance(p, int) or isinstance(p, bool):
-            raise MixedFieldError(f"modulus must be an int, got {p!r}")
+            raise MixedFieldError(f"modulus must be an int, got {brief(p)}")
         if p >= PRIME_LIMIT:
-            raise MixedFieldError(f"modulus {p} exceeds the 2**31 limit")
+            raise MixedFieldError(f"modulus {brief(p)} exceeds the 2**31 limit")
         if not is_prime(p):
             raise MixedFieldError(f"modulus {p} is not prime")
         self.p = p
@@ -130,7 +149,7 @@ class PrimeField:
             return value % self.p
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value) % self.p
-        raise MixedFieldError(f"cannot interpret {value!r} as an element of {self.name}")
+        raise MixedFieldError(f"cannot interpret {brief(value)} as an element of {self.name}")
 
     def reduce(self, x: int) -> int:
         return x % self.p
@@ -168,16 +187,18 @@ def scalar_from_json(raw: object) -> tuple[Field, Scalar]:
     """Parse one serialized scalar, returning the field it declares."""
     if isinstance(raw, dict):
         if set(raw) != {"val", "mod"}:
-            raise MixedFieldError(f"prime-field value must have keys val/mod, got {sorted(raw)}")
+            raise MixedFieldError(
+                f"prime-field value must have keys val/mod, got {brief(sorted(raw))}"
+            )
         field = PrimeField(raw["mod"])
         return field, field.coerce(raw["val"])
     if isinstance(raw, str):
         if not _RATIONAL.fullmatch(raw):
-            raise MixedFieldError(f"malformed rational {raw!r}")
+            raise MixedFieldError(f"malformed rational {brief(raw)}")
         try:
             return QQ, Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MixedFieldError(f"malformed rational {raw!r}") from exc
+            raise MixedFieldError(f"malformed rational {brief(raw)}") from exc
     if isinstance(raw, int) and not isinstance(raw, bool):
         return QQ, Fraction(raw)
-    raise MixedFieldError(f"cannot parse scalar {raw!r}")
+    raise MixedFieldError(f"cannot parse scalar {brief(raw)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import AmbientMismatchError, LowdegError, MixedFieldError
+from .errors import AmbientMismatchError, LowdegError, MixedFieldError, brief
 
 if TYPE_CHECKING:
     from .configurations import PointConfig
@@ -54,7 +54,7 @@ def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
 
 def _check_ambient(ambient: object) -> int:
     if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
-        raise LowdegError(f"bad ambient dimension {ambient!r}")
+        raise LowdegError(f"bad ambient dimension {brief(ambient)}")
     return ambient
 
 

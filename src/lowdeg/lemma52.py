@@ -1,0 +1,172 @@
+"""Lemma 5.2: the codimension-3 subspace Λ common to a family of
+codimension-2 subspaces that pairwise lie in hyperplanes and jointly span.
+
+Such a family is a set of distinct, non-collinear points of the quotient
+plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet and one
+projection per member; :func:`planted_family` builds seeded families around a
+planted Λ, with the shape check and the redraw count that ``lowdeg lemma52
+--random`` charges before it draws.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Sequence
+
+from .errors import ConfigurationError, LowdegError
+from .fields import Field, PrimeField, Scalar, require_same_field
+from .projective import ProjPoint, ProjSubspace, meet, project_subspace_from
+
+# Draws random_subspace makes before it gives up on independent spanning vectors.
+MAX_REDRAWS = 1000
+
+
+def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
+    """The codimension-3 subspace contained in every member of the family.
+
+    Preconditions: at least two subspaces, all of codimension 2 in a common
+    P^n, any two of them lying in a common hyperplane, and the whole family
+    spanning P^n.  By Lemma 5.2 these hold exactly when Λ, the meet of the
+    first two members, has codimension 3, every member contains Λ, and the
+    members project from Λ to distinct, non-collinear points of the quotient
+    plane P^n / Λ.  That is what is checked, with no joins; Λ is returned.
+    """
+    subs = list(subspaces)
+    if len(subs) < 2:
+        raise ConfigurationError(f"need at least two subspaces, got {len(subs)}")
+    field = subs[0].field
+    ambient = subs[0].ambient
+    for i, s in enumerate(subs[1:], start=1):
+        require_same_field(field, s.field)
+        if s.ambient != ambient:
+            raise ConfigurationError(
+                f"subspace {i} lives in P^{s.ambient}, expected P^{ambient}"
+            )
+    for i, s in enumerate(subs):
+        if s.codim != 2:
+            raise ConfigurationError(f"subspace {i} has codimension {s.codim}, expected 2")
+    lam = meet(subs[0], subs[1])
+    if lam.dim == ambient - 2:
+        raise ConfigurationError("subspaces 0 and 1 coincide")
+    if lam.dim < ambient - 3:
+        raise ConfigurationError(
+            f"subspaces 0 and 1 span all of P^{ambient}; they do not lie in a common hyperplane"
+        )
+    first_with_image: dict[tuple[Scalar, ...], int] = {}
+    for i, s in enumerate(subs):
+        # s contains lam exactly when its image is a single point
+        image = project_subspace_from(lam, s).rows
+        if len(image) != 1:
+            raise ConfigurationError(
+                f"subspace {i} does not contain the codimension-3 meet of subspaces 0 and 1"
+            )
+        j = first_with_image.setdefault(image[0], i)
+        if j != i:
+            raise ConfigurationError(f"subspaces {j} and {i} coincide")
+    images = ProjSubspace.from_vectors(field, 2, list(first_with_image))
+    if images.dim != 2:
+        raise ConfigurationError(
+            f"the family only spans a subspace of dimension {lam.dim + images.dim + 1} "
+            f"in P^{ambient}"
+        )
+    return lam
+
+
+def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar]:
+    while True:
+        if isinstance(field, PrimeField):
+            vec: list[Scalar] = [rng.randrange(field.p) for _ in range(length)]
+        else:
+            vec = [Fraction(rng.randint(-9, 9)) for _ in range(length)]
+        if any(not field.is_zero(x) for x in vec):
+            return vec
+
+
+def random_point(rng: random.Random, field: Field, ambient: int) -> ProjPoint:
+    return ProjPoint(field, tuple(_random_vector(rng, field, ambient + 1)))
+
+
+def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) -> ProjSubspace:
+    """Uniform-ish subspace of the requested projective dimension (resamples
+    until the spanning vectors are independent, at most ``MAX_REDRAWS`` times)."""
+    if not -1 <= dim <= ambient:
+        raise LowdegError(f"dimension {dim} out of range for P^{ambient}")
+    if dim == -1:
+        return ProjSubspace.empty(field, ambient)
+    for _ in range(MAX_REDRAWS):
+        vectors = [_random_vector(rng, field, ambient + 1) for _ in range(dim + 1)]
+        candidate = ProjSubspace.from_vectors(field, ambient, vectors)
+        if candidate.dim == dim:
+            return candidate
+    raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
+
+
+def check_family_shape(field: Field, ambient: int, count: int) -> None:
+    """Raise :class:`ConfigurationError` when no family for :func:`planted_family`
+    exists: fewer than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
+    if ambient < 3:
+        raise ConfigurationError("need ambient dimension at least 3")
+    if count < 3:
+        raise ConfigurationError(f"need at least three members to span P^{ambient}, got {count}")
+    if isinstance(field, PrimeField) and count > field.p**2 + field.p + 1:
+        raise ConfigurationError(
+            f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
+            f"codimension-3 subspace, got {count}"
+        )
+
+
+def excess_draws(field: PrimeField, count: int) -> int:
+    """The quotient-point draws of :func:`planted_family` beyond ``count``,
+    in integer arithmetic: with i of the N = p^2 + p + 1 points drawn, a new
+    one takes N / (N - i) draws on average, of which this counts the floor.
+    It is 0 while ``count`` is at most N / 2.  Needs ``count`` <= N."""
+    n = field.p**2 + field.p + 1
+    return sum(n // (n - i) for i in range(count)) - count
+
+
+def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> Scalar:
+    raw = (
+        p[0] * q[1] * r[2]
+        + p[1] * q[2] * r[0]
+        + p[2] * q[0] * r[1]
+        - p[2] * q[1] * r[0]
+        - p[1] * q[0] * r[2]
+        - p[0] * q[2] * r[1]
+    )
+    return field.reduce(raw)
+
+
+def planted_family(
+    rng: random.Random, field: Field, ambient: int, count: int = 4
+) -> tuple[list[ProjSubspace], ProjSubspace]:
+    """``(members, planted)``: a valid input for :func:`common_subspace` and
+    the codimension-3 subspace it must return.
+
+    The members through ``planted`` are the points of the quotient plane, so
+    the family is built, not searched for: three non-collinear quotient
+    points, then distinct further ones, each lifted onto the non-pivot
+    columns of ``planted`` (the coordinates projection reads back)."""
+    check_family_shape(field, ambient, count)
+    planted = random_subspace(rng, field, ambient, ambient - 3)
+    points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
+    while len(points) < count:
+        point = random_point(rng, field, 2).coords
+        on_first_line = len(points) == 2 and field.is_zero(_det3(field, *points, point))
+        if point not in points and not on_first_line:
+            points[point] = None
+    free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
+    members = []
+    for point in points:
+        lift = dict(zip(free, point))
+        row = [lift.get(c, field.zero) for c in range(ambient + 1)]
+        members.append(ProjSubspace.from_vectors(field, ambient, [*planted.rows, row]))
+    return members, planted
+
+
+def random_common_subspace_instance(
+    rng: random.Random, field: Field, ambient: int, count: int = 4
+) -> list[ProjSubspace]:
+    """The members of :func:`planted_family`: ``count`` codimension-2 subspaces
+    through one codimension-3 subspace, distinct non-collinear quotient points."""
+    return planted_family(rng, field, ambient, count)[0]

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,27 @@ class TestSg:
         assert code == 1 and out == ""
         assert err == "bad ambient dimension '2'\n"
 
+    def test_long_values_are_quoted_short(self, capsys, tmp_path):
+        # a message quoting an input value shows its start and its length
+        long = "1" * 5000
+        path = tmp_path / "long.json"
+        for ambient, scalar, start in (
+            (2, long + "/7", "malformed rational '1111"),
+            (2, "x" * 5000, "malformed rational 'xxxx"),
+            (2, [long], "cannot parse scalar ['1111"),
+            (2, {"val": long, "mod": 5}, "cannot interpret '1111"),
+            (2, {"val": 1, "mod": long}, "modulus must be an int, got '1111"),
+            (2, {"val": 1, "mod": int(long[:4000])}, "modulus 1111"),
+            (2, {"val": 1, "mod": 5, "k" * 5000: 0}, "prime-field value must have keys"),
+            ("2" * 5000, "1", "bad ambient dimension '2222"),
+        ):
+            points = [["0", "1", "0"], ["0", "0", "1"], [scalar, "0", "1"]]
+            path.write_text(json.dumps({"ambient": ambient, "points": points}))
+            code, out, err = run(capsys, "sg", "--input", str(path))
+            assert code == 1 and out == "", err[:100]
+            assert err.startswith(start) and err.count("\n") == 1 and len(err) < 200, err[:100]
+            assert " characters)" in err
+
     def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -340,10 +362,10 @@ class TestLemma52:
         assert data["passed"] is True and data["failures"] == []
 
     def test_random_mode_compares_with_the_planted_subspace(self, capsys, monkeypatch):
-        from lowdeg import configurations
+        from lowdeg import lemma52
         from lowdeg.projective import ProjSubspace
 
-        real = configurations.common_subspace
+        real = lemma52.common_subspace
 
         def wrong(members):
             lam = real(members)
@@ -354,7 +376,7 @@ class TestLemma52:
                 if other != lam:
                     return other
 
-        monkeypatch.setattr(configurations, "common_subspace", wrong)
+        monkeypatch.setattr(lemma52, "common_subspace", wrong)
         data = run_json(capsys, "lemma52", "--random", "--trials", "6", "--seed", "1")
         assert data["passed"] is False
         assert data["failures"] == data["violations"] == list(range(6))
@@ -437,6 +459,43 @@ class TestLemma52:
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "lemma52", "--input", str(path))
         assert code == 2 and err.endswith(f", got {3 * 6 * 5**2 * (1024 + 31) ** 2 // 2**19}\n")
+
+    def test_longest_accepted_entries_print(self, capsys, tmp_path):
+        # Three members of P^4 with 4000-digit integer entries are the largest such
+        # family the work rule accepts.  Λ's entries have about 8000 digits, past
+        # Python's int-to-string limit, which is lifted only while Λ becomes text.
+        from lowdeg.fields import QQ
+        from lowdeg.jsonio import subspace_to_json
+        from lowdeg.projective import ProjSubspace
+
+        rng = random.Random(4000)
+
+        def row():
+            return [rng.randrange(10**3999, 10**4000) * rng.choice((1, -1)) for _ in range(5)]
+
+        planted = [row(), row()]
+        members = [
+            {"ambient": 4, "rows": [[str(x) for x in r] for r in (*planted, row())]}
+            for _ in range(4)
+        ]
+        path = tmp_path / "long.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = subspace_to_json(ProjSubspace.from_vectors(QQ, 4, planted))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        path.write_text(json.dumps({"subspaces": members[:3]}))
+        data = run_json(capsys, "lemma52", "--input", str(path))
+        assert data["common_subspace"] == expected
+        assert max(len(x.split("/")[0]) for r in expected["rows"] for x in r) > 4300
+        code, out, err = run(capsys, "--format", "table", "lemma52", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert all(f"- {x}\n" in out for r in expected["rows"] for x in r)
+        assert sys.get_int_max_str_digits() == limit
+        path.write_text(json.dumps({"subspaces": members}))
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 2 and "lemma52 --input takes at most" in err
 
     def test_random_mode_needs_a_trial(self, capsys):
         for trials in ("0", "-3"):
@@ -659,7 +718,8 @@ class TestHarness:
         proc = run_fresh(["-X", "importtime", "-c", "import lowdeg"])
         assert imported_lowdeg_modules(proc.stderr) == {"lowdeg"}
         geometry = {
-            "lowdeg.configurations", "lowdeg.projective", "lowdeg.classify", "lowdeg.sym2_lattice"
+            "lowdeg.configurations", "lowdeg.lemma52", "lowdeg.sym2_pairs", "lowdeg.projective",
+            "lowdeg.classify", "lowdeg.sym2_lattice",
         }
         for fmt, argv in itertools.product(
             ("table", "json"),
@@ -694,8 +754,9 @@ class TestHarness:
         )
 
     def test_commands_outside_configurations_import_no_dataclasses(self):
-        # only the configurations module still builds dataclasses (sg, lemma52, sym2),
-        # and commands that print no field element load no exact arithmetic
+        # only the configurations module, the Sylvester-Gallai gadget that sg runs,
+        # still builds dataclasses; commands that print no field element load no
+        # exact arithmetic
         for fmt, argv in itertools.product(
             ("table", "json"),
             (
@@ -714,6 +775,34 @@ class TestHarness:
             loaded = imported_modules(proc.stderr)
             assert not loaded & {"dataclasses", "inspect"}, argv
             assert not loaded & {"lowdeg.fields", "fractions", "decimal"}, (fmt, argv)
+
+    def test_lemma52_and_sym2_import_only_their_own_gadget(self, tmp_path):
+        # configurations (the Sylvester-Gallai gadget) builds dataclasses, which
+        # load inspect; lemma52 and sym2 import their own modules instead.  JSON
+        # output loads what table output does, and the serializer besides.
+        qq_input = TestLemma52().planted_file(tmp_path)
+        doc = json.loads(qq_input.read_text())
+        for member in doc["subspaces"]:
+            member["rows"] = [
+                [{"val": int(x), "mod": 2147483647} for x in row] for row in member["rows"]
+            ]
+        gf_input = tmp_path / "gf.json"
+        gf_input.write_text(json.dumps(doc))
+        lemma52_unused = {"lowdeg.configurations", "lowdeg.sym2_pairs", "dataclasses", "inspect"}
+        sym2_unused = {
+            "lowdeg.fields", "lowdeg.projective", "lowdeg.configurations", "lowdeg.lemma52",
+            "fractions", "dataclasses", "inspect",
+        }
+        for argv, module, unused in (
+            (["lemma52", "--input", str(qq_input)], "lowdeg.lemma52", lemma52_unused),
+            (["lemma52", "--input", str(gf_input)], "lowdeg.lemma52", lemma52_unused),
+            (["lemma52", "--random", "--trials", "5"], "lowdeg.lemma52", lemma52_unused),
+            (["sym2", "--modulus", "11", "--check"], "lowdeg.sym2_pairs", sym2_unused),
+        ):
+            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", "json", *argv])
+            assert proc.returncode == 0, (argv, proc.stderr)
+            loaded = imported_modules(proc.stderr)
+            assert module in loaded and not loaded & unused, (argv, loaded & unused)
 
     def test_reader_closing_early_is_one_line_exit_1(self):
         # 10 000 rows overfill the pipe, so the writer is still blocked when the reader leaves

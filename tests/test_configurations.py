@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import re
@@ -7,22 +8,26 @@ from fractions import Fraction
 
 import pytest
 
-from lowdeg import configurations, projective
+from lowdeg import lemma52, projective, sym2_pairs
 from lowdeg.configurations import (
     PointConfig,
-    Sym2GroupModel,
     check_sylvester_gallai,
     collinear,
-    common_subspace,
     hesse_configuration,
-    incidence_pairing_check,
     maximal_lines,
-    pairs_containing,
-    pairs_with_sum,
+)
+from lowdeg.lemma52 import (
+    common_subspace,
     planted_family,
     random_common_subspace_instance,
     random_point,
     random_subspace,
+)
+from lowdeg.sym2_pairs import (
+    Sym2GroupModel,
+    incidence_pairing_check,
+    pairs_containing,
+    pairs_with_sum,
     sym2_model,
     two_divisor_check,
 )
@@ -136,8 +141,8 @@ def frozenset_incidence_check(model):
     """The O(N^3) reference for :func:`incidence_pairing_check`: intersect the
     frozensets of every pair of divisors.  Returns ``(checks_run, violations)``."""
     n = model.modulus
-    point_divs = [configurations.pairs_containing(model, x) for x in range(n)]
-    fiber_divs = [configurations.pairs_with_sum(model, s) for s in range(n)]
+    point_divs = [sym2_pairs.pairs_containing(model, x) for x in range(n)]
+    fiber_divs = [sym2_pairs.pairs_with_sum(model, s) for s in range(n)]
     violations = []
     checks = 0
     for x in range(n):
@@ -167,7 +172,7 @@ def scanning_two_divisor_check(model, subset):
     ``(violations, degrees)``."""
     n = model.modulus
     members = sorted({model.normalize(p) for p in subset})
-    point_divs = [configurations.pairs_containing(model, x) for x in range(n)]
+    point_divs = [sym2_pairs.pairs_containing(model, x) for x in range(n)]
     violations = []
     for p in members:
         if p[0] == p[1]:
@@ -345,7 +350,7 @@ class TestCommonSubspace:
             return wrapper
 
         monkeypatch.setattr(projective, "rref", counting("rref", projective.rref))
-        for module in (projective, configurations):
+        for module in (projective, lemma52):
             if hasattr(module, "join"):
                 monkeypatch.setattr(module, "join", counting("join", module.join))
         assert common_subspace(members) == planted
@@ -632,23 +637,25 @@ class TestSylvesterGallai:
         assert report.witness == witness
 
     def test_bookkeeping_is_small(self):
-        # 200 points in general position: 19900 two-point lines and no
-        # per-pair dict or set beside them
-        rng = random.Random(200)
+        # 60 points in general position: 1770 two-point lines and no per-pair
+        # dict or set beside them.  Returning the lines peaks at 126-130 KiB on
+        # Python 3.10-3.13; a pass that also keeps a list of its lines, at 140-144.
+        rng = random.Random(60)
         big = PrimeField(2147483647)
         coords = {}
-        while len(coords) < 200:
+        while len(coords) < 60:
             point = ProjPoint(big, (rng.randrange(big.p), rng.randrange(big.p), 1))
             coords.setdefault(point.coords, point)
         config = PointConfig(tuple(coords.values()))
+        gc.collect()  # a full collection empties the free lists, so the peak repeats
         tracemalloc.start()
         try:
             lines = maximal_lines(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(lines) == math.comb(200, 2)
-        assert peak < 4 * 2**20
+        assert len(lines) == math.comb(60, 2)
+        assert peak < 135 * 2**10, peak
 
     def test_report_keeps_counts_not_lines(self):
         # 100 points in general position: 4950 two-point lines are counted as
@@ -682,6 +689,14 @@ class TestSym2Model:
     def test_modulus_floor(self):
         with pytest.raises(ConfigurationError):
             sym2_model(4)
+        for modulus in (7.0, True, "7"):
+            with pytest.raises(ConfigurationError):
+                Sym2GroupModel(modulus)
+
+    def test_model_compares_hashes_and_prints_its_modulus(self):
+        model = sym2_model(7)
+        assert repr(model) == "Sym2GroupModel(modulus=7)" and hash(model) == hash((7,))
+        assert model == Sym2GroupModel(7) and model != sym2_model(8) and model != (7,)
 
     def test_point_divisor_size(self):
         model = sym2_model(7)
@@ -786,7 +801,7 @@ class TestSym2Model:
             rng = random.Random(seed)
             model = sym2_model(rng.randrange(5, 25))
             names = ("pairs_containing", "pairs_with_sum")
-            originals = {name: getattr(configurations, name) for name in names}
+            originals = {name: getattr(sym2_pairs, name) for name in names}
             corrupted, changed = {}, []
             for _ in range(rng.choice([1, 2])):
                 key = (rng.choice(sorted(originals)), rng.randrange(model.modulus))
@@ -802,7 +817,7 @@ class TestSym2Model:
                 def divisor(model, k, name=name, original=original):
                     return corrupted.get((name, k)) or original(model, k)
 
-                monkeypatch.setattr(configurations, name, divisor)
+                monkeypatch.setattr(sym2_pairs, name, divisor)
             report = incidence_pairing_check(model)
             assert (report.checks_run, report.violations) == frozenset_incidence_check(model)
             kinds.update(tuple(re.findall(r"(point|fiber)\(", v)) for v in report.violations)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,43 @@ class TestPrimeField:
 def test_is_prime_small_values():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def _sieve(low, high):
+    """Flags for n in [low, high): 1 exactly when n is prime, by striking out
+    the multiples of every prime up to the square root (trial division, in bulk)."""
+    root = math.isqrt(high - 1)
+    small = bytearray([1]) * (root + 1)
+    flags = bytearray([1]) * (high - low)
+    for n in range(max(0, 2 - low)):
+        flags[n] = 0
+    for f in range(2, root + 1):
+        if small[f]:
+            small[f * f :: f] = bytes(len(range(f * f, root + 1, f)))
+            start = max(f * f, -(-low // f) * f)
+            flags[start - low :: f] = bytes(len(range(start, high, f)))
+    return flags
+
+
+def test_is_prime_matches_trial_division():
+    flags = _sieve(0, 2 * 10**5)
+    assert all(is_prime(n) == flags[n] for n in range(2 * 10**5))
+    low = 2**31 - 10**6
+    flags = _sieve(low, 2**31)
+    sample = random.Random(31).sample(range(low, 2**31), 2000)
+    verdicts = [is_prime(n) for n in sample]
+    assert verdicts == [bool(flags[n - low]) for n in sample]
+    assert 50 <= sum(verdicts) <= 150  # about one in 21 is prime
+    # strong pseudoprimes to bases 2; 2 and 3; and 2, 3 and 5
+    assert not any(is_prime(n) for n in (2047, 1373653, 25326001))
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # 3 215 031 751 = 151 x 751 x 28351 passes bases 2, 3, 5 and 7, so it and
+    # every larger n are refused; the prime just below it is still answered
+    assert is_prime(2**31 - 1) and is_prime(3_215_031_749)
+    with pytest.raises(ValueError):
+        is_prime(3_215_031_751)
 
 
 def test_primality_is_tested_once_per_modulus():

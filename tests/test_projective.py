@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowdeg import projective
-from lowdeg.configurations import common_subspace, planted_family
+from lowdeg.lemma52 import common_subspace, planted_family
 from lowdeg.errors import (
     AmbientMismatchError,
     LowdegError,
