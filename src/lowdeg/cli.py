@@ -13,41 +13,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
-from .errors import LowdegError
-
-if TYPE_CHECKING:
-    from .fields import Scalar
+from .errors import InputError, LowdegError
 
 FORMATS = ("table", "json")
 
-# Caps on inputs whose cost grows far faster than their size, each checked
-# before the work starts.  The sym2 check is quadratic in the modulus.  Random
-# lemma52 runs cost trials x count x (ambient+1)^3 units of work, about 2
-# microseconds each at most, so the largest accepted run takes seconds; a
-# family that fills most of the quotient plane also pays its redraws of
-# quotient points, each about as costly as LEMMA52_DRAW_WORK units.  A
-# lemma52 --input file is charged in the same units once it is read and
-# before any elimination, by a rule fitted to timed files over QQ and
-# GF(2^31 - 1), where an entry costs more as it grows.  sg keys C(n, 2) pairs
-# of points, each at a cost that grows with B^2, B the bit length of the
-# longest coordinate numerator or denominator, and it holds n^2 bytes of
-# bookkeeping, so it has both a work bound and a point cap, which it checks
-# before building the points.  profile prints a row per n.
+# Caps on inputs whose cost grows far faster than their size, each checked before the work
+# starts.  The sym2 check is quadratic in the modulus.  The lemma52 and sg work rules are the
+# charge_* functions of lemma52 and configurations; sg holds n^2 bytes of bookkeeping, so it
+# also has a point cap, checked before building the points.  profile prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_LEMMA52_WORK = 5_000_000
-LEMMA52_DRAW_WORK = 9
 MAX_SG_POINTS = 500
 MAX_SG_WORK = 30_000_000_000
 MAX_PROFILE_N = 10_000
-
-
-class InputError(Exception):
-    """Malformed input (bad file, bad JSON shape): exit code 2."""
 
 
 def _check_magnitudes(*flags: tuple[str, int]) -> None:
@@ -254,22 +236,6 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     return data, "\n".join(lines)
 
 
-def _max_bits(rows: Iterable[Sequence[Scalar]]) -> int:
-    """B, the bit length of the longest numerator or denominator among the
-    entries (0 for none); Python ints have both, so this reads either field."""
-    return max(
-        (n.bit_length() for row in rows for x in row for n in (x.numerator, x.denominator)),
-        default=0,
-    )
-
-
-def _integral_rows(rows: Iterable[Sequence[Scalar]]) -> Iterator[list[int]]:
-    """Each row scaled by the lcm of its denominators, so that its entries are integers."""
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        yield [x.numerator * (scale // x.denominator) for x in row]
-
-
 def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import configurations as conf
     from .jsonio import points_from_json
@@ -279,13 +245,7 @@ def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if len(rows) > MAX_SG_POINTS:
         raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(rows)}")
     config = conf.PointConfig(tuple(ProjPoint(field, row) for row in rows))
-    bits = _max_bits(point.coords for point in config.points)
-    work = len(config) * (len(config) - 1) // 2 * bits**2
-    if work > MAX_SG_WORK:
-        raise InputError(
-            f"sg takes at most {MAX_SG_WORK} units of work, C(n, 2) x B^2 for n points "
-            f"whose longest numerator or denominator has B bits, got {work}"
-        )
+    conf.charge_sylvester_gallai(config, MAX_SG_WORK)
     report = conf.check_sylvester_gallai(config)
     violations = [] if report.is_sylvester_gallai else [
         {"pair": list(report.witness), "reason": "no third collinear point"}
@@ -312,21 +272,7 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         field = PrimeField(args.mod)
-        lemma52.check_family_shape(field, args.ambient, args.count)
-        work = args.trials * args.count * (args.ambient + 1) ** 3
-        if work > MAX_LEMMA52_WORK:
-            raise InputError(
-                f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
-                f"--trials x --count x (--ambient + 1)^3, got {work}"
-            )
-        redraws = lemma52.excess_draws(field, args.count)
-        work += args.trials * LEMMA52_DRAW_WORK * redraws
-        if work > MAX_LEMMA52_WORK:
-            raise InputError(
-                f"lemma52 --random takes at most {MAX_LEMMA52_WORK} units of work, "
-                f"--trials x (--count x (--ambient + 1)^3 + {LEMMA52_DRAW_WORK} x {redraws} "
-                f"redraws of quotient points), got {work}"
-            )
+        lemma52.charge_random(field, args.ambient, args.count, args.trials, MAX_LEMMA52_WORK)
         rng = random.Random(args.seed)
         failures = []
         for trial in range(args.trials):
@@ -346,27 +292,7 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if args.input is None:
         raise InputError("lemma52 needs --input FILE or --random")
     field, members = subspaces_from_json(_read_input(args.input))
-    # 2 x R x (n + 1)^2 x (1 + G/1024)^2 units, in integers: a row costs (n + 1)^2
-    # cell operations, a member at least n + 2 rows with its projection and fixed
-    # costs, and an operation costs more as its G-bit entries grow.  Over QQ an
-    # echelon entry is a ratio of minors of the rows cleared of denominators, so
-    # G can reach (n + 1) x B; over GF(p) entries stay below p.
-    n = max((ambient for ambient, _ in members), default=0)
-    charged_rows = sum(max(len(vectors), n + 2) for _, vectors in members)
-    if isinstance(field, PrimeField):
-        growth = field.p.bit_length()
-    else:
-        growth = (n + 1) * _max_bits(
-            row for _, vectors in members for row in _integral_rows(vectors)
-        )
-    work = charged_rows * (n + 1) ** 2 * (1024 + growth) ** 2 // 2**19
-    if work > MAX_LEMMA52_WORK:
-        raise InputError(
-            f"lemma52 --input takes at most {MAX_LEMMA52_WORK} units of work, "
-            "2 x R x (n + 1)^2 x (1 + G/1024)^2 for R rows in P^n, at least n + 2 a member, "
-            "whose entries reach G bits: (n + 1) x B over QQ, B the bits of the longest entry "
-            f"of a row scaled to integers, and the bits of p over GF(p), got {work}"
-        )
+    lemma52.charge_input(field, members, MAX_LEMMA52_WORK)
     lam = lemma52.common_subspace(
         [ProjSubspace.from_vectors(field, ambient, vectors) for ambient, vectors in members]
     )
@@ -439,10 +365,13 @@ def _cmd_rh(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 class _Parser(argparse.ArgumentParser):
     """argparse with one-line usage errors: ``<prog>: error: <message>``, exit 2.
     Subparsers are built from the same class.  argparse quotes most offending
-    values, but not unrecognized arguments, so newlines in those become spaces."""
+    values, but not unrecognized arguments, so newlines in those become spaces.
+    It quotes them whole, so a long line is cut as ``errors.brief`` cuts a value."""
 
     def error(self, message: str) -> NoReturn:
         line = message.replace("\n", " ")
+        if len(line) > 200:
+            line = f"{line[:120]}... ({len(line)} characters)"
         self.exit(2, f"{self.prog}: error: {line}\n")
 
 

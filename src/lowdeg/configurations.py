@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import ConfigurationError
-from .fields import Field, PrimeField, Scalar, require_same_field
+from .errors import ConfigurationError, InputError
+from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .lemma52 import _det3
 from .projective import ProjPoint
 
@@ -92,6 +92,19 @@ class SylvesterGallaiReport:
     max_collinear: int
     witness: Optional[Pair]
     lines_by_size: dict[int, int]
+
+
+def charge_sylvester_gallai(config: PointConfig, limit: int) -> int:
+    """The units of work of :func:`check_sylvester_gallai`, C(n, 2) x B^2: it keys
+    C(n, 2) pairs of points, each at a cost that grows with B^2, B the bit length of
+    the longest coordinate numerator or denominator.  Raises InputError past ``limit``."""
+    work = len(config) * (len(config) - 1) // 2 * max_bits(p.coords for p in config.points) ** 2
+    if work > limit:
+        raise InputError(
+            f"sg takes at most {limit} units of work, C(n, 2) x B^2 for n points "
+            f"whose longest numerator or denominator has B bits, got {work}"
+        )
+    return work
 
 
 def check_sylvester_gallai(config: PointConfig) -> SylvesterGallaiReport:

@@ -17,6 +17,10 @@ class ConfigurationError(LowdegError):
     """A configuration violates the preconditions of an operation."""
 
 
+class InputError(Exception):
+    """Malformed input (bad file, bad JSON shape), or past a cap or work bound: exit code 2."""
+
+
 def brief(value: object) -> str:
     """``repr(value)`` for an error message, cut to a prefix and its length
     when it is long, so that a message quoting an input stays one short line."""

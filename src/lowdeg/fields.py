@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 from .errors import MixedFieldError, brief
 
@@ -173,6 +173,15 @@ def require_same_field(a: Field, b: Field) -> Field:
     if a != b:
         raise MixedFieldError(f"cannot mix values from {a!r} and {b!r}")
     return a
+
+
+def max_bits(rows: Iterable[Sequence[Scalar]]) -> int:
+    """B, the bit length of the longest numerator or denominator among the
+    entries (0 for none); Python ints have both, so this reads either field."""
+    return max(
+        (n.bit_length() for row in rows for x in row for n in (x.numerator, x.denominator)),
+        default=0,
+    )
 
 
 def scalar_to_json(field: Field, value: Scalar) -> object:

@@ -4,22 +4,25 @@ codimension-2 subspaces that pairwise lie in hyperplanes and jointly span.
 Such a family is a set of distinct, non-collinear points of the quotient
 plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet and one
 projection per member; :func:`planted_family` builds seeded families around a
-planted Λ, with the shape check and the redraw count that ``lowdeg lemma52
---random`` charges before it draws.
+planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
+of ``lowdeg lemma52`` before they start, in the same units of work.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ConfigurationError, LowdegError
-from .fields import Field, PrimeField, Scalar, require_same_field
+from .errors import ConfigurationError, InputError, LowdegError
+from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .projective import ProjPoint, ProjSubspace, meet, project_subspace_from
 
 # Draws random_subspace makes before it gives up on independent spanning vectors.
 MAX_REDRAWS = 1000
+# Units of work that a redraw of a quotient point in planted_family costs, about.
+DRAW_WORK = 9
 
 
 def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
@@ -102,7 +105,7 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
     raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
 
 
-def check_family_shape(field: Field, ambient: int, count: int) -> None:
+def _check_family_shape(field: Field, ambient: int, count: int) -> None:
     """Raise :class:`ConfigurationError` when no family for :func:`planted_family`
     exists: fewer than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
     if ambient < 3:
@@ -116,13 +119,60 @@ def check_family_shape(field: Field, ambient: int, count: int) -> None:
         )
 
 
-def excess_draws(field: PrimeField, count: int) -> int:
-    """The quotient-point draws of :func:`planted_family` beyond ``count``,
-    in integer arithmetic: with i of the N = p^2 + p + 1 points drawn, a new
-    one takes N / (N - i) draws on average, of which this counts the floor.
-    It is 0 while ``count`` is at most N / 2.  Needs ``count`` <= N."""
+def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limit: int) -> int:
+    """The units of work of ``trials`` runs of :func:`planted_family` and :func:`common_subspace`,
+    after the shape check.  A trial costs count x (ambient + 1)^3 units, about 2 microseconds each
+    at most, so the largest accepted run takes seconds, plus ``DRAW_WORK`` per redraw of a quotient
+    point: with i of the N = p^2 + p + 1 points drawn, a new one takes N / (N - i) draws on average,
+    and the floor beyond one is charged (none for count <= N / 2).  Raises InputError past limit."""
+    _check_family_shape(field, ambient, count)
+    work = trials * count * (ambient + 1) ** 3
+    if work > limit:
+        raise InputError(
+            f"lemma52 --random takes at most {limit} units of work, "
+            f"--trials x --count x (--ambient + 1)^3, got {work}"
+        )
     n = field.p**2 + field.p + 1
-    return sum(n // (n - i) for i in range(count)) - count
+    redraws = sum(n // (n - i) for i in range(count)) - count
+    work += trials * DRAW_WORK * redraws
+    if work > limit:
+        raise InputError(
+            f"lemma52 --random takes at most {limit} units of work, "
+            f"--trials x (--count x (--ambient + 1)^3 + {DRAW_WORK} x {redraws} "
+            f"redraws of quotient points), got {work}"
+        )
+    return work
+
+
+def _integral_row(row: Sequence[Scalar]) -> list[int]:
+    """The row scaled by the lcm of its denominators, so that its entries are integers."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit: int) -> int:
+    """The units of work of :func:`common_subspace` on the ``(ambient, rows)`` pairs
+    of a file, by a rule fitted to timed files over QQ and GF(2^31 - 1), where an
+    entry costs more as it grows.  Raises InputError past ``limit``."""
+    # 2 x R x (n + 1)^2 x (1 + G/1024)^2 units, in integers: a row costs (n + 1)^2 cell operations,
+    # a member at least n + 2 rows with its projection and fixed costs, and an operation costs more
+    # as its G-bit entries grow.  Over QQ an echelon entry is a ratio of minors of the rows cleared
+    # of denominators, so G can reach (n + 1) x B; over GF(p) entries stay below p.
+    n = max((ambient for ambient, _ in members), default=0)
+    charged_rows = sum(max(len(vectors), n + 2) for _, vectors in members)
+    if isinstance(field, PrimeField):
+        growth = field.p.bit_length()
+    else:
+        growth = (n + 1) * max_bits(_integral_row(row) for _, rows in members for row in rows)
+    work = charged_rows * (n + 1) ** 2 * (1024 + growth) ** 2 // 2**19
+    if work > limit:
+        raise InputError(
+            f"lemma52 --input takes at most {limit} units of work, "
+            "2 x R x (n + 1)^2 x (1 + G/1024)^2 for R rows in P^n, at least n + 2 a member, "
+            "whose entries reach G bits: (n + 1) x B over QQ, B the bits of the longest entry "
+            f"of a row scaled to integers, and the bits of p over GF(p), got {work}"
+        )
+    return work
 
 
 def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> Scalar:
@@ -147,7 +197,7 @@ def planted_family(
     the family is built, not searched for: three non-collinear quotient
     points, then distinct further ones, each lifted onto the non-pivot
     columns of ``planted`` (the coordinates projection reads back)."""
-    check_family_shape(field, ambient, count)
+    _check_family_shape(field, ambient, count)
     planted = random_subspace(rng, field, ambient, ambient - 3)
     points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
     while len(points) < count:

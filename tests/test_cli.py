@@ -486,11 +486,17 @@ class TestLemma52:
         finally:
             sys.set_int_max_str_digits(limit)
         path.write_text(json.dumps({"subspaces": members[:3]}))
-        data = run_json(capsys, "lemma52", "--input", str(path))
-        assert data["common_subspace"] == expected
+        # the answer does not depend on --format, so Λ is computed once and printed in both
+        args = build_parser().parse_args(["lemma52", "--input", str(path)])
+        data, table = args.handler(args)
+        assert sys.get_int_max_str_digits() == limit
+        lowdeg.cli._emit(data, "json", table)
+        out, err = capsys.readouterr()
+        assert json.loads(out)["common_subspace"] == expected and err == ""
         assert max(len(x.split("/")[0]) for r in expected["rows"] for x in r) > 4300
-        code, out, err = run(capsys, "--format", "table", "lemma52", "--input", str(path))
-        assert (code, err) == (0, "")
+        lowdeg.cli._emit(data, "table", table)
+        out, err = capsys.readouterr()
+        assert err == ""
         assert all(f"- {x}\n" in out for r in expected["rows"] for x in r)
         assert sys.get_int_max_str_digits() == limit
         path.write_text(json.dumps({"subspaces": members}))
@@ -560,8 +566,8 @@ class TestLemma52:
             "(--ambient + 1)^3 + 9 x 801374 redraws of quotient points), got 12140814\n"
         )
         # the whole plane over GF(2): 7 x 4^3 units and 7 + 3 + 2 + 1 + 1 + 1 + 1 - 7
-        # redraws per trial, at LEMMA52_DRAW_WORK units each
-        assert lowdeg.cli.LEMMA52_DRAW_WORK == 9
+        # redraws per trial, at DRAW_WORK units each
+        assert lowdeg.lemma52.DRAW_WORK == 9
         argv = (
             "lemma52", "--random", "--mod", "2", "--ambient", "3", "--count", "7", "--trials", "2"
         )
@@ -583,6 +589,42 @@ class TestLemma52:
     def test_needs_input_or_random(self, capsys):
         code, _, err = run(capsys, "lemma52")
         assert code == 2 and "--input" in err
+
+
+def test_work_rules_price_the_readme_examples():
+    # The README's examples, priced by the three rules alone at the shipped limits.
+    from fractions import Fraction
+
+    from lowdeg.configurations import PointConfig, charge_sylvester_gallai
+    from lowdeg.errors import ConfigurationError, InputError
+    from lowdeg.fields import QQ, PrimeField
+    from lowdeg.lemma52 import charge_input, charge_random
+    from lowdeg.projective import ProjPoint
+
+    cli = lowdeg.cli
+    f = PrimeField(2**31 - 1)
+    # 500 points over GF(2^31 - 1), whose longest coordinate has 31 bits
+    config = PointConfig(tuple(ProjPoint(f, (1, k, 2**31 - 2 - k)) for k in range(500)))
+    assert charge_sylvester_gallai(config, cli.MAX_SG_WORK) == 124750 * 31**2
+    # three members of P^90 over GF(2^31 - 1) pass, three of P^80 with 2-digit integers do not
+    # (each member charged as n + 2 = 92 rows, and G = 31 bits for p)
+    wide = [(90, [[k % 7 for k in range(i, i + 91)] for i in range(89)])] * 3
+    assert charge_input(f, wide, cli.MAX_LEMMA52_WORK) == 3 * 92 * 91**2 * 1055**2 // 2**19
+    members = [(80, [[Fraction(99)] * 81] * 79)] * 3
+    work = 3 * 82 * 81**2 * (1024 + 81 * 7) ** 2 // 2**19
+    with pytest.raises(InputError, match=f", got {work}$"):
+        charge_input(QQ, members, cli.MAX_LEMMA52_WORK)
+    # the default random family runs at most 10000 trials
+    gf5 = PrimeField(5)
+    assert charge_random(gf5, 4, 4, 10_000, cli.MAX_LEMMA52_WORK) == cli.MAX_LEMMA52_WORK
+    with pytest.raises(InputError, match=r", got 5000500$"):
+        charge_random(gf5, 4, 4, 10_001, cli.MAX_LEMMA52_WORK)
+    # the whole GF(277) plane pays its redraws
+    with pytest.raises(InputError, match=r"9 x 801374 redraws of quotient points\), got 12140814$"):
+        charge_random(PrimeField(277), 3, 77007, 1, cli.MAX_LEMMA52_WORK)
+    # a family that cannot exist is reported before any work is counted
+    with pytest.raises(ConfigurationError, match="at least three members"):
+        charge_random(PrimeField(101), 16, 2, 10**9, cli.MAX_LEMMA52_WORK)
 
 
 class TestSym2:
@@ -683,6 +725,32 @@ class TestHarness:
             out, err = capsys.readouterr()
             assert excinfo.value.code == 0
             assert out.startswith("usage: lowdeg") and "options:" in out and err == ""
+
+    @staticmethod
+    def usage_error(capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == 2 and out == ""
+        return err
+
+    def test_long_invalid_value_is_cut(self, capsys):
+        # argparse quotes the whole value; the line keeps its start, flag included, and its length
+        message = "argument --delta: invalid int value: '" + "1" * 5000 + "'"
+        err = self.usage_error(capsys, ["pi", "--delta", "1" * 5000, "--ambient", "3"])
+        assert err == f"lowdeg pi: error: {message[:120]}... (5039 characters)\n"
+        assert "--delta" in err and len(err) < 200
+        # a short message is passed on whole
+        err = self.usage_error(capsys, ["pi", "--delta", "x", "--ambient", "3"])
+        assert err == "lowdeg pi: error: argument --delta: invalid int value: 'x'\n"
+
+    def test_long_unrecognized_arguments_are_cut(self, capsys):
+        argv = ["pi", "--delta", "20", "--ambient", "12", "y" * 300]
+        err = self.usage_error(capsys, argv)
+        message = "unrecognized arguments: " + "y" * 300
+        assert err == f"lowdeg: error: {message[:120]}... (324 characters)\n"
+        err = self.usage_error(capsys, argv[:-1] + ["y" * 20])
+        assert err == f"lowdeg: error: unrecognized arguments: {'y' * 20}\n"
 
     def test_module_entry_point(self):
         proc = run_fresh(["-m", "lowdeg", "pi", "--delta", "20", "--ambient", "12"])
