@@ -293,8 +293,9 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         raise InputError("lemma52 needs --input FILE or --random")
     field, members = subspaces_from_json(_read_input(args.input))
     lemma52.charge_input(field, members, MAX_LEMMA52_WORK)
+    # a generator, so that member i + 1 is built only once member i has passed
     lam = lemma52.common_subspace(
-        [ProjSubspace.from_vectors(field, ambient, vectors) for ambient, vectors in members]
+        ProjSubspace.from_vectors(field, ambient, vectors) for ambient, vectors in members
     )
     # Python's limit on the digits of an int string guards reading; the rule above
     # bounds how far Λ's entries grow, so the limit is lifted while they become text.

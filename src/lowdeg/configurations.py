@@ -3,8 +3,11 @@
 The report is read off one anchored pass over the points: the lines through
 an anchor p are the points of the quotient line P^2 / p, so each anchor
 groups the later points by their image there, skipping pairs already on an
-emitted line.  Each line is found once at its first point, and the lines
-come out sorted with n^2 bytes of bookkeeping.  :func:`collinear` is the
+emitted line.  Points are scaled to a leading 1, so the image of a later
+point q is read off q - p when q leads where p does, off q itself when q
+leads later, and off q - q[k] p, with k the lead of p, only when q leads
+earlier.  Each line is found once at its first point, and the lines come out
+sorted with n^2 bytes of bookkeeping.  :func:`collinear` is the
 exact triple test (no tolerances anywhere).
 
 The paper's other two gadgets live in their own modules, so that a command
@@ -144,11 +147,14 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     other two.  For a later point q, r = q - q[k] p spans the line pq together
     with p, is nonzero because the points are distinct, and has r[k] = 0; so
     the line is the point (r[a] : r[b]) of P^1, keyed by r[b] / r[a], or by
-    ``None`` when r[a] = 0.  Each anchor i groups the later points j > i by
-    that key, skipping the pairs already known to share a line, so a line is
-    found once, at its first point.  The output is sorted by construction:
-    the anchors increase, and at one anchor the groups open in increasing
-    order of their second point.  What is kept from one anchor to the next is
+    ``None`` when r[a] = 0.  The lead of q gives q[k] without arithmetic: when
+    q leads at k too, q[k] = 1 and r = q - p; when q leads after k, q[k] = 0
+    and r = q; only when q leads before k are the two products q[k] p[a] and
+    q[k] p[b] taken.  Each anchor i groups the later points j > i by the key,
+    skipping the pairs already known to share a line, so a line is found
+    once, at its first point.  The output is sorted by construction: the
+    anchors increase, and at one anchor the groups open in increasing order
+    of their second point.  What is kept from one anchor to the next is
     one byte per pair of points.
     """
     if config.ambient != 2:
@@ -157,12 +163,13 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     reduce, inv, is_zero = field.reduce, field.inv, field.is_zero
     coords = [p.coords for p in config.points]
     n = len(coords)
+    # points are scaled so their first nonzero coordinate is 1
+    leads = [q.index(field.one) for q in coords]
     # on_a_line[u][v], for u < v: the pair lies on a line already emitted
     on_a_line = [bytearray(n) for _ in range(n)]
     for i, p in enumerate(coords):
         skip = on_a_line[i]
-        # points are scaled so their first nonzero coordinate is 1
-        k = p.index(field.one)
+        k = leads[i]
         a, b = (c for c in range(3) if c != k)
         pa, pb = p[a], p[b]
         through_i: dict[Optional[Scalar], list[int]] = {}
@@ -170,13 +177,24 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
             if skip[j]:
                 continue
             q = coords[j]
-            t = q[k]
-            ra = q[a] - t * pa
-            key = None if is_zero(ra) else reduce((q[b] - t * pb) * inv(ra))
-            through_i.setdefault(key, []).append(j)
+            lead = leads[j]
+            if lead == k:  # q[k] = 1
+                ra, rb = q[a] - pa, q[b] - pb
+            elif lead > k:  # q[k] = 0
+                ra, rb = q[a], q[b]
+            else:
+                t = q[k]
+                ra, rb = q[a] - t * pa, q[b] - t * pb
+            key = None if is_zero(ra) else reduce(rb * inv(ra))
+            group = through_i.get(key)
+            if group is None:
+                through_i[key] = [j]
+            else:
+                group.append(j)
         for group in through_i.values():
-            for u, v in combinations(group, 2):
-                on_a_line[u][v] = 1
+            if len(group) > 1:
+                for u, v in combinations(group, 2):
+                    on_a_line[u][v] = 1
             yield (i, *group)
 
 

@@ -3,7 +3,8 @@ codimension-2 subspaces that pairwise lie in hyperplanes and jointly span.
 
 Such a family is a set of distinct, non-collinear points of the quotient
 plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet and one
-projection per member; :func:`planted_family` builds seeded families around a
+projection per member, checking each member as it arrives;
+:func:`planted_family` builds seeded families around a
 planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
 of ``lowdeg lemma52`` before they start, in the same units of work.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, InputError, LowdegError
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
@@ -25,7 +27,7 @@ MAX_REDRAWS = 1000
 DRAW_WORK = 9
 
 
-def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
+def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
     """The codimension-3 subspace contained in every member of the family.
 
     Preconditions: at least two subspaces, all of codimension 2 in a common
@@ -34,22 +36,18 @@ def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
     first two members, has codimension 3, every member contains Λ, and the
     members project from Λ to distinct, non-collinear points of the quotient
     plane P^n / Λ.  That is what is checked, with no joins; Λ is returned.
+
+    The family is read once, in order, and each member is checked as it
+    arrives: its field, ambient and codimension first, then, once members 0
+    and 1 have given Λ, its projection from Λ.  So the first fault found is
+    the first in that order, and no member after it is asked for.
     """
-    subs = list(subspaces)
-    if len(subs) < 2:
-        raise ConfigurationError(f"need at least two subspaces, got {len(subs)}")
-    field = subs[0].field
-    ambient = subs[0].ambient
-    for i, s in enumerate(subs[1:], start=1):
-        require_same_field(field, s.field)
-        if s.ambient != ambient:
-            raise ConfigurationError(
-                f"subspace {i} lives in P^{s.ambient}, expected P^{ambient}"
-            )
-    for i, s in enumerate(subs):
-        if s.codim != 2:
-            raise ConfigurationError(f"subspace {i} has codimension {s.codim}, expected 2")
-    lam = meet(subs[0], subs[1])
+    members = _shaped(subspaces)
+    first_two = list(islice(members, 2))
+    if len(first_two) < 2:
+        raise ConfigurationError(f"need at least two subspaces, got {len(first_two)}")
+    ambient = first_two[0].ambient
+    lam = meet(*first_two)
     if lam.dim == ambient - 2:
         raise ConfigurationError("subspaces 0 and 1 coincide")
     if lam.dim < ambient - 3:
@@ -57,7 +55,7 @@ def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
             f"subspaces 0 and 1 span all of P^{ambient}; they do not lie in a common hyperplane"
         )
     first_with_image: dict[tuple[Scalar, ...], int] = {}
-    for i, s in enumerate(subs):
+    for i, s in enumerate(chain(first_two, members)):
         # s contains lam exactly when its image is a single point
         image = project_subspace_from(lam, s).rows
         if len(image) != 1:
@@ -67,13 +65,31 @@ def common_subspace(subspaces: Sequence[ProjSubspace]) -> ProjSubspace:
         j = first_with_image.setdefault(image[0], i)
         if j != i:
             raise ConfigurationError(f"subspaces {j} and {i} coincide")
-    images = ProjSubspace.from_vectors(field, 2, list(first_with_image))
+    images = ProjSubspace.from_vectors(lam.field, 2, list(first_with_image))
     if images.dim != 2:
         raise ConfigurationError(
             f"the family only spans a subspace of dimension {lam.dim + images.dim + 1} "
             f"in P^{ambient}"
         )
     return lam
+
+
+def _shaped(subspaces: Iterable[ProjSubspace]) -> Iterator[ProjSubspace]:
+    """The members in order, each passed on once its field and ambient match
+    member 0's and its codimension is 2."""
+    field = ambient = None
+    for i, s in enumerate(subspaces):
+        if i == 0:
+            field, ambient = s.field, s.ambient
+        else:
+            require_same_field(field, s.field)
+            if s.ambient != ambient:
+                raise ConfigurationError(
+                    f"subspace {i} lives in P^{s.ambient}, expected P^{ambient}"
+                )
+        if s.codim != 2:
+            raise ConfigurationError(f"subspace {i} has codimension {s.codim}, expected 2")
+        yield s
 
 
 def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar]:

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lowdeg
@@ -422,6 +422,25 @@ class TestLemma52:
         assert code == 1 and out == ""
         assert err == "cannot mix values from GF(2147483647) and GF(2147483629)\n"
         assert is_prime.cache_info().misses <= 2
+
+    def test_family_is_checked_as_it_arrives(self, capsys, tmp_path, monkeypatch):
+        # member 0 already has the wrong codimension, so no later member is built
+        from lowdeg.projective import ProjSubspace
+
+        built = []
+        real = ProjSubspace.from_vectors.__func__
+
+        def counting(cls, field, ambient, vectors):
+            built.append(ambient)
+            return real(cls, field, ambient, vectors)
+
+        monkeypatch.setattr(ProjSubspace, "from_vectors", classmethod(counting))
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"subspaces": [{"ambient": 0, "rows": [["1"]]}] * 2000}))
+        code, out, err = run(capsys, "lemma52", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err == "subspace 0 has codimension 0, expected 2\n"
+        assert built == [0]
 
     def test_input_work_bound(self, capsys, tmp_path, monkeypatch):
         # 2 x R x (n + 1)^2 x (1 + G/1024)^2, each member counted as at least
@@ -1067,7 +1086,7 @@ def flag_argvs(draw):
     return ["lemma52", "--random", "--seed", str(draw(st.integers(0, 3))), *argv]
 
 
-def run_guarded(argv, stdin=b""):
+def run_in_process(argv, stdin=b""):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
@@ -1076,7 +1095,11 @@ def run_guarded(argv, stdin=b""):
             code = main(argv)
     finally:
         sys.stdin = saved
-    errors = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_guarded(argv, stdin=b""):
+    code, _, errors = run_in_process(argv, stdin)
     assert code in (0, 1, 2)
     assert errors.count("\n") <= 1 and "Traceback" not in errors
     assert (code == 0) == (errors == "")
@@ -1107,3 +1130,100 @@ def test_oversized_files_meet_a_bound(doc):
 @given(argv=flag_argvs())
 def test_fuzzed_size_flags(argv):
     run_guarded(["--format", "json", *argv])
+
+
+def planted_qq_family(ambient, count, share, seed):
+    """A valid ``lemma52`` file over QQ and the rows of its planted Λ.  Λ's
+    echelon rows carry integers of random sign and d digits off their pivots,
+    and its last column is free, so each row has one; d is the longest, up to
+    4000, whose file the work rule charges at most ``share`` percent of the
+    limit.  Each member holds Λ's rows and a quotient point lifted onto Λ's
+    free columns, as in ``planted_family``, mixed by a unitriangular matrix of
+    small integers and shuffled."""
+    from lowdeg.fields import QQ
+    from lowdeg.lemma52 import _det3, charge_input
+    from lowdeg.projective import ProjPoint
+
+    def build(digits):
+        rng = random.Random(seed)
+        pivots = sorted(rng.sample(range(ambient), ambient - 2))
+        free = [c for c in range(ambient + 1) if c not in pivots]
+        planted = []
+        for pivot in pivots:
+            row = [int(c == pivot) for c in range(ambient + 1)]
+            for c in free:
+                if c > pivot:
+                    row[c] = rng.randrange(10 ** (digits - 1), 10**digits) * rng.choice((1, -1))
+            planted.append(row)
+        points = {}  # distinct quotient points, the first three not collinear
+        while len(points) < count:
+            point = [rng.randint(-9, 9) for _ in range(3)]
+            if any(point) and (len(points) != 2 or _det3(QQ, *points.values(), point)):
+                points.setdefault(ProjPoint(QQ, point), point)
+        members = []
+        for point in points.values():
+            rows = [[0] * (ambient + 1), *planted]
+            for c, x in zip(free, point):
+                rows[0][c] = x
+            for r in range(len(rows)):  # add small multiples of the rows below
+                for below in rows[r + 1 :]:
+                    k = rng.randint(-2, 2)
+                    rows[r] = [x + k * y for x, y in zip(rows[r], below)]
+            rng.shuffle(rows)
+            members.append((ambient, rows))
+        return members, planted
+
+    target = lowdeg.cli.MAX_LEMMA52_WORK * share // 100
+    low, high = 1, 4000
+    while low < high:
+        mid = (low + high + 1) // 2
+        if charge_input(QQ, build(mid)[0], math.inf) <= target:
+            low = mid
+        else:
+            high = mid - 1
+    members, planted = build(low)
+    rows_as_text = [[[str(x) for x in row] for row in rows] for _, rows in members]
+    return {"subspaces": [{"ambient": ambient, "rows": rows} for rows in rows_as_text]}, planted
+
+
+PLANTED_QQ_FAMILIES = st.builds(
+    planted_qq_family,
+    ambient=st.integers(3, 7),
+    count=st.integers(3, 6),
+    share=st.integers(1, 100),
+    seed=st.integers(0, 2**16),
+)
+
+
+def table_rows(out):
+    """The rows of the common subspace in a ``lemma52`` table."""
+    lines = out.splitlines()
+    rows = []
+    for line in lines[lines.index("  rows:") + 1 :]:
+        if line == "    -":
+            rows.append([])
+        elif line.startswith("      - "):
+            rows[-1].append(line[len("      - ") :])
+        else:
+            return rows
+
+
+# Valid files reach the output path: long entries, up to the work rule's edge.
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(family=PLANTED_QQ_FAMILIES)
+@example(family=planted_qq_family(ambient=6, count=3, share=100, seed=0))
+def test_fuzzed_valid_families_print_the_planted_subspace(family):
+    from lowdeg.fields import QQ
+    from lowdeg.jsonio import subspace_to_json
+    from lowdeg.projective import ProjSubspace
+
+    doc, planted = family
+    ambient = len(planted[0]) - 1
+    expected = subspace_to_json(ProjSubspace.from_vectors(QQ, ambient, planted))["rows"]
+    stdin = json.dumps(doc).encode()
+    code, out, err = run_in_process(["--format", "json", "lemma52", "--input", "-"], stdin)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["common_subspace"]["rows"] == expected
+    code, out, err = run_in_process(["--format", "table", "lemma52", "--input", "-"], stdin)
+    assert (code, err) == (0, "")
+    assert table_rows(out) == expected

@@ -357,6 +357,26 @@ class TestCommonSubspace:
         assert calls["join"] == 0
         assert calls["rref"] <= 2 * 40 + 10
 
+    def test_members_are_checked_as_they_arrive(self):
+        # the family is read once, and a fault stops the reading there
+        members, planted = planted_family(random.Random(52), QQ, 4, 4)
+        line = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        elsewhere = qspace(3, [1, 0, 0, 0], [0, 1, 0, 0])
+
+        def family(*first):
+            yield from first
+            raise AssertionError("a member after the fault was asked for")
+
+        for first, message in (
+            ([line], "subspace 0 has codimension 3, expected 2"),
+            ([members[0], members[1], elsewhere], "subspace 2 lives in P^3, expected P^4"),
+            ([members[0], members[0]], "subspaces 0 and 1 coincide"),
+            ([*members[:3], members[1]], "subspaces 1 and 3 coincide"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                common_subspace(family(*first))
+        assert common_subspace(iter(members)) == planted
+
     def test_mixed_fields_rejected(self):
         sq = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
         s5 = ProjSubspace.from_vectors(
@@ -635,6 +655,50 @@ class TestSylvesterGallai:
         report = check_sylvester_gallai(config)
         assert list(report.lines_by_size.items()) == sizes_in_order(expected)
         assert report.witness == witness
+
+    def test_each_lead_case_matches_the_triple_scan(self):
+        # the pass keys the pair (p, q) by q - p when q leads where p does, by
+        # q when q leads later, and by q - q[k] p when q leads earlier.  Each
+        # configuration has a point v of x = 0 first, on three lines, and one
+        # last, on five, each line with two shuffled lead-0 points: so every
+        # case keys pairs whose line has a third point, which a wrong key splits
+        rng = random.Random(1802)
+        big = PrimeField(2147483647)
+        for field, scalar in (
+            (QQ, lambda: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))),
+            (big, lambda: rng.randrange(big.p)),
+        ):
+            cases = Counter()
+            for trial in range(5):
+                first, last = (0, 1, scalar()), (0, 1, scalar())
+                if trial % 2:
+                    first = (0, 0, 1)
+                else:
+                    last = (0, 0, 1)
+                middle = []
+                for v, lines in ((first, 3), (last, 5)):
+                    for _ in range(lines):
+                        u = (1, scalar(), scalar())
+                        for t in (0, scalar()):
+                            middle.append(ProjPoint(field, [x + t * y for x, y in zip(u, v)]))
+                rng.shuffle(middle)
+                points = [ProjPoint(field, first), *middle, ProjPoint(field, last)]
+                config = PointConfig(tuple(points))
+                expected, witness = triple_scan(config)
+                leads = [p.coords.index(1) for p in points]
+                # the pass keys (i, j) at i, the first point of their line:
+                # 0 for the same lead, 1 for q leading later, -1 for earlier
+                cases.update(
+                    (leads[j] > leads[line[0]]) - (leads[j] < leads[line[0]])
+                    for line in expected
+                    if len(line) >= 3
+                    for j in line[1:]
+                )
+                assert maximal_lines(config) == expected
+                report = check_sylvester_gallai(config)
+                assert list(report.lines_by_size.items()) == sizes_in_order(expected)
+                assert report.witness == witness
+            assert min(cases[0], cases[1], cases[-1]) >= 20, cases
 
     def test_bookkeeping_is_small(self):
         # 60 points in general position: 1770 two-point lines and no per-pair

@@ -34,6 +34,25 @@ class TestRationalField:
         with pytest.raises(ZeroDivisionError):
             QQ.inv(QQ.zero)
 
+    def test_inverse_matches_division(self):
+        # negative, multi-digit and integral values: swapping the terms keeps
+        # the denominator positive, so the inverse is the canonical 1 / a
+        rng = random.Random(1000)
+        values = []
+        for i in range(1000):
+            num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+            den = 1 if i % 4 == 0 else rng.randint(1, 10 ** rng.randint(1, 30))
+            values.append(Fraction(num, den))
+        assert sum(x < 0 for x in values) > 400
+        assert sum(x.denominator == 1 for x in values) >= 250
+        assert sum(abs(x.numerator) >= 10 and x.denominator >= 10 for x in values) > 400
+        for x in values:
+            inverse = QQ.inv(x)
+            assert type(inverse) is Fraction and inverse.denominator > 0
+            assert inverse == 1 / x
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            QQ.inv(QQ.zero)
+
     def test_rejects_foreign_values(self):
         with pytest.raises(MixedFieldError):
             QQ.coerce(0.5)
