@@ -33,8 +33,9 @@ Scalar = Union[Fraction, int]
 PRIME_LIMIT = 2**31
 
 # The documented format, and what ``str(Fraction)`` writes.  It admits no exponent,
-# so Python's limit on the digits of an int string bounds the cost of a parse.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# so Python's limit on the digits of an int string bounds the cost of a parse; its
+# groups are the numerator and the denominator, so the string is parsed once.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 # Bases 2, 3, 5 and 7 make Miller-Rabin exact below this bound (Jaeschke 1993),
@@ -203,10 +204,12 @@ def scalar_from_json(raw: object) -> tuple[Field, Scalar]:
         field = PrimeField(raw["mod"])
         return field, field.coerce(raw["val"])
     if isinstance(raw, str):
-        if not _RATIONAL.fullmatch(raw):
+        match = _RATIONAL.fullmatch(raw)
+        if not match:
             raise MixedFieldError(f"malformed rational {brief(raw)}")
+        numerator, denominator = match.groups()
         try:
-            return QQ, Fraction(raw)
+            return QQ, Fraction(int(numerator), int(denominator or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise MixedFieldError(f"malformed rational {brief(raw)}") from exc
     if isinstance(raw, int) and not isinstance(raw, bool):

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, InputError, LowdegError
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
-from .projective import ProjPoint, ProjSubspace, meet, project_subspace_from
+from .projective import ProjPoint, ProjSubspace, _rref, meet, project_subspace_from
 
 # Draws random_subspace makes before it gives up on independent spanning vectors.
 MAX_REDRAWS = 1000
@@ -65,10 +65,10 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
         j = first_with_image.setdefault(image[0], i)
         if j != i:
             raise ConfigurationError(f"subspaces {j} and {i} coincide")
-    images = ProjSubspace.from_vectors(lam.field, 2, list(first_with_image))
-    if images.dim != 2:
+    images, _ = _rref([list(image) for image in first_with_image], lam.field)
+    if len(images) != 3:
         raise ConfigurationError(
-            f"the family only spans a subspace of dimension {lam.dim + images.dim + 1} "
+            f"the family only spans a subspace of dimension {lam.dim + len(images)} "
             f"in P^{ambient}"
         )
     return lam
@@ -115,7 +115,7 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
         return ProjSubspace.empty(field, ambient)
     for _ in range(MAX_REDRAWS):
         vectors = [_random_vector(rng, field, ambient + 1) for _ in range(dim + 1)]
-        candidate = ProjSubspace.from_vectors(field, ambient, vectors)
+        candidate = ProjSubspace._canonical(field, ambient, *_rref(vectors, field))
         if candidate.dim == dim:
             return candidate
     raise ConfigurationError(f"no {dim}-plane of P^{ambient} over {field!r} in {MAX_REDRAWS} draws")
@@ -217,7 +217,8 @@ def planted_family(
     planted = random_subspace(rng, field, ambient, ambient - 3)
     points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
     while len(points) < count:
-        point = random_point(rng, field, 2).coords
+        # one nonzero row of canonical scalars: its echelon form is the point
+        point = _rref([_random_vector(rng, field, 3)], field)[0][0]
         on_first_line = len(points) == 2 and field.is_zero(_det3(field, *points, point))
         if point not in points and not on_first_line:
             points[point] = None
@@ -226,7 +227,8 @@ def planted_family(
     for point in points:
         lift = dict(zip(free, point))
         row = [lift.get(c, field.zero) for c in range(ambient + 1)]
-        members.append(ProjSubspace.from_vectors(field, ambient, [*planted.rows, row]))
+        rows = [*map(list, planted.rows), row]
+        members.append(ProjSubspace._canonical(field, ambient, *_rref(rows, field)))
     return members, planted
 
 

@@ -12,15 +12,18 @@ Conventions:
   scaled so the first nonzero one is 1;
 * ``meet(s1, s2)`` is the kernel of projecting ``s2`` away from ``s1``,
   found by one elimination over the rows ``[b mod s1 | b]``, b in ``s2``;
-* :func:`rref` is the one routine that puts a point or a subspace in
-  canonical form, and the one that finds pivots: a subspace keeps the pivot
-  columns it returned;
+* :func:`rref`, whose one elimination loop is ``_rref``, is the one routine
+  that puts a point or a subspace in canonical form, and the one that finds
+  pivots: a subspace keeps the pivot columns it returned;
 * only the public constructor checks that rows are canonical: every other
-  constructor and operation takes its rows from :func:`rref`;
-* elimination is sparse: a pivot row is scaled, and subtracted from other
-  rows, over its nonzero columns only, found by the truthiness of canonical
-  scalars; :func:`rref` and ``reduce_vector`` coerce their input, and the
-  operations pass canonical rows to ``_reduce`` as they are.
+  constructor and operation takes its rows from ``_rref``;
+* elimination is sparse: a pivot row is scaled, unless its pivot is
+  already 1, and subtracted from other rows, over its nonzero columns only,
+  found by the truthiness of canonical scalars;
+* scalars are coerced once, at the boundary: :func:`rref`, ``ProjPoint``,
+  the public ``ProjSubspace`` constructor, ``from_vectors`` and
+  ``reduce_vector`` coerce their input, and the operations pass their
+  canonical rows as they are to ``_rref`` and ``_reduce``.
 """
 
 from __future__ import annotations
@@ -38,16 +41,22 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
 
     Returns ``(rows, pivot_columns)``.  The result is the unique reduced
     echelon form of the row space, so ``rref(rref(M)) == rref(M)`` and the
-    number of returned rows is the rank.
+    number of returned rows is the rank.  Each cell is coerced once.
     """
     mat = [[field.coerce(x) for x in row] for row in rows]
-    if mat:
-        width = len(mat[0])
-        if any(len(row) != width for row in mat):
-            raise LowdegError("matrix rows must all have the same length")
-    else:
+    if any(len(row) != len(mat[0]) for row in mat):
+        raise LowdegError("matrix rows must all have the same length")
+    return _rref(mat, field)
+
+
+def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...]]:
+    """:func:`rref` of a fresh list of equal-length lists of canonical
+    scalars, which it eliminates in place."""
+    if not mat:
         return (), ()
+    width = len(mat[0])
     reduce = field.reduce
+    one = field.one
     pivots: list[int] = []
     r = 0
     for c in range(width):
@@ -58,9 +67,10 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
         row = mat[r]
         # rows r.. are zero before column c, so the pivot row is zero off its support
         support = [k for k in range(c, width) if row[k]]
-        scale = field.inv(row[c])
-        for k in support:
-            row[k] = reduce(scale * row[k])
+        if row[c] != one:
+            scale = field.inv(row[c])
+            for k in support:
+                row[k] = reduce(scale * row[k])
         for i, other in enumerate(mat):
             factor = other[c]
             if factor and i != r:
@@ -117,11 +127,13 @@ class ProjSubspace:
     def __init__(self, field: Field, ambient: int, rows: Matrix) -> None:
         if ambient < 0:
             raise LowdegError("ambient projective dimension must be >= 0")
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        if any(len(row) != ambient + 1 for row in rows):
+        mat = [[field.coerce(x) for x in row] for row in rows]
+        if any(len(row) != ambient + 1 for row in mat):
             raise LowdegError(f"every row must have {ambient + 1} entries in P^{ambient}")
-        # The reduced echelon form is unique, so rows are canonical iff rref keeps them.
-        reduced, pivots = rref(rows, field)
+        rows = tuple(tuple(row) for row in mat)
+        # The reduced echelon form is unique, so rows are canonical iff it keeps them;
+        # rows is taken first because _rref eliminates mat in place.
+        reduced, pivots = _rref(mat, field)
         if reduced != rows:
             raise LowdegError("basis is not in reduced row echelon form without zero rows")
         self.field = field
@@ -256,13 +268,16 @@ def span(
         require_same_field(field, first.field)
     if ambient is not None and ambient != first.ambient:
         raise AmbientMismatchError(f"points live in P^{first.ambient}, not P^{ambient}")
-    return ProjSubspace.from_vectors(first.field, first.ambient, [p.coords for p in points])
+    return ProjSubspace._canonical(
+        first.field, first.ambient, *_rref([list(p.coords) for p in points], first.field)
+    )
 
 
 def join(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     """Smallest subspace containing both operands."""
     field = _check_compatible(s1, s2)
-    return ProjSubspace.from_vectors(field, s1.ambient, list(s1.rows) + list(s2.rows))
+    rows = [list(row) for row in s1.rows + s2.rows]
+    return ProjSubspace._canonical(field, s1.ambient, *_rref(rows, field))
 
 
 def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
@@ -271,7 +286,7 @@ def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     zero left half carry the echelon basis of the intersection on the right."""
     field = _check_compatible(s1, s2)
     width = s1.ambient + 1
-    reduced, pivots = rref([s1._reduce(b) + list(b) for b in s2.rows], field)
+    reduced, pivots = _rref([s1._reduce(b) + list(b) for b in s2.rows], field)
     # pivots increase, so the rows with a zero left half come last
     k = sum(c < width for c in pivots)
     rows = tuple(row[width:] for row in reduced[k:])
@@ -299,4 +314,4 @@ def project_subspace_from(center: ProjSubspace, subspace: ProjSubspace) -> ProjS
         quotient = [x for c, x in enumerate(reduced) if c not in pivot_set]
         if any(quotient):
             images.append(quotient)
-    return ProjSubspace._canonical(field, subspace.ambient - len(center.rows), *rref(images, field))
+    return ProjSubspace._canonical(field, subspace.ambient - len(center.rows), *_rref(images, field))

@@ -1,12 +1,14 @@
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lowdeg.errors import MixedFieldError
+from lowdeg.errors import MixedFieldError, brief
 from lowdeg.fields import (
     QQ,
     PrimeField,
@@ -185,6 +187,53 @@ class TestScalarJson:
             scalar_from_json({"val": 1})
         with pytest.raises(MixedFieldError):
             scalar_from_json(1.5)
+
+    def test_rational_strings_parse_as_fraction_does(self):
+        # the reader builds the value from its own match: values, messages and the
+        # cause of each failure must be those of Fraction(raw)
+        rng = random.Random(20261019)
+        limit = sys.get_int_max_str_digits()
+
+        def digits(n):
+            return "".join(rng.choices("0123456789", k=n))
+
+        def term():
+            return "0" * rng.randint(0, 3) + digits(rng.choice((1, 3, 20, limit - 3)))
+
+        kinds = Counter()
+        for _ in range(600):
+            kind = rng.choice(("valid", "zero denominator", "over-long"))
+            sign = rng.choice(("", "-"))
+            if kind == "valid":
+                raw = sign + term() + rng.choice(("", "/" + "0" * rng.randint(0, 2) + "1" + digits(2)))
+            elif kind == "zero denominator":
+                raw = f"{sign}{term()}/{'0' * rng.randint(1, 3)}"
+            else:
+                long = digits(limit) + "1"
+                raw = rng.choice((f"{sign}{long}", f"{sign}{term()}/{long}", f"{sign}{long}/7"))
+            try:
+                expected = Fraction(raw)
+            except (ValueError, ZeroDivisionError) as exc:
+                with pytest.raises(MixedFieldError) as info:
+                    scalar_from_json(raw)
+                assert str(info.value) == f"malformed rational {brief(raw)}"
+                assert type(info.value.__cause__) is type(exc)
+                kinds[kind, type(exc).__name__] += 1
+            else:
+                field, value = scalar_from_json(raw)
+                assert field == QQ and type(value) is Fraction
+                assert (value.numerator, value.denominator) == (
+                    expected.numerator, expected.denominator
+                )
+                kinds[kind, "value"] += 1
+        assert scalar_from_json("-0") == (QQ, Fraction(0))
+        assert scalar_from_json("-007/010") == (QQ, Fraction(-7, 10))
+        assert set(kinds) == {
+            ("valid", "value"),
+            ("zero denominator", "ZeroDivisionError"),
+            ("over-long", "ValueError"),
+        }
+        assert min(kinds.values()) >= 150, kinds
 
     @given(num=st.integers(-10**6, 10**6), den=st.integers(1, 10**6))
     def test_round_trip(self, num, den):

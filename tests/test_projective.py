@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdeg import projective
-from lowdeg.lemma52 import common_subspace, planted_family
+from lowdeg import lemma52, projective
+from lowdeg.lemma52 import common_subspace, planted_family, random_point, random_subspace
 from lowdeg.errors import (
     AmbientMismatchError,
     LowdegError,
@@ -574,8 +574,67 @@ def test_sparse_elimination_matches_the_dense_reference():
     assert min(kinds.values()) >= 100, kinds
 
 
+def test_unit_pivots_match_the_dense_reference():
+    # rows with pivots already 1, as the operations pass them: an echelon basis
+    # and one more canonical row; a unit pivot skips inv, the reference never does
+    rng = random.Random(20261020)
+    unit_cases = 0
+    for field in (QQ, GF3, GF101, BIG_PRIME):
+        counting = counting_field(type(field), *([] if field == QQ else [field.p]))
+        for _ in range(80):
+            width = rng.randint(2, 8)
+            vectors = [random_row(rng, field, width) for _ in range(rng.randint(1, width))]
+            basis = rref(vectors, field)[0]
+            extra = [field.coerce(x) for x in random_row(rng, field, width)]
+            for mat in ([*basis, extra], [extra, *basis]):
+                counting.calls.clear()
+                expected = dense_rref(mat, counting)
+                dense_invs = counting.calls["inv"]
+                counting.calls.clear()
+                assert projective._rref([list(row) for row in mat], counting) == expected
+                assert counting.calls["coerce"] == 0
+                unit_cases += counting.calls["inv"] < dense_invs
+    assert unit_cases >= 200, unit_cases
+
+
+def random_row(rng, field, width):
+    if field == QQ:
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(width)]
+    return [rng.randrange(field.p) for _ in range(width)]
+
+
+def test_operations_return_what_the_public_constructor_accepts():
+    # every operation eliminates its canonical rows through _rref unchecked, so
+    # the public constructor, which checks them, must take each result unchanged
+    rng = random.Random(20261021)
+    checked = Counter()
+
+    def assert_canonical(s, name):
+        again = ProjSubspace(s.field, s.ambient, s.rows)
+        assert again == s and again.pivot_columns == s.pivot_columns, name
+        checked[name] += 1
+
+    for field in (QQ, GF3, GF101, BIG_PRIME):
+        for _ in range(12):
+            ambient = rng.randint(3, 6)
+            s1 = random_subspace(rng, field, ambient, rng.randint(-1, ambient - 1))
+            s2 = random_subspace(rng, field, ambient, rng.randint(0, ambient))
+            assert_canonical(s1, "random_subspace")
+            assert_canonical(meet(s1, s2), "meet")
+            assert_canonical(join(s1, s2), "join")
+            points = [random_point(rng, field, ambient) for _ in range(rng.randint(1, 4))]
+            assert_canonical(span(points), "span")
+            assert_canonical(project_subspace_from(s1, s2), "project_subspace_from")
+            members, planted = planted_family(rng, field, ambient, rng.randint(3, 6))
+            for member in members:
+                assert_canonical(member, "planted_family member")
+            assert_canonical(planted, "planted")
+            assert_canonical(common_subspace(members), "common_subspace")
+    assert min(checked.values()) >= 48, checked
+
+
 def counting_field(base, *args):
-    """A ``base`` field that counts its ``coerce`` and ``reduce`` calls in ``.calls``."""
+    """A ``base`` field that counts its ``coerce``, ``reduce`` and ``inv`` calls in ``.calls``."""
 
     class Counting(base):
         calls = Counter()
@@ -588,46 +647,63 @@ def counting_field(base, *args):
             self.calls["reduce"] += 1
             return super().reduce(x)
 
+        def inv(self, a):
+            self.calls["inv"] += 1
+            return super().inv(a)
+
     return Counting(*args)
 
 
 class TestEliminationWork:
     def test_rref_reduces_only_support_cells(self):
-        # pivot rows [1 . . 2 . .], [. . 1 . . .] and [. . . 1 . 5]: each support
-        # is reduced once to scale it and once per row it is subtracted from,
-        # 2 + 2 (row 1), 1, then 2 + 2 (row 0); the dense form reduces 30 cells
+        # pivot rows [1 . . 2 . .], [. . 4 . . .] and, once row 0 is subtracted
+        # from it, [. . . -6 . 5]: a pivot of 1 is not scaled, any other support is
+        # reduced once to scale it, and each support once per row it is subtracted
+        # from: 2 (row 1), 1, then 2 + 2 (row 0).  Over GF(7), -6 is 1, so its
+        # support is not scaled either.  The dense form reduces 30 cells.
         rows = [[1, 0, 0, 2, 0, 0], [3, 0, 0, 0, 0, 5], [0, 0, 4, 0, 0, 0]]
-        for field in (counting_field(PrimeField, 7), counting_field(RationalField)):
+        for field, reduces, invs in (
+            (counting_field(PrimeField, 7), 5, 1),
+            (counting_field(RationalField), 7, 2),
+        ):
             reduced, pivots = rref(rows, field)
             assert pivots == (0, 2, 3)
-            assert field.calls == {"coerce": 18, "reduce": 9}
+            assert field.calls == {"coerce": 18, "reduce": reduces, "inv": invs}
 
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
+        # the public rref coerces each input cell once; the operations pass
+        # canonical rows to _rref and coerce nothing
         cells = Counter()
-        original = projective.rref
+        original = projective._rref
 
-        def counting_cells(rows, field):
-            cells["rref"] += sum(len(row) for row in rows)
-            return original(rows, field)
+        def counting_cells(mat, field):
+            cells["_rref"] += sum(len(row) for row in mat)
+            return original(mat, field)
 
-        monkeypatch.setattr(projective, "rref", counting_cells)
+        for module in (projective, lemma52):
+            monkeypatch.setattr(module, "_rref", counting_cells)
         for field in (counting_field(PrimeField, 101), counting_field(RationalField)):
             rng = random.Random(52)
             members, planted = planted_family(rng, field, 5, 6)
             s1 = ProjSubspace.from_vectors(field, 5, [[1, 2, 0, 0, 3, 1], [0, 1, 1, 4, 0, 2]])
+            wide = [s1.reduce_vector(b) + list(b) for b in members[0].rows]
+            cells.clear()
+            field.calls.clear()
+            rref(wide, field)
+            assert cells["_rref"] == 48 and field.calls["coerce"] == 48
             cells.clear()
             field.calls.clear()
             met = meet(s1, members[0])
             # the four rows of a codimension-2 member, each as [b mod s1 | b]: 4 x 12 cells
-            assert cells["rref"] == 48 and field.calls["coerce"] == 48
+            assert cells["_rref"] == 48 and field.calls["coerce"] == 0
             assert members[0].contains_subspace(met) and s1.contains_subspace(met)
-            assert field.calls["coerce"] == 48
+            assert field.calls["coerce"] == 0
             cells.clear()
             field.calls.clear()
             assert common_subspace(members) == planted
             # one meet (48), four quotient rows of 3 cells for each of the six
             # members (72), and their six image points in the plane (18)
-            assert cells["rref"] == 48 + 72 + 18 and field.calls["coerce"] == 138
+            assert cells["_rref"] == 48 + 72 + 18 and field.calls["coerce"] == 0
 
 
 def test_reduce_vector_checks_the_length():
