@@ -3,7 +3,8 @@ codimension-2 subspaces that pairwise lie in hyperplanes and jointly span.
 
 Such a family is a set of distinct, non-collinear points of the quotient
 plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet and one
-projection per member, checking each member as it arrives;
+containment test per member, reading each member's point off its echelon
+rows and checking the member as it arrives;
 :func:`planted_family` builds seeded families around a
 planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
 of ``lowdeg lemma52`` before they start, in the same units of work.
@@ -15,11 +16,12 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, InputError, LowdegError
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
-from .projective import ProjPoint, ProjSubspace, _rref, meet, project_subspace_from
+from .projective import ProjPoint, ProjSubspace, _rref, meet
 
 # Draws random_subspace makes before it gives up on independent spanning vectors.
 MAX_REDRAWS = 1000
@@ -37,10 +39,16 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
     members project from Λ to distinct, non-collinear points of the quotient
     plane P^n / Λ.  That is what is checked, with no joins; Λ is returned.
 
+    A member s that contains Λ needs no elimination to give its point: Λ's
+    pivot columns are among s's, and s's one echelon row with another pivot
+    is zero on Λ's pivots and leads with 1 on a free column of Λ.  On those
+    free columns that row is the canonical image of s in P^n / Λ.
+
     The family is read once, in order, and each member is checked as it
     arrives: its field, ambient and codimension first, then, once members 0
-    and 1 have given Λ, its projection from Λ.  So the first fault found is
-    the first in that order, and no member after it is asked for.
+    and 1 have given Λ, that it contains Λ and where its point lies.  So the
+    first fault found is the first in that order, and no member after it is
+    asked for.
     """
     members = _shaped(subspaces)
     first_two = list(islice(members, 2))
@@ -54,15 +62,17 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
         raise ConfigurationError(
             f"subspaces 0 and 1 span all of P^{ambient}; they do not lie in a common hyperplane"
         )
+    lam_pivots = set(lam.pivot_columns)
+    # Λ has codimension 3, so it has three free columns and the getter gives a 3-tuple
+    free_columns = itemgetter(*(c for c in range(ambient + 1) if c not in lam_pivots))
     first_with_image: dict[tuple[Scalar, ...], int] = {}
     for i, s in enumerate(chain(first_two, members)):
-        # s contains lam exactly when its image is a single point
-        image = project_subspace_from(lam, s).rows
-        if len(image) != 1:
+        if not s.contains_subspace(lam):
             raise ConfigurationError(
                 f"subspace {i} does not contain the codimension-3 meet of subspaces 0 and 1"
             )
-        j = first_with_image.setdefault(image[0], i)
+        row = next(row for row, c in zip(s.rows, s.pivot_columns) if c not in lam_pivots)
+        j = first_with_image.setdefault(free_columns(row), i)
         if j != i:
             raise ConfigurationError(f"subspaces {j} and {i} coincide")
     images, _ = _rref([list(image) for image in first_with_image], lam.field)
@@ -171,7 +181,7 @@ def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit
     of a file, by a rule fitted to timed files over QQ and GF(2^31 - 1), where an
     entry costs more as it grows.  Raises InputError past ``limit``."""
     # 2 x R x (n + 1)^2 x (1 + G/1024)^2 units, in integers: a row costs (n + 1)^2 cell operations,
-    # a member at least n + 2 rows with its projection and fixed costs, and an operation costs more
+    # a member at least n + 2 rows with its containment test and fixed costs, and an operation costs more
     # as its G-bit entries grow.  Over QQ an echelon entry is a ratio of minors of the rows cleared
     # of denominators, so G can reach (n + 1) x B; over GF(p) entries stay below p.
     n = max((ambient for ambient, _ in members), default=0)

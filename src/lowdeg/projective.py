@@ -51,20 +51,26 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
 
 def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...]]:
     """:func:`rref` of a fresh list of equal-length lists of canonical
-    scalars, which it eliminates in place."""
+    scalars, which it eliminates in place.  The pivot of column c is the
+    first row from r on that is nonzero there, r the number of pivots so far."""
     if not mat:
         return (), ()
     width = len(mat[0])
+    height = len(mat)
     reduce = field.reduce
     one = field.one
     pivots: list[int] = []
     r = 0
     for c in range(width):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot_row is None:
+        for p in range(r, height):
+            if mat[p][c]:
+                break
+        else:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        row = mat[r]
+        row = mat[p]
+        if p != r:
+            mat[p] = mat[r]
+            mat[r] = row
         # rows r.. are zero before column c, so the pivot row is zero off its support
         support = [k for k in range(c, width) if row[k]]
         if row[c] != one:
@@ -78,9 +84,9 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
                     other[k] = reduce(other[k] - factor * row[k])
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == height:
             break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
 class ProjPoint:
@@ -222,9 +228,10 @@ class ProjSubspace:
         for row, c in zip(self.rows, self.pivot_columns):
             factor = v[c]
             if factor:
-                for k in range(c, len(v)):
-                    if row[k]:
-                        v[k] = reduce(v[k] - factor * row[k])
+                # the row is zero before its pivot c, so only cells from c on are reduced
+                for k, x in enumerate(row):
+                    if x:
+                        v[k] = reduce(v[k] - factor * x)
         return v
 
     def contains_point(self, point: ProjPoint) -> bool:

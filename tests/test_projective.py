@@ -701,9 +701,9 @@ class TestEliminationWork:
             cells.clear()
             field.calls.clear()
             assert common_subspace(members) == planted
-            # one meet (48), four quotient rows of 3 cells for each of the six
-            # members (72), and their six image points in the plane (18)
-            assert cells["_rref"] == 48 + 72 + 18 and field.calls["coerce"] == 0
+            # one meet (48) and the rank check of the six image points in the
+            # plane (18); each member's point is read off its echelon rows
+            assert cells["_rref"] == 48 + 18 and field.calls["coerce"] == 0
 
 
 def test_reduce_vector_checks_the_length():
