@@ -289,8 +289,6 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
             "violations": failures,
             "passed": not failures,
         }, None
-    if args.input is None:
-        raise InputError("lemma52 needs --input FILE or --random")
     field, members = subspaces_from_json(_read_input(args.input))
     lemma52.charge_input(field, members, MAX_LEMMA52_WORK)
     # a generator, so that member i + 1 is built only once member i has passed
@@ -433,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sg)
 
     p = sub.add_parser("lemma52", help="common codimension-3 subspace of a family")
-    p.add_argument("--input", default=None, help="subspaces JSON file, or - for stdin")
-    p.add_argument("--random", action="store_true", help="run randomized self-checks instead")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--input", help="subspaces JSON file, or - for stdin")
+    mode.add_argument("--random", action="store_true", help="run randomized self-checks instead")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mod", type=int, default=5, help="prime modulus for random mode")

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import io
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lowdeg
-from lowdeg.cli import build_parser, main
+from lowdeg.cli import FORMATS, build_parser, main
 from lowdeg.jsonio import canonical_dumps
 
 
@@ -29,6 +30,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, "--format", "json", *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert excinfo.value.code == 2 and out == ""
+    return err
 
 
 def assert_round_trips(out):
@@ -304,7 +313,9 @@ class TestSg:
 
 
 class TestLemma52:
-    def planted_file(self, tmp_path):
+    @staticmethod
+    def planted_file(tmp_path, modulus=None):
+        """Three members of P^4 through the line x2 = x3 = x4 = 0, over QQ or GF(modulus)."""
         rows = {
             "subspaces": [
                 {
@@ -333,7 +344,14 @@ class TestLemma52:
                 },
             ]
         }
-        path = tmp_path / "subspaces.json"
+        name = "subspaces.json"
+        if modulus is not None:
+            for member in rows["subspaces"]:
+                member["rows"] = [
+                    [{"val": int(x), "mod": modulus} for x in row] for row in member["rows"]
+                ]
+            name = f"subspaces-gf{modulus}.json"
+        path = tmp_path / name
         path.write_text(json.dumps(rows))
         return path
 
@@ -606,8 +624,16 @@ class TestLemma52:
         assert code == 2 and err.endswith(" + 9 x 1 redraws of quotient points), got 1097\n")
 
     def test_needs_input_or_random(self, capsys):
-        code, _, err = run(capsys, "lemma52")
-        assert code == 2 and "--input" in err
+        err = usage_error(capsys, ["lemma52"])
+        assert err.startswith("lowdeg lemma52: error: ") and err.count("\n") == 1
+        assert "--input" in err
+
+    def test_input_and_random_exclude_each_other(self, capsys):
+        # the file is never read: a missing one gives the same usage error
+        argv = ["lemma52", "--input", "/nonexistent.json", "--random", "--trials", "2"]
+        assert usage_error(capsys, argv) == (
+            "lowdeg lemma52: error: argument --random: not allowed with argument --input\n"
+        )
 
 
 def test_work_rules_price_the_readme_examples():
@@ -715,10 +741,16 @@ def imported_modules(importtime_log):
     return {line.rsplit("|", 1)[-1].strip() for line in importtime_log.splitlines()}
 
 
-def imported_lowdeg_modules(importtime_log):
-    """Module names from ``python -X importtime`` stderr that belong to lowdeg."""
-    names = imported_modules(importtime_log)
-    return {name for name in names if name == "lowdeg" or name.startswith("lowdeg.")}
+StartupRun = collections.namedtuple("StartupRun", "name fmt args stdout modules proc")
+"""One fresh run of the start-up table: subcommand (or ``import``), format,
+interpreter args, the stdout of ``main`` in this process, the expected lowdeg
+modules, and the finished process."""
+
+
+def lowdeg_modules(startup_run):
+    """The lowdeg modules that a start-up run's ``-X importtime`` log shows loaded."""
+    loaded = imported_modules(startup_run.proc.stderr)
+    return {name for name in loaded if name.partition(".")[0] == "lowdeg"}
 
 
 class TestHarness:
@@ -745,82 +777,126 @@ class TestHarness:
             assert excinfo.value.code == 0
             assert out.startswith("usage: lowdeg") and "options:" in out and err == ""
 
-    @staticmethod
-    def usage_error(capsys, argv):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert excinfo.value.code == 2 and out == ""
-        return err
-
     def test_long_invalid_value_is_cut(self, capsys):
         # argparse quotes the whole value; the line keeps its start, flag included, and its length
         message = "argument --delta: invalid int value: '" + "1" * 5000 + "'"
-        err = self.usage_error(capsys, ["pi", "--delta", "1" * 5000, "--ambient", "3"])
+        err = usage_error(capsys, ["pi", "--delta", "1" * 5000, "--ambient", "3"])
         assert err == f"lowdeg pi: error: {message[:120]}... (5039 characters)\n"
         assert "--delta" in err and len(err) < 200
         # a short message is passed on whole
-        err = self.usage_error(capsys, ["pi", "--delta", "x", "--ambient", "3"])
+        err = usage_error(capsys, ["pi", "--delta", "x", "--ambient", "3"])
         assert err == "lowdeg pi: error: argument --delta: invalid int value: 'x'\n"
 
     def test_long_unrecognized_arguments_are_cut(self, capsys):
         argv = ["pi", "--delta", "20", "--ambient", "12", "y" * 300]
-        err = self.usage_error(capsys, argv)
+        err = usage_error(capsys, argv)
         message = "unrecognized arguments: " + "y" * 300
         assert err == f"lowdeg: error: {message[:120]}... (324 characters)\n"
-        err = self.usage_error(capsys, argv[:-1] + ["y" * 20])
+        err = usage_error(capsys, argv[:-1] + ["y" * 20])
         assert err == f"lowdeg: error: unrecognized arguments: {'y' * 20}\n"
 
-    def test_module_entry_point(self):
-        proc = run_fresh(["-m", "lowdeg", "pi", "--delta", "20", "--ambient", "12"])
-        assert proc.returncode == 0 and proc.stdout == "8\n"
+    @pytest.fixture(scope="class")
+    def startup(self, tmp_path_factory):
+        """The start-up table, and one ``python -X importtime`` run of each of its rows.
 
-    def test_fresh_process_runs_every_subcommand(self, capsys, tmp_path):
-        # The handlers import what they run; an in-process run cannot miss an
-        # import, because this test session has already loaded every module.
+        Each row: a subcommand's argv and the lowdeg modules that a fresh
+        process running it loads beside lowdeg, lowdeg.cli and lowdeg.errors;
+        --format json adds lowdeg.jsonio.  A fresh process cannot borrow an
+        import from this test session, which has loaded every module.  The
+        lemma52 file is QQ for table output and GF(2^31 - 1) for JSON.  The
+        interpreters run once for the class; each test below reads them.
+        """
+        tmp_path = tmp_path_factory.mktemp("startup")
         sg_input = tmp_path / "points.json"
         points = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         sg_input.write_text(json.dumps({"ambient": 2, "points": points}))
-        lemma52_input = TestLemma52().planted_file(tmp_path)
-        runs = {
-            "pi": ["pi", "--delta", "20", "--ambient", "12"],
-            "bounds": ["bounds", "--d", "4", "--genus", "7", "--df"],
-            "profile": ["profile", "--d", "5", "--dagger"],
-            "df": ["df", "--d", "4", "--m", "1"],
-            "cone": ["cone", "--a", "1", "--b", "1"],
-            "classify": ["classify", "--d", "4"],
-            "audit": ["audit", "--d", "4"],
-            "sg": ["sg", "--input", str(sg_input)],
-            "lemma52": ["lemma52", "--input", str(lemma52_input)],
-            "sym2": ["sym2", "--modulus", "7", "--check"],
-            "rh": ["rh", "--source-genus", "1", "--ram-points", "4"],
+        lemma52_input = {
+            "table": str(TestLemma52.planted_file(tmp_path)),
+            "json": str(TestLemma52.planted_file(tmp_path, 2**31 - 1)),
         }
-        assert set(runs) == set(subcommands())
-        for argv in runs.values():
-            proc = run_fresh(["-m", "lowdeg", "--format", "json", *argv])
-            assert (proc.returncode, proc.stderr) == (0, ""), argv
-            assert proc.stdout == run(capsys, "--format", "json", *argv)[1]
+        lemma52 = {"fields", "jsonio", "lemma52", "projective"}
+        table = {
+            "pi": (["pi", "--delta", "20", "--ambient", "12"], {"numerology"}),
+            "bounds": (["bounds", "--d", "4", "--genus", "7", "--df"], {"numerology"}),
+            "profile": (["profile", "--d", "5", "--dagger"], {"numerology"}),
+            "rh": (["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"], {"numerology"}),
+            # df, cone and sym2 load numerology only for the MAX_INPUT of cli._check_magnitudes
+            "df": (["df", "--d", "4", "--m", "1"], {"numerology", "sym2_lattice"}),
+            "cone": (["cone", "--a", "5", "--b", "-1"], {"numerology", "sym2_lattice"}),
+            "sym2": (["sym2", "--modulus", "11", "--check"], {"numerology", "sym2_pairs"}),
+            "classify": (["classify", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
+            "audit": (["audit", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
+            "sg": (["sg", "--input", str(sg_input)], {"configurations", "sym2_pairs", *lemma52}),
+            "lemma52": (["lemma52", "--input", lemma52_input], lemma52),
+        }
+        runs = [("import", "", ["-c", "import lowdeg"], "", {"lowdeg"})]
+        cli_runs = [(fmt, argv, modules) for argv, modules in table.values() for fmt in FORMATS]
+        cli_runs.append(("json", ["lemma52", "--random", "--trials", "5"], lemma52))
+        for fmt, argv, modules in cli_runs:
+            argv = ["--format", fmt, *(a[fmt] if isinstance(a, dict) else a for a in argv)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+            modules = {"cli", "errors", *modules, *(["jsonio"] if fmt == "json" else [])}
+            expected = {"lowdeg", *(f"lowdeg.{m}" for m in modules)}
+            runs.append((argv[2], fmt, ["-m", "lowdeg", *argv], out.getvalue(), expected))
+        fresh = [
+            StartupRun(name, fmt, args, out, modules, run_fresh(["-X", "importtime", *args]))
+            for name, fmt, args, out, modules in runs
+        ]
+        return table, fresh
 
-    def test_numerology_commands_import_no_geometry(self):
-        proc = run_fresh(["-X", "importtime", "-c", "import lowdeg"])
-        assert imported_lowdeg_modules(proc.stderr) == {"lowdeg"}
-        geometry = {
-            "lowdeg.configurations", "lowdeg.lemma52", "lowdeg.sym2_pairs", "lowdeg.projective",
-            "lowdeg.classify", "lowdeg.sym2_lattice",
+    def test_each_subcommand_loads_exactly_its_modules(self, startup):
+        table, runs = startup
+        assert set(table) == set(subcommands())
+        assert len(runs) == 2 * len(table) + 2
+        for r in runs:
+            assert lowdeg_modules(r) == r.modules, r.args
+
+    def test_module_entry_point(self, startup):
+        _, runs = startup
+        (pi,) = (r for r in runs if (r.name, r.fmt) == ("pi", "table"))
+        assert (pi.proc.returncode, pi.proc.stdout) == (0, "8\n")
+
+    def test_fresh_process_runs_every_subcommand(self, startup):
+        # a fresh run prints what main prints in this process, and only
+        # -X importtime's own lines go to stderr
+        table, runs = startup
+        assert set(table) == set(subcommands())
+        for r in runs:
+            proc = r.proc
+            assert (proc.returncode, proc.stdout) == (0, r.stdout), (r.args, proc.stderr[-300:])
+            assert all(line.startswith("import time:") for line in proc.stderr.splitlines()), r.args
+
+    def test_numerology_commands_import_no_geometry(self, startup):
+        _, runs = startup
+        numerology = [r for r in runs if r.name in ("import", "pi", "bounds", "profile", "rh")]
+        assert len(numerology) == 9
+        allowed = {"lowdeg", "lowdeg.cli", "lowdeg.errors", "lowdeg.numerology", "lowdeg.jsonio"}
+        for r in numerology:
+            assert lowdeg_modules(r) == r.modules, r.args
+            assert r.modules <= allowed, r.args
+
+    def test_commands_outside_configurations_import_no_dataclasses(self, startup):
+        # standard modules that may load only with the lowdeg module that needs them
+        _, runs = startup
+        brought_in_by = {
+            "lowdeg.configurations": {"dataclasses", "inspect"},
+            "lowdeg.fields": {"fractions", "decimal"},
         }
-        for fmt, argv in itertools.product(
-            ("table", "json"),
-            (
-                ["pi", "--delta", "20", "--ambient", "12"],
-                ["bounds", "--d", "5", "--genus", "7", "--df"],
-                ["profile", "--d", "5", "--dagger"],
-                ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
-            ),
-        ):
-            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
-            assert proc.returncode == 0
-            loaded = imported_lowdeg_modules(proc.stderr)
-            assert "lowdeg.numerology" in loaded and not loaded & geometry, argv
+        for r in runs:
+            loaded = imported_modules(r.proc.stderr)
+            for owner, stdlib in brought_in_by.items():
+                assert owner in loaded or not loaded & stdlib, (r.args, loaded & stdlib)
+
+    def test_lemma52_and_sym2_import_only_their_own_gadget(self, startup):
+        # QQ input (table), GF(2^31 - 1) input (JSON), random lemma52, and sym2 in both formats
+        _, runs = startup
+        gadgets = [r for r in runs if r.name in ("lemma52", "sym2")]
+        assert len(gadgets) == 5
+        for r in gadgets:
+            assert lowdeg_modules(r) == r.modules, r.args
+            assert not r.modules & {"lowdeg.configurations", "lowdeg.classify"}, r.args
 
     def test_readers_import_no_geometry(self):
         # the readers decode and stop; building points and subspaces is the caller's
@@ -839,57 +915,6 @@ class TestHarness:
             "(GF(5), [(1, [[1, 2]])])\n"
             "['lowdeg', 'lowdeg.errors', 'lowdeg.fields', 'lowdeg.jsonio']\n"
         )
-
-    def test_commands_outside_configurations_import_no_dataclasses(self):
-        # only the configurations module, the Sylvester-Gallai gadget that sg runs,
-        # still builds dataclasses; commands that print no field element load no
-        # exact arithmetic
-        for fmt, argv in itertools.product(
-            ("table", "json"),
-            (
-                ["pi", "--delta", "20", "--ambient", "12"],
-                ["bounds", "--d", "5", "--genus", "7", "--df"],
-                ["profile", "--d", "5", "--dagger"],
-                ["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"],
-                ["df", "--d", "4", "--m", "1"],
-                ["cone", "--a", "5", "--b", "-1"],
-                ["classify", "--d", "5"],
-                ["audit", "--d", "5"],
-            ),
-        ):
-            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", fmt, *argv])
-            assert proc.returncode == 0
-            loaded = imported_modules(proc.stderr)
-            assert not loaded & {"dataclasses", "inspect"}, argv
-            assert not loaded & {"lowdeg.fields", "fractions", "decimal"}, (fmt, argv)
-
-    def test_lemma52_and_sym2_import_only_their_own_gadget(self, tmp_path):
-        # configurations (the Sylvester-Gallai gadget) builds dataclasses, which
-        # load inspect; lemma52 and sym2 import their own modules instead.  JSON
-        # output loads what table output does, and the serializer besides.
-        qq_input = TestLemma52().planted_file(tmp_path)
-        doc = json.loads(qq_input.read_text())
-        for member in doc["subspaces"]:
-            member["rows"] = [
-                [{"val": int(x), "mod": 2147483647} for x in row] for row in member["rows"]
-            ]
-        gf_input = tmp_path / "gf.json"
-        gf_input.write_text(json.dumps(doc))
-        lemma52_unused = {"lowdeg.configurations", "lowdeg.sym2_pairs", "dataclasses", "inspect"}
-        sym2_unused = {
-            "lowdeg.fields", "lowdeg.projective", "lowdeg.configurations", "lowdeg.lemma52",
-            "fractions", "dataclasses", "inspect",
-        }
-        for argv, module, unused in (
-            (["lemma52", "--input", str(qq_input)], "lowdeg.lemma52", lemma52_unused),
-            (["lemma52", "--input", str(gf_input)], "lowdeg.lemma52", lemma52_unused),
-            (["lemma52", "--random", "--trials", "5"], "lowdeg.lemma52", lemma52_unused),
-            (["sym2", "--modulus", "11", "--check"], "lowdeg.sym2_pairs", sym2_unused),
-        ):
-            proc = run_fresh(["-X", "importtime", "-m", "lowdeg", "--format", "json", *argv])
-            assert proc.returncode == 0, (argv, proc.stderr)
-            loaded = imported_modules(proc.stderr)
-            assert module in loaded and not loaded & unused, (argv, loaded & unused)
 
     def test_reader_closing_early_is_one_line_exit_1(self):
         # 10 000 rows overfill the pipe, so the writer is still blocked when the reader leaves

@@ -6,7 +6,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, combinations, islice, product
 
 import pytest
 
@@ -77,7 +77,10 @@ def planted_lines(rng, field, count):
     for _ in range(count):
         a, b = (random_point(rng, field, 2).coords for _ in range(2))
         for _ in range(rng.randint(3, 7)):
-            t = rng.randrange(field.p)
+            if field == QQ:
+                t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            else:
+                t = rng.randrange(field.p)
             raw = tuple(field.reduce(x + t * y) for x, y in zip(a, b))
             if any(raw):
                 point = ProjPoint(field, raw)
@@ -105,6 +108,19 @@ def counting_field(base, *args):
             return answer
 
     return Counting(*args)
+
+
+def keyed_lead_cases(config, lines):
+    """How often the anchored pass keys a pair (i, j) of a line of three or more
+    points at i, its first point, by each lead case: 0 when j leads where i
+    does, 1 when j leads later, -1 when j leads earlier."""
+    leads = [p.coords.index(1) for p in config.points]
+    return Counter(
+        (leads[j] > leads[line[0]]) - (leads[j] < leads[line[0]])
+        for line in lines
+        if len(line) >= 3
+        for j in line[1:]
+    )
 
 
 def triple_scan(config):
@@ -254,6 +270,36 @@ def perturbed_families(rng):
                 members = members[:2] + [m for m in extra if m.codim == 2]
             rng.shuffle(members)
             yield field, ambient, kind, members
+
+
+def plane_over(q):
+    """The q^2 + q + 1 points of P^2(GF(q)) as int triples led by a 1, in a
+    seeded order that mixes their lead indices, and each line, one per dual
+    vector, as the sorted indices of the points on it."""
+    points = [v for v in product(range(q), repeat=3) if any(v) and next(x for x in v if x) == 1]
+    random.Random(q).shuffle(points)
+    lines = [
+        [i for i, v in enumerate(points) if sum(a * b for a, b in zip(u, v)) % q == 0]
+        for u in points
+    ]
+    return points, lines
+
+
+def rank_mod(rows, p):
+    """The rank of the integer rows mod p, by plain elimination."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            top = rows[rank]
+            scale = pow(top[c], -1, p)
+            for r in range(rank + 1, len(rows)):
+                f = rows[r][c] * scale
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
+            rank += 1
+    return rank
 
 
 def random_invertible(rng, field, size):
@@ -455,6 +501,47 @@ class TestCommonSubspace:
                     assert join(moved_by(g, a), moved_by(g, b)) == moved_by(g, join(a, b))
                     reached[field] += 1
         assert len(reached) == 4 and min(reached.values()) >= 32, reached
+
+    def test_reduction_mod_p(self):
+        # A QQ family through Λ, its rows scaled to integers, read mod p.  A prime
+        # is skipped when the rank of Λ or of a member drops.  Otherwise each
+        # member still contains Λ mod p, and Lemma 5.2's other ranks decide:
+        # the reduced family is valid, with common subspace Λ mod p, exactly
+        # when each pair of members still spans a hyperplane and the whole
+        # family still spans P^n.
+        rng = random.Random(1913)
+        primes = (2, 3, 5, 7, 11, 101, 2**31 - 1)
+        outcomes, skipped = Counter(), Counter()
+        for _ in range(60):
+            ambient = rng.randint(3, 6)
+            members, planted = planted_family(rng, QQ, ambient, rng.randint(3, 6))
+            rows = [[lemma52._integral_row(row) for row in s.rows] for s in members]
+            lam_rows = [lemma52._integral_row(row) for row in planted.rows]
+            shapes = [(lam_rows, ambient - 2), *((r, ambient - 1) for r in rows)]
+            spans = [
+                *((a + b, ambient) for a, b in combinations(rows, 2)),
+                ([row for r in rows for row in r], ambient + 1),
+            ]
+            reached = 0
+            for p in primes:
+                if any(rank_mod(stack, p) != rank for stack, rank in shapes):
+                    skipped[p] += 1
+                    continue
+                field = PrimeField(p)
+                reduced = [ProjSubspace.from_vectors(field, ambient, r) for r in rows]
+                if all(rank_mod(stack, p) == rank for stack, rank in spans):
+                    expected = ProjSubspace.from_vectors(field, ambient, lam_rows)
+                    assert common_subspace(reduced) == expected, p
+                    outcomes["equal"] += 1
+                else:
+                    with pytest.raises(ConfigurationError):
+                        common_subspace(reduced)
+                    outcomes["rejected"] += 1
+                reached += 1
+            assert reached, "every prime was skipped"
+        # 222 equal, 46 rejected and 152 of the 420 skipped at this seed
+        assert outcomes["equal"] >= 200 and outcomes["rejected"] >= 40, outcomes
+        assert sum(skipped.values()) <= 60 * len(primes) // 2, skipped
 
     def test_one_meet_and_no_joins(self, monkeypatch):
         members, planted = planted_family(random.Random(40), PrimeField(101), 5, 40)
@@ -823,20 +910,79 @@ class TestSylvesterGallai:
                 points = [ProjPoint(field, first), *middle, ProjPoint(field, last)]
                 config = PointConfig(tuple(points))
                 expected, witness = triple_scan(config)
-                leads = [p.coords.index(1) for p in points]
-                # the pass keys (i, j) at i, the first point of their line:
-                # 0 for the same lead, 1 for q leading later, -1 for earlier
-                cases.update(
-                    (leads[j] > leads[line[0]]) - (leads[j] < leads[line[0]])
-                    for line in expected
-                    if len(line) >= 3
-                    for j in line[1:]
-                )
+                cases.update(keyed_lead_cases(config, expected))
                 assert maximal_lines(config) == expected
                 report = check_sylvester_gallai(config)
                 assert list(report.lines_by_size.items()) == sizes_in_order(expected)
                 assert report.witness == witness
             assert min(cases[0], cases[1], cases[-1]) >= 20, cases
+
+    def test_every_subset_of_the_smallest_planes(self):
+        # Every nonempty point set of P^2(GF(2)) and P^2(GF(3)), against its
+        # lines read off the incidences with the dual vectors, in plain ints:
+        # (fewer than 3 points, SG, SG and collinear, not SG) subsets.
+        expected = {2: (28, 8, 7, 91), 3: (91, 144, 65, 7956)}
+        for q, counts in expected.items():
+            coords, plane_lines = plane_over(q)
+            field = PrimeField(q)
+            points = [ProjPoint(field, v) for v in coords]
+            small = sg = collinear_sg = not_sg = 0
+            for mask in range(1, 2 ** len(coords)):
+                chosen = [i for i in range(len(coords)) if mask >> i & 1]
+                position = {i: k for k, i in enumerate(chosen)}
+                on = (tuple(position[i] for i in line if i in position) for line in plane_lines)
+                lines = sorted(line for line in on if len(line) >= 2)
+                config = PointConfig(tuple(points[i] for i in chosen))
+                assert maximal_lines(config) == tuple(lines), chosen
+                if len(chosen) < 3:
+                    with pytest.raises(ConfigurationError, match="need at least 3 points"):
+                        check_sylvester_gallai(config)
+                    small += 1
+                    continue
+                report = check_sylvester_gallai(config)
+                ordinary = [line for line in lines if len(line) == 2]
+                assert report.is_sylvester_gallai == (not ordinary), chosen
+                assert report.max_collinear == max(map(len, lines)), chosen
+                assert report.witness == (ordinary[0] if ordinary else None), chosen
+                if ordinary:
+                    not_sg += 1
+                else:
+                    sg += 1
+                    collinear_sg += len(lines) == 1
+            assert (small, sg, collinear_sg, not_sg) == counts, q
+
+    def test_report_is_invariant_under_pgl3_and_relabelling(self):
+        # g in GL(3) moves every point between the lead-index branches of the
+        # anchored pass, and a shuffle changes which point anchors each line;
+        # read back through the shuffle, the lines and the report do not move
+        rng = random.Random(3003)
+        reached, lead_cases = Counter(), Counter()
+        for field in (GF3, PrimeField(101), PrimeField(2**31 - 1), QQ):
+            for _ in range(25):
+                points = planted_lines(rng, field, rng.randint(2, 4))
+                g = random_invertible(rng, field, 3)
+                order = list(range(len(points)))
+                rng.shuffle(order)
+                images = [[sum(x * y for x, y in zip(row, p.coords)) for row in g] for p in points]
+                moved = PointConfig(tuple(ProjPoint(field, images[k]) for k in order))
+                config = PointConfig(tuple(points))
+                lines = maximal_lines(config)
+                moved_lines = maximal_lines(moved)
+                relabelled = sorted(tuple(sorted(order[m] for m in line)) for line in moved_lines)
+                assert tuple(relabelled) == lines
+                report, moved_report = check_sylvester_gallai(config), check_sylvester_gallai(moved)
+                assert moved_report.is_sylvester_gallai == report.is_sylvester_gallai
+                assert moved_report.max_collinear == report.max_collinear
+                assert moved_report.lines_by_size == report.lines_by_size
+                if moved_report.witness is not None:
+                    u, v = moved_report.witness
+                    others = (k for k in range(len(moved)) if k not in (u, v))
+                    assert not any(collinear(moved, u, v, k) for k in others)
+                lead_cases.update(keyed_lead_cases(moved, moved_lines))
+                reached[field] += 1
+        assert len(reached) == 4 and min(reached.values()) == 25, reached
+        # 1081 same-lead, 97 later-lead and 81 earlier-lead keys at this seed
+        assert min(lead_cases[0], lead_cases[1], lead_cases[-1]) >= 50, lead_cases
 
     def test_bookkeeping_is_small(self):
         # 60 points in general position: 1770 two-point lines and no per-pair
