@@ -17,7 +17,7 @@ import os
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .errors import InputError, LowdegError
+from .errors import MAX_INPUT, InputError, LowdegError
 
 FORMATS = ("table", "json")
 
@@ -32,13 +32,13 @@ MAX_SG_WORK = 30_000_000_000
 MAX_PROFILE_N = 10_000
 
 
-def _check_magnitudes(*flags: tuple[str, int]) -> None:
-    """Cap exact-integer flags at ``numerology.MAX_INPUT`` in absolute value:
-    past it the answers outgrow the digits ``str`` and ``json.dumps`` print."""
-    from .numerology import MAX_INPUT
-
-    for flag, value in flags:
-        if abs(value) > MAX_INPUT:
+def _check_magnitudes(args: argparse.Namespace) -> None:
+    """Cap every integer flag but ``--mod`` and ``--seed`` at ``MAX_INPUT`` in absolute value,
+    as the library caps its arguments: past it the answers outgrow the digits ``str`` and
+    ``json.dumps`` print.  ``--mod`` keeps ``PrimeField``'s 2**31 bound; any int is a seed."""
+    for dest, value in vars(args).items():
+        if type(value) is int and dest not in ("mod", "seed") and abs(value) > MAX_INPUT:
+            flag = "--" + dest.replace("_", "-")
             raise InputError(f"{flag} must be at most {MAX_INPUT} in absolute value")
 
 
@@ -182,7 +182,6 @@ def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
         pair,
     )
 
-    _check_magnitudes(("--d", args.d), ("--m", args.m))
     params = DFParams(args.d, args.m)
     cls = df_class(params)
     return {
@@ -200,7 +199,6 @@ def _cmd_df(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_cone(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from .sym2_lattice import SurfaceClass, adjunction_genus, is_effective, is_nef, pair
 
-    _check_magnitudes(("--a", args.a), ("--b", args.b))
     cls = SurfaceClass(args.a, args.b)
     return {
         "a": cls.a,
@@ -268,6 +266,12 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from .jsonio import subspace_to_json, subspaces_from_json
     from .projective import ProjSubspace
 
+    # the random-mode flags default to None, so that one given with --input is caught
+    for dest, default in (("trials", 200), ("seed", 0), ("mod", 5), ("ambient", 4), ("count", 4)):
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not args.random:
+            raise InputError(f"--{dest} needs --random")
     if args.random:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
@@ -315,7 +319,6 @@ def _cmd_lemma52(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 def _cmd_sym2(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     from . import sym2_pairs
 
-    _check_magnitudes(("--modulus", args.modulus))
     if args.check and args.modulus > MAX_CHECK_MODULUS:
         raise InputError(
             f"--check needs --modulus at most {MAX_CHECK_MODULUS}, got {args.modulus}"
@@ -434,11 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--input", help="subspaces JSON file, or - for stdin")
     mode.add_argument("--random", action="store_true", help="run randomized self-checks instead")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mod", type=int, default=5, help="prime modulus for random mode")
-    p.add_argument("--ambient", type=int, default=4, help="ambient dimension for random mode")
-    p.add_argument("--count", type=int, default=4, help="family size for random mode")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mod", type=int, help="prime modulus for random mode")
+    p.add_argument("--ambient", type=int, help="ambient dimension for random mode")
+    p.add_argument("--count", type=int, help="family size for random mode")
     p.set_defaults(handler=_cmd_lemma52)
 
     p = sub.add_parser("sym2", help="unordered-pairs model over Z/N")
@@ -474,6 +477,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         fmt = _resolve_format(args)
+        _check_magnitudes(args)
         data, table = args.handler(args)
     except InputError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and how their messages quote input."""
+"""Exception types shared across the package, how their messages quote input, and
+``MAX_INPUT``, the largest absolute value of an integer argument."""
+
+MAX_INPUT = 10**6
 
 
 class LowdegError(ValueError):

@@ -131,7 +131,7 @@ class PrimeField:
         if p >= PRIME_LIMIT:
             raise MixedFieldError(f"modulus {brief(p)} exceeds the 2**31 limit")
         if not is_prime(p):
-            raise MixedFieldError(f"modulus {p} is not prime")
+            raise MixedFieldError(f"modulus {brief(p)} is not prime")
         self.p = p
 
     def __eq__(self, other: object) -> bool:

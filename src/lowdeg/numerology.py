@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Union
 
-from .errors import LowdegError
-
-MAX_INPUT = 10**6
+from .errors import MAX_INPUT, LowdegError
 
 UNBOUNDED: Literal["unbounded"] = "unbounded"
 

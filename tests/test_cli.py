@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,18 +124,47 @@ class TestDfAndCone:
         data = run_json(capsys, "cone", "--a", "1000000", "--b", "-1000000")
         assert data["self_pairing"] == -(10**12)
         assert run_json(capsys, "df", "--d", "1000000", "--m", "1000000")["genus"] == 1
+        # every integer flag but --mod and --seed, beside small valid values of the
+        # command's other flags, with its exit codes at 10^6 and -10^6
         nines = "9" * 4000
-        for command, flag, other in (
-            ("cone", "--a", ["--b", "1"]),
-            ("cone", "--b", ["--a", "1"]),
-            ("df", "--d", ["--m", "1"]),
-            ("df", "--m", ["--d", "4"]),
-            ("sym2", "--modulus", []),
+        for argv, flag, codes in (
+            (["pi", "--ambient", "3"], "--delta", (0, 1)),
+            (["pi", "--delta", "20"], "--ambient", (0, 1)),
+            (["bounds"], "--d", (0, 1)),
+            (["bounds", "--d", "4"], "--genus", (0, 1)),
+            (["profile"], "--d", (2, 1)),
+            (["profile", "--d", "5"], "--r2", (1, 1)),
+            (["profile", "--d", "5"], "--nmax", (2, 1)),
+            (["cone", "--b", "1"], "--a", (0, 0)),
+            (["cone", "--a", "1"], "--b", (0, 0)),
+            (["df", "--m", "1"], "--d", (0, 1)),
+            (["df", "--d", "4"], "--m", (1, 1)),
+            (["classify"], "--d", (1, 1)),
+            (["audit"], "--d", (1, 1)),
+            (["sym2"], "--modulus", (0, 1)),
+            (["lemma52", "--random"], "--trials", (2, 2)),
+            (["lemma52", "--random", "--trials", "1"], "--ambient", (2, 1)),
+            (["lemma52", "--random", "--trials", "1"], "--count", (1, 1)),
+            (["rh", "--gy", "0", "--deg", "4", "--ram", "20"], "--gx", (0, 1)),
+            (["rh", "--gx", "7", "--deg", "4", "--ram", "20"], "--gy", (0, 1)),
+            (["rh", "--gx", "7", "--gy", "0", "--ram", "20"], "--deg", (0, 1)),
+            (["rh", "--gx", "7", "--gy", "0", "--deg", "4"], "--ram", (0, 0)),
+            (["rh", "--ram-points", "4"], "--source-genus", (0, 1)),
+            (["rh", "--source-genus", "1"], "--ram-points", (0, 1)),
         ):
+            for value, expected in zip(("1000000", "-1000000"), codes):
+                assert run(capsys, *argv, flag, value)[0] == expected, (flag, value)
             for value in ("1000001", "-1000001", nines, "-" + nines):
-                code, out, err = run(capsys, "--format", "json", command, flag, value, *other)
+                code, out, err = run(capsys, "--format", "json", *argv, flag, value)
                 assert code == 2 and out == "", (flag, value[:8])
                 assert err == f"{flag} must be at most 1000000 in absolute value\n"
+        # --seed takes any int; --mod keeps the field's own bound, and its message cuts the value
+        argv = ["lemma52", "--random", "--trials", "1"]
+        assert run_json(capsys, *argv, "--seed", nines)["passed"] is True
+        for value, reason in ((nines, "exceeds the 2**31 limit"), ("-" + nines, "is not prime")):
+            code, out, err = run(capsys, *argv, "--mod", value)
+            assert (code, out) == (1, "") and err.startswith(f"modulus {value[:5]}"), err[:100]
+            assert err.endswith(f" characters) {reason}\n") and len(err) < 200, err[-100:]
 
 
 class TestClassifyAndAudit:
@@ -275,6 +305,7 @@ class TestSg:
             (2, {"val": long, "mod": 5}, "cannot interpret '1111"),
             (2, {"val": 1, "mod": long}, "modulus must be an int, got '1111"),
             (2, {"val": 1, "mod": int(long[:4000])}, "modulus 1111"),
+            (2, {"val": 1, "mod": -int("9" * 4000)}, "modulus -9999"),
             (2, {"val": 1, "mod": 5, "k" * 5000: 0}, "prime-field value must have keys"),
             ("2" * 5000, "1", "bad ambient dimension '2222"),
         ):
@@ -623,6 +654,23 @@ class TestLemma52:
         code, out, err = run(capsys, *argv, "17")
         assert code == 2 and err.endswith(" + 9 x 1 redraws of quotient points), got 1097\n")
 
+    def test_random_flags_need_random(self, capsys, tmp_path):
+        # with --input, the first random-mode flag given, in the order --trials, --seed,
+        # --mod, --ambient, --count, is a usage error, even at its random-mode default
+        path = str(self.planted_file(tmp_path))
+        assert run(capsys, "lemma52", "--input", path)[0] == 0
+        for flags, first in (
+            (["--trials", "0", "--mod", "4", "--count", "1"], "--trials"),
+            (["--count", "1", "--ambient", "4", "--mod", "5", "--seed", "1", "--trials", "0"],
+             "--trials"),
+            (["--count", "4", "--ambient", "4", "--mod", "5", "--seed", "0"], "--seed"),
+            (["--count", "4", "--ambient", "3", "--mod", "5"], "--mod"),
+            (["--count", "1", "--ambient", "4"], "--ambient"),
+            (["--count", "4"], "--count"),
+        ):
+            code, out, err = run(capsys, "lemma52", "--input", path, *flags)
+            assert code == 2 and out == "" and err == f"{first} needs --random\n", flags
+
     def test_needs_input_or_random(self, capsys):
         err = usage_error(capsys, ["lemma52"])
         assert err.startswith("lowdeg lemma52: error: ") and err.count("\n") == 1
@@ -820,10 +868,9 @@ class TestHarness:
             "bounds": (["bounds", "--d", "4", "--genus", "7", "--df"], {"numerology"}),
             "profile": (["profile", "--d", "5", "--dagger"], {"numerology"}),
             "rh": (["rh", "--gx", "7", "--gy", "0", "--deg", "4", "--ram", "20"], {"numerology"}),
-            # df, cone and sym2 load numerology only for the MAX_INPUT of cli._check_magnitudes
-            "df": (["df", "--d", "4", "--m", "1"], {"numerology", "sym2_lattice"}),
-            "cone": (["cone", "--a", "5", "--b", "-1"], {"numerology", "sym2_lattice"}),
-            "sym2": (["sym2", "--modulus", "11", "--check"], {"numerology", "sym2_pairs"}),
+            "df": (["df", "--d", "4", "--m", "1"], {"sym2_lattice"}),
+            "cone": (["cone", "--a", "5", "--b", "-1"], {"sym2_lattice"}),
+            "sym2": (["sym2", "--modulus", "11", "--check"], {"sym2_pairs"}),
             "classify": (["classify", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
             "audit": (["audit", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
             "sg": (["sg", "--input", str(sg_input)], {"configurations", "sym2_pairs", *lemma52}),
@@ -1074,41 +1121,57 @@ FOUR_THOUSAND_NINES = int("9" * 4000)
 
 @st.composite
 def flag_argvs(draw):
-    """At most one flag out of range, so that most runs get to do work."""
+    """At most one flag out of range, so that most runs get to do work.  --seed takes
+    any int, so its one wild value is in range."""
     huge = [10**6 + 1, -(10**6) - 1, FOUR_THOUSAND_NINES, -FOUR_THOUSAND_NINES]
     ranges = {
         "--modulus": (st.integers(5, 12), [-2, 4, 257, 10**9, *huge]),
-        "--trials": (st.integers(1, 2), [0, -5, 10**9]),
-        "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000]),
-        "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9]),
-        "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40]),
-        "--nmax": (st.integers(2, 12), [-3, 0, 1, 10_001, 10**7]),
+        "--seed": (st.integers(0, 3), [FOUR_THOUSAND_NINES]),
+        "--trials": (st.integers(1, 2), [0, -5, 10**9, *huge]),
+        "--ambient": (st.integers(3, 6), [-2, 2, 17, 3000, *huge]),
+        "--count": (st.integers(3, 6), [-2, 1, 2, 17, 10**9, *huge]),
+        "--mod": (st.sampled_from([2, 3, 5, 101]), [-5, 0, 1, 4, 2**31, 10**40, *huge]),
+        "--nmax": (st.integers(2, 12), [-3, 0, 1, 10_001, 10**7, *huge]),
+        "--r2": (st.integers(2, 3), [-3, 0, 1, 6, *huge]),
         "--a": (st.integers(-20, 20), huge),
         "--b": (st.integers(-20, 20), huge),
         "--d": (st.integers(2, 12), [-3, 0, 1, *huge]),
         "--m": (st.integers(1, 2), [-3, 0, 13, *huge]),
+        "--delta": (st.integers(1, 40), [-3, 0, *huge]),
+        "--genus": (st.integers(2, 20), [-3, 0, 1, *huge]),
+        "--gx": (st.integers(0, 10), [-1, *huge]),
+        "--gy": (st.integers(0, 2), [-1, *huge]),
+        "--deg": (st.integers(1, 6), [-1, 0, *huge]),
+        "--ram": (st.integers(0, 30), [-1, 3, *huge]),
+        "--source-genus": (st.integers(0, 5), [-1, *huge]),
+        "--ram-points": (st.integers(0, 8), [-1, *huge]),
     }
-    command = draw(st.sampled_from(["sym2", "lemma52", "profile", "cone", "df"]))
-    flags = {
-        "sym2": ["--modulus"],
-        "lemma52": ["--trials", "--ambient", "--count", "--mod"],
-        "profile": ["--nmax"],
-        "cone": ["--a", "--b"],
-        "df": ["--d", "--m"],
-    }[command]
+    command, flags = draw(
+        st.sampled_from(
+            [
+                ("sym2", ["--modulus"]),
+                ("lemma52", ["--seed", "--trials", "--ambient", "--count", "--mod"]),
+                ("profile", ["--d", "--r2", "--nmax"]),
+                ("cone", ["--a", "--b"]),
+                ("df", ["--d", "--m"]),
+                ("pi", ["--delta", "--ambient"]),
+                ("bounds", ["--d", "--genus"]),
+                ("classify", ["--d"]),
+                ("audit", ["--d"]),
+                ("rh", ["--gx", "--gy", "--deg", "--ram"]),
+                ("rh", ["--source-genus", "--ram-points"]),
+            ]
+        )
+    )
     wild = draw(st.sampled_from([None, *flags]))
-    argv = []
+    argv = [command, *(["--random"] if command == "lemma52" else [])]
     for flag in flags:
         in_range, out_of_range = ranges[flag]
         value = draw(st.sampled_from(out_of_range) if flag == wild else in_range)
         argv += [flag, str(value)]
-    if command == "sym2":
-        return ["sym2", *argv] + (["--check"] if draw(st.booleans()) else [])
-    if command == "profile":
-        return ["profile", "--d", "5", *argv]
-    if command in ("cone", "df"):
-        return [command, *argv]
-    return ["lemma52", "--random", "--seed", str(draw(st.integers(0, 3))), *argv]
+    if command == "sym2" and draw(st.booleans()):
+        argv.append("--check")
+    return argv
 
 
 def run_in_process(argv, stdin=b""):
@@ -1127,6 +1190,8 @@ def run_guarded(argv, stdin=b""):
     code, _, errors = run_in_process(argv, stdin)
     assert code in (0, 1, 2)
     assert errors.count("\n") <= 1 and "Traceback" not in errors
+    # errors.brief quotes a value of up to 60 characters whole, and cuts a longer one to 40
+    assert not re.search(r"\d{61}", errors), errors[:100]
     assert (code == 0) == (errors == "")
     return code, errors
 
