@@ -6,9 +6,11 @@ groups the later points by their image there, skipping pairs already on an
 emitted line.  Points are scaled to a leading 1, so the image of a later
 point q is read off q - p when q leads where p does, off q itself when q
 leads later, and off q - q[k] p, with k the lead of p, only when q leads
-earlier.  Each line is found once at its first point, and the lines come out
-sorted with n^2 bytes of bookkeeping.  :func:`collinear` is the
-exact triple test (no tolerances anywhere).
+earlier.  The image is a ratio, and an anchor divides all of its pairs in one
+``Field.ratios`` batch, one modular inverse per anchor over GF(p).  Each line
+is found once at its first point, and the lines come out sorted with n^2
+bytes of bookkeeping.  :func:`collinear` is the exact triple test (no
+tolerances anywhere).
 
 The paper's other two gadgets live in their own modules, so that a command
 loads only its own: Lemma 5.2's common codimension-3 subspace in
@@ -150,17 +152,19 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     ``None`` when r[a] = 0.  The lead of q gives q[k] without arithmetic: when
     q leads at k too, q[k] = 1 and r = q - p; when q leads after k, q[k] = 0
     and r = q; only when q leads before k are the two products q[k] p[a] and
-    q[k] p[b] taken.  Each anchor i groups the later points j > i by the key,
-    skipping the pairs already known to share a line, so a line is found
-    once, at its first point.  The output is sorted by construction: the
-    anchors increase, and at one anchor the groups open in increasing order
-    of their second point.  What is kept from one anchor to the next is
-    one byte per pair of points.
+    q[k] p[b] taken.  Each anchor i collects (r[a], r[b]) for the later points
+    j > i, skipping the pairs already known to share a line, so a line is
+    found once, at its first point.  One ``ratios(rbs, ras)`` batch gives the
+    anchor all of its keys, one modular inverse over GF(p), and the points are
+    grouped by key in increasing j.  The output is sorted by construction:
+    the anchors increase, and at one anchor the groups open in increasing
+    order of their second point.  What is kept from one anchor to the next
+    is one byte per pair of points.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
     field = config.field
-    reduce, inv, is_zero = field.reduce, field.inv, field.is_zero
+    ratios = field.ratios
     coords = [p.coords for p in config.points]
     n = len(coords)
     # points are scaled so their first nonzero coordinate is 1
@@ -172,7 +176,7 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
         k = leads[i]
         a, b = (c for c in range(3) if c != k)
         pa, pb = p[a], p[b]
-        through_i: dict[Optional[Scalar], list[int]] = {}
+        later, ras, rbs = [], [], []
         for j in range(i + 1, n):
             if skip[j]:
                 continue
@@ -185,7 +189,13 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
             else:
                 t = q[k]
                 ra, rb = q[a] - t * pa, q[b] - t * pb
-            key = None if is_zero(ra) else reduce(rb * inv(ra))
+            later.append(j)
+            ras.append(ra)
+            rbs.append(rb)
+        if not later:
+            continue
+        through_i: dict[Optional[Scalar], list[int]] = {}
+        for j, key in zip(later, ratios(rbs, ras)):
             group = through_i.get(key)
             if group is None:
                 through_i[key] = [j]

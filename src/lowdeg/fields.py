@@ -6,14 +6,18 @@ values is equality of representations.  Prime-field values are plain ints in
 ``[0, p)``.  Arithmetic uses Python's operators; a field object supplies only
 what differs between the two kinds of scalars: ``coerce`` validates a value
 from outside, ``reduce`` maps an operator result to its canonical
-representative, and ``inv`` and ``is_zero``.  That keeps the matrix routines in
-:mod:`lowdeg.projective` generic over both.
+representative, ``inv`` inverts one value, ``ratios`` divides a batch of
+pairs, and ``is_zero`` tests a value for zero.  That keeps the matrix routines
+in :mod:`lowdeg.projective` and the Sylvester-Gallai pass in
+:mod:`lowdeg.configurations` generic over both.
 
 A canonical zero, ``Fraction(0)`` or the int ``0``, is falsy and every other
 canonical scalar is truthy, so code holding values from ``coerce`` or
-``reduce`` tests them for zero by truthiness.  ``is_zero`` remains for
-unreduced values, such as the differences of products in the Sylvester-Gallai
-pass, where any multiple of ``p``, not only ``0``, is zero in the field.
+``reduce`` tests them for zero by truthiness.  ``is_zero`` and ``ratios`` also
+take unreduced values, such as differences of products, where any multiple of
+``p``, not only ``0``, is zero in the field.  ``ratios`` is where the two
+kinds differ most: over GF(p) one modular inverse serves the whole batch
+(Montgomery's trick), while over QQ each pair is one ``Fraction`` division.
 
 Mixing scalars that belong to different fields is a contract violation and
 raises :class:`~lowdeg.errors.MixedFieldError`.
@@ -24,7 +28,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import MixedFieldError, brief
 
@@ -100,6 +104,13 @@ class RationalField:
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
 
+    def ratios(
+        self, nums: Sequence[Fraction], dens: Sequence[Fraction]
+    ) -> list[Optional[Fraction]]:
+        """``n / d`` for each pair of Fractions, ``None`` where ``d`` is zero:
+        one division a pair, which gives the reduced quotient directly."""
+        return [n / d if d else None for n, d in zip(nums, dens)]
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)
 
@@ -163,6 +174,33 @@ class PrimeField:
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
+
+    def ratios(self, nums: Sequence[int], dens: Sequence[int]) -> list[Optional[int]]:
+        """The canonical ``n / d`` for each pair, ``None`` where ``d`` is a multiple of p.
+
+        Montgomery's batch inversion (Math. Comp. 48, 1987): one ``pow``
+        inverts the product of the nonzero denominators, and a backward sweep
+        peels that inverse off one denominator at a time, three products a pair
+        instead of a ``pow`` each.
+        """
+        p = self.p
+        # before[i]: the product of the nonzero denominators ahead of pair i
+        before = []
+        product = 1
+        for d in dens:
+            before.append(product)
+            if d % p:
+                product = product * d % p
+        # while sweeping back: the inverse of the nonzero denominators' product up to pair i
+        inverse = pow(product, -1, p)
+        out: list[Optional[int]] = [None] * len(dens)
+        i = len(dens)
+        for d in reversed(dens):
+            i -= 1
+            if d % p:
+                out[i] = nums[i] * before[i] % p * inverse % p
+                inverse = inverse * d % p
+        return out
 
     def __repr__(self) -> str:
         return self.name

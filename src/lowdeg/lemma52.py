@@ -2,9 +2,10 @@
 codimension-2 subspaces that pairwise lie in hyperplanes and jointly span.
 
 Such a family is a set of distinct, non-collinear points of the quotient
-plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet and one
-containment test per member, reading each member's point off its echelon
-rows and checking the member as it arrives;
+plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet, the
+meet of members 0 and 1, and one containment test per later member,
+reading each member's point off its echelon rows and checking the member
+as it arrives;
 :func:`planted_family` builds seeded families around a
 planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
 of ``lowdeg lemma52`` before they start, in the same units of work.
@@ -48,7 +49,8 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
     arrives: its field, ambient and codimension first, then, once members 0
     and 1 have given Λ, that it contains Λ and where its point lies.  So the
     first fault found is the first in that order, and no member after it is
-    asked for.
+    asked for.  Members 0 and 1 contain their own meet, so only the later
+    members are tested for containment.
     """
     members = _shaped(subspaces)
     first_two = list(islice(members, 2))
@@ -67,7 +69,7 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
     free_columns = itemgetter(*(c for c in range(ambient + 1) if c not in lam_pivots))
     first_with_image: dict[tuple[Scalar, ...], int] = {}
     for i, s in enumerate(chain(first_two, members)):
-        if not s.contains_subspace(lam):
+        if i > 1 and not s.contains_subspace(lam):
             raise ConfigurationError(
                 f"subspace {i} does not contain the codimension-3 meet of subspaces 0 and 1"
             )

@@ -97,15 +97,35 @@ def sizes_in_order(lines):
 
 
 def counting_field(base, *args):
-    """A ``base`` field that logs every ``is_zero`` answer in ``.calls``."""
+    """A ``base`` field that logs what is asked of it: in ``.calls``, whether
+    each entry of every ``ratios`` batch is ``None``; in ``.batches``, each
+    batch's length; in ``.others``, the name of each ``inv``, ``reduce`` and
+    ``is_zero`` call.  ``reset`` empties the three logs."""
 
     class Counting(base):
-        calls = []
+        calls, batches, others = [], [], []
+
+        def reset(self):
+            for log in (self.calls, self.batches, self.others):
+                log.clear()
+
+        def ratios(self, nums, dens):
+            answers = super().ratios(nums, dens)
+            self.batches.append(len(answers))
+            self.calls.extend(answer is None for answer in answers)
+            return answers
+
+        def inv(self, a):
+            self.others.append("inv")
+            return super().inv(a)
+
+        def reduce(self, x):
+            self.others.append("reduce")
+            return super().reduce(x)
 
         def is_zero(self, a):
-            answer = super().is_zero(a)
-            self.calls.append(answer)
-            return answer
+            self.others.append("is_zero")
+            return super().is_zero(a)
 
     return Counting(*args)
 
@@ -809,21 +829,53 @@ class TestSylvesterGallai:
         assert rich >= 10  # inputs with a line of five or more points
 
     def test_each_line_is_keyed_once_per_later_point(self):
-        # a line of k points costs k - 1 keys, at its first point; each key
-        # asks is_zero once, and nothing else in the pass asks it
+        # a line of k points costs k - 1 keys, at its first point; each key is
+        # one entry of a ratios batch, and nothing else in the pass divides
         gf7 = counting_field(PrimeField, 7)
         plane = affine_plane(gf7)
         random.Random(7).shuffle(plane)
         config = PointConfig(tuple(plane))
-        gf7.calls.clear()
+        gf7.reset()
         lines = maximal_lines(config)
         assert len(lines) == 56 and all(len(line) == 7 for line in lines)
         assert len(gf7.calls) == 56 * 6
+        assert set(gf7.calls) == {True, False}
         qq = counting_field(RationalField)
         conic = PointConfig(tuple(ProjPoint(qq, (1, t, t * t)) for t in range(40)))
-        qq.calls.clear()
+        qq.reset()
         assert len(maximal_lines(conic)) == math.comb(40, 2)
         assert len(qq.calls) == math.comb(40, 2)
+        # (1, t, t^2) - (1, s, s^2) = (0, t - s, t^2 - s^2): never the None key
+        assert set(qq.calls) == {False}
+
+    def test_one_ratios_batch_per_anchor(self):
+        # the pass divides in one ratios batch per anchor at most, an empty one
+        # never, and asks the field for no single inverse, reduction or zero test
+        rng = random.Random(2323)
+        gf7, gf5, big, qq = (
+            counting_field(PrimeField, 7),
+            counting_field(PrimeField, 5),
+            counting_field(PrimeField, 2**31 - 1),
+            counting_field(RationalField),
+        )
+        configs = [
+            affine_plane(gf7),
+            projective_plane(gf5),
+            [ProjPoint(qq, (1, t, t * t)) for t in range(12)],
+            planted_lines(rng, big, 4),
+            planted_lines(rng, qq, 3),
+        ]
+        for points in configs:
+            rng.shuffle(points)
+            config = PointConfig(tuple(points))
+            field = config.field
+            n = len(config)
+            for scan in (maximal_lines, check_sylvester_gallai):
+                field.reset()
+                scan(config)
+                assert 1 <= len(field.batches) <= n - 1 and min(field.batches) >= 1
+                assert sum(field.batches) == len(field.calls)
+                assert field.others == []
 
     def test_whole_projective_planes_match_the_triple_scan(self):
         # every anchor lead index 0, 1 and 2 occurs, and both kinds of key:
@@ -835,7 +887,7 @@ class TestSylvesterGallai:
             rng.shuffle(points)
             config = PointConfig(tuple(points))
             assert {p.coords.index(1) for p in points} == {0, 1, 2}
-            field.calls.clear()
+            field.reset()
             lines = maximal_lines(config)
             assert set(field.calls) == {True, False}
             assert len(field.calls) == (q * q + q + 1) * q
@@ -874,7 +926,7 @@ class TestSylvesterGallai:
         assert {p.coords.index(1) for p in points} == {0, 1, 2}
         expected, witness = triple_scan(config)
         assert max(map(len, expected)) == 7  # the line x = 0
-        qq.calls.clear()
+        qq.reset()
         assert maximal_lines(config) == expected
         assert set(qq.calls) == {True, False}
         report = check_sylvester_gallai(config)
@@ -1139,6 +1191,34 @@ class TestSym2Model:
             two = two_divisor_check(model, subset)
             assert (two.violations, two.degrees) == scanning_two_divisor_check(model, subset)
             assert not two.violations
+
+    def test_builders_match_their_definitions(self):
+        # the references above take their divisors from lowdeg's builders; here
+        # they come from the docstring definitions, in plain ints: point(x) is
+        # every pair {x, y}, fiber(s) every pair {x, s - x}, pairs sorted mod N
+        checked = 0
+        for n in range(5, 41):
+            points = [{tuple(sorted((x, y))) for y in range(n)} for x in range(n)]
+            fibers = [{tuple(sorted((x, (s - x) % n))) for x in range(n)} for s in range(n)]
+            names = [f"point({x})" for x in range(n)] + [f"fiber({s})" for s in range(n)]
+            divisors = points + fibers
+            # point-point, point-fiber, then fiber-fiber violations, each in pair order
+            violations = ([], [], [])
+            for i, j in combinations(range(2 * n), 2):
+                kind = (i >= n) + (j >= n)
+                shared = len(divisors[i] & divisors[j])
+                expected = 0 if kind == 2 else 1
+                if shared != expected:
+                    violations[kind].append(
+                        f"|{names[i]} & {names[j]}| = {shared}, expected {expected}"
+                    )
+            model = sym2_model(n)
+            assert [pairs_containing(model, x) for x in range(n)] == points
+            assert [pairs_with_sum(model, s) for s in range(n)] == fibers
+            report = incidence_pairing_check(model)
+            assert report == (n, math.comb(2 * n, 2), tuple(chain(*violations)))
+            checked += 1
+        assert checked == 36
 
     def test_corrupted_models_match_the_reference(self, monkeypatch):
         """One or two divisors each gain or lose one pair; both checks must

@@ -113,6 +113,58 @@ class TestPrimeField:
             assert gf.reduce(a * gf.inv(a)) == gf.one
 
 
+
+def _ratio_entry(rng, field):
+    """One numerator or denominator as the Sylvester-Gallai pass makes them:
+    unreduced, often zero in the field, negative or past the modulus."""
+    if field == QQ:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(0)
+        num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 20))
+        return Fraction(num, 1 if kind == 1 else rng.randint(1, 10 ** rng.randint(1, 20)))
+    p = field.p
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-3, 3) * p  # zero in the field, the nonzero multiples too
+    if kind == 1:
+        return rng.randrange(p)
+    if kind == 2:
+        return -rng.randrange(1, p + 1)
+    if kind == 3:
+        return rng.randrange(p, p * p + p)  # a product of two representatives
+    return rng.randrange(-(p**2), p**2)
+
+
+def test_ratios_match_per_pair_division():
+    # each batch against reduce(n * inv(d)) pair by pair, None where d is zero in
+    # the field: the empty batch, batches of one, all-zero batches and mixed ones
+    rng = random.Random(2323)
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**31 - 1)):
+        answers = Counter()
+        batches = [([], []), ([field.one], [field.zero]), ([field.zero], [field.one])]
+        for length in (1, 1, 1, 5, *(rng.randint(2, 60) for _ in range(40))):
+            nums = [_ratio_entry(rng, field) for _ in range(length)]
+            dens = [_ratio_entry(rng, field) for _ in range(length)]
+            batches.append((nums, dens))
+            batches.append((nums, [d * 0 for d in dens]))  # all zero
+        if field != QQ:
+            p = field.p
+            batches.append(([1, -p, 2 * p + 1], [p, -5 * p, 0]))  # zero as any multiple of p
+        for nums, dens in batches:
+            got = field.ratios(nums, dens)
+            expected = [
+                None if field.is_zero(d) else field.reduce(n * field.inv(d))
+                for n, d in zip(nums, dens)
+            ]
+            assert got == expected, (field, nums, dens)
+            for answer in got:
+                if answer is not None:
+                    assert type(answer) is type(field.one) and field.coerce(answer) == answer
+                answers[answer is None] += 1
+        assert answers[True] >= 1000 and answers[False] >= 400, (field, answers)
+
+
 def test_is_prime_small_values():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
