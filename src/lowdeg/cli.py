@@ -45,6 +45,8 @@ def _check_magnitudes(args: argparse.Namespace) -> None:
 def _read_input(path: str) -> object:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise InputError("cannot read -: stdin is closed")
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as handle:

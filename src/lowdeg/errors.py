@@ -1,5 +1,7 @@
-"""Exception types shared across the package, how their messages quote input, and
-``MAX_INPUT``, the largest absolute value of an integer argument."""
+"""Exception types shared across the package, how their messages quote input,
+``MAX_INPUT``, the largest absolute value of an integer argument, and
+:class:`Value`, the base of the slotted value classes (every module imports
+this one, so the base adds no import)."""
 
 MAX_INPUT = 10**6
 
@@ -31,3 +33,30 @@ def brief(value: object) -> str:
     if len(text) <= 60:
         return text
     return f"{text[:40]}... ({len(text)} characters)"
+
+
+class Value:
+    """Base of the slotted value classes, whose ``_fields`` name their fields.
+
+    An instance equals another of the same class with equal fields, and
+    nothing else; it hashes as the tuple of its fields and prints as
+    ``Class(name=value, ...)``.  Values are immutable by convention.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

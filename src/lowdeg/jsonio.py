@@ -87,7 +87,7 @@ def points_from_json(obj: object) -> tuple[Field, list[list[Scalar]]]:
     field, rows = parse_matrix(obj["points"])
     for row in rows:
         if width is not None and len(row) != width:
-            raise LowdegError(f"point of length {len(row)} does not match ambient {ambient}")
+            raise LowdegError(f"point of length {len(row)} does not match ambient {brief(ambient)}")
     return field, rows
 
 
@@ -110,7 +110,7 @@ def subspaces_from_json(obj: object) -> tuple[Field | None, list[tuple[int, list
         for row in rows:
             if len(row) != ambient + 1:
                 raise AmbientMismatchError(
-                    f"vector of length {len(row)} cannot span inside P^{ambient}"
+                    f"vector of length {len(row)} cannot span inside P^{brief(ambient)}"
                 )
         # The first member fixes the field: a file over many primes stops at the second.
         field = member_field if field is None else require_same_field(field, member_field)

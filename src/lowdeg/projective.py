@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import AmbientMismatchError, LowdegError
+from .errors import AmbientMismatchError, LowdegError, Value
 from .fields import Field, Scalar, require_same_field
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -89,11 +89,11 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
     return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
-class ProjPoint:
+class ProjPoint(Value):
     """A point of P^n, stored as the one-row reduced echelon form of its
     nonzero homogeneous coordinates: the first nonzero entry is 1."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = _fields = ("field", "coords")
 
     def __init__(self, field: Field, coords: Sequence[Scalar]) -> None:
         rows, _ = rref([coords], field)
@@ -102,23 +102,12 @@ class ProjPoint:
         self.field = field
         self.coords = rows[0]
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(field={self.field!r}, coords={self.coords!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.field, self.coords) == (other.field, other.coords)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coords))
-
     @property
     def ambient(self) -> int:
         return len(self.coords) - 1
 
 
-class ProjSubspace:
+class ProjSubspace(Value):
     """A linear subspace of P^n in canonical reduced-echelon-basis form.
 
     ``rows`` must already be a reduced echelon basis with no zero rows; use
@@ -128,7 +117,8 @@ class ProjSubspace:
     ``field``, ``ambient`` and ``rows``.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivot_columns")
+    _fields = ("field", "ambient", "rows")
+    __slots__ = (*_fields, "pivot_columns")
 
     def __init__(self, field: Field, ambient: int, rows: Matrix) -> None:
         if ambient < 0:
@@ -161,20 +151,6 @@ class ProjSubspace:
         subspace.rows = rows
         subspace.pivot_columns = pivots
         return subspace
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(field={self.field!r}, ambient={self.ambient!r}, "
-            f"rows={self.rows!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.field, self.ambient, self.rows) == (other.field, other.ambient, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient, self.rows))
 
     @classmethod
     def from_vectors(

@@ -19,13 +19,13 @@ abundant degree-d points beyond covers of the line or of an elliptic curve.
 
 from __future__ import annotations
 
-from .errors import LowdegError
+from .errors import LowdegError, Value
 
 
-class SurfaceClass:
+class SurfaceClass(Value):
     """Integer class ``a*section + b*fiber`` in the numerical lattice."""
 
-    __slots__ = ("a", "b")
+    __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
         for name, v in (("a", a), ("b", b)):
@@ -33,17 +33,6 @@ class SurfaceClass:
                 raise LowdegError(f"{name} must be an integer, got {v!r}")
         self.a = a
         self.b = b
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         return SurfaceClass(self.a + other.a, self.b + other.b)
@@ -97,10 +86,10 @@ def adjunction_genus(c: SurfaceClass) -> int:
     return 1 + total // 2
 
 
-class DFParams:
+class DFParams(Value):
     """Parameters ``(d, m)`` of a Debarre-Fahlaoui class, ``1 <= m <= d``."""
 
-    __slots__ = ("d", "m")
+    __slots__ = _fields = ("d", "m")
 
     def __init__(self, d: int, m: int) -> None:
         for name, v in (("d", d), ("m", m)):
@@ -112,17 +101,6 @@ class DFParams:
             raise LowdegError(f"m must satisfy 1 <= m <= d = {d}, got {m}")
         self.d = d
         self.m = m
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(d={self.d!r}, m={self.m!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.d, self.m) == (other.d, other.m)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.d, self.m))
 
 
 def df_class(params: DFParams) -> SurfaceClass:

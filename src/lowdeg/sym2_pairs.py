@@ -14,15 +14,15 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Value
 
 Pair = tuple[int, int]
 
 
-class Sym2GroupModel:
+class Sym2GroupModel(Value):
     """Unordered pairs {x, y} over Z/N, diagonal included; N(N+1)/2 elements."""
 
-    __slots__ = ("modulus",)
+    __slots__ = _fields = ("modulus",)
 
     def __init__(self, modulus: int) -> None:
         if not isinstance(modulus, int) or isinstance(modulus, bool):
@@ -30,17 +30,6 @@ class Sym2GroupModel:
         if modulus < 5:
             raise ConfigurationError(f"modulus must be at least 5, got {modulus}")
         self.modulus = modulus
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(modulus={self.modulus!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus,))
 
     @property
     def size(self) -> int:

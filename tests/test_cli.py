@@ -308,6 +308,7 @@ class TestSg:
             (2, {"val": 1, "mod": -int("9" * 4000)}, "modulus -9999"),
             (2, {"val": 1, "mod": 5, "k" * 5000: 0}, "prime-field value must have keys"),
             ("2" * 5000, "1", "bad ambient dimension '2222"),
+            (int("9" * 4000), "1", "point of length 3 does not match ambient 9999"),
         ):
             points = [["0", "1", "0"], ["0", "0", "1"], [scalar, "0", "1"]]
             path.write_text(json.dumps({"ambient": ambient, "points": points}))
@@ -455,6 +456,19 @@ class TestLemma52:
         code, out, err = run(capsys, "lemma52", "--input", str(path))
         assert code == 1 and out == ""
         assert err == "subspace 3 does not contain the codimension-3 meet of subspaces 0 and 1\n"
+
+    def test_long_ambient_is_quoted_short(self, capsys, tmp_path):
+        path = tmp_path / "ambient.json"
+        for ambient in (4, int("9" * 4000)):
+            path.write_text(json.dumps({"subspaces": [{"ambient": ambient, "rows": [["1", "0"]]}]}))
+            code, out, err = run(capsys, "lemma52", "--input", str(path))
+            assert code == 1 and out == ""
+            if ambient == 4:
+                assert err == "vector of length 2 cannot span inside P^4\n"
+            else:
+                start = "vector of length 2 cannot span inside P^9999"
+                assert err.startswith(start) and err.endswith(" (4000 characters)\n"), err[:100]
+                assert err.count("\n") == 1 and len(err) < 200
 
     def test_one_field_per_file(self, capsys, tmp_path):
         # 60 members of P^0, each over its own prime near 2^31: the reader stops
@@ -999,6 +1013,15 @@ class TestHarness:
         )
         assert proc.returncode == 1
         assert_one_write_error_line(proc.stderr)
+
+    def test_closed_stdin_is_one_line_exit_2(self):
+        for command in ("sg", "lemma52"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lowdeg", command, "--input", "-"],
+                capture_output=True, text=True, env=fresh_env(), preexec_fn=lambda: os.close(0),
+            )
+            assert (proc.returncode, proc.stdout) == (2, ""), command
+            assert proc.stderr == "cannot read -: stdin is closed\n", command
 
     def test_env_var_sets_default_format(self, capsys, monkeypatch):
         monkeypatch.setenv("LOWDEG_FORMAT", "json")

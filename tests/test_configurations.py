@@ -322,6 +322,68 @@ def rank_mod(rows, p):
     return rank
 
 
+def span_points(vectors, q):
+    """The points of the span of the int vectors over GF(q), each scaled to a
+    leading 1, by running over every combination."""
+    points = set()
+    for coeffs in product(range(q), repeat=len(vectors)):
+        v = [sum(c * x for c, x in zip(coeffs, column)) % q for column in zip(*vectors)]
+        if any(v):
+            scale = pow(next(x for x in v if x), -1, q)
+            points.add(tuple(x * scale % q for x in v))
+    return frozenset(points)
+
+
+def codim2_subspaces(q, n):
+    """Every codimension-2 subspace of P^n(GF(q)), as (n - 1 spanning points,
+    point set) pairs, found as the spans of independent point tuples."""
+    points = [v for v in product(range(q), repeat=n + 1) if any(v) and next(x for x in v if x) == 1]
+    size = (q ** (n - 1) - 1) // (q - 1)
+    found = {}
+    for spanning in combinations(points, n - 1):
+        pts = span_points(spanning, q)
+        if len(pts) == size:
+            found.setdefault(pts, spanning)
+    return [(spanning, pts) for pts, spanning in found.items()]
+
+
+def lemma52_hypotheses_hold(point_sets, q, n):
+    """Lemma 5.2's hypotheses on the members' point sets: the members are
+    distinct, any two meet in at least a codimension-3 subspace (a point count),
+    and the union of their points spans P^n."""
+    codim3_size = (q ** (n - 2) - 1) // (q - 1)
+    return (
+        len(set(point_sets)) == len(point_sets)
+        and all(len(a & b) >= codim3_size for a, b in combinations(point_sets, 2))
+        and rank_mod(list(frozenset().union(*point_sets)), q) == n + 1
+    )
+
+
+class Lemma52Oracle:
+    """Runs :func:`common_subspace` on families of the codimension-2 subspaces
+    of P^n(GF(q)), given by index, against the lemma as stated, counting the
+    families returned and the raised messages with their digits masked."""
+
+    def __init__(self, q, n):
+        self.q, self.n = q, n
+        self.subspaces = codim2_subspaces(q, n)
+        field = PrimeField(q)
+        self.members = [ProjSubspace.from_vectors(field, n, v) for v, _ in self.subspaces]
+        self.returned, self.raised = 0, Counter()
+
+    def check(self, family):
+        point_sets = [self.subspaces[i][1] for i in family]
+        members = [self.members[i] for i in family]
+        if lemma52_hypotheses_hold(point_sets, self.q, self.n):
+            lam = common_subspace(members)
+            assert span_points(lam.rows, self.q) == frozenset.intersection(*point_sets), family
+            self.returned += 1
+        else:
+            with pytest.raises(ConfigurationError) as excinfo:
+                common_subspace(members)
+            self.raised[re.sub(r"\d+", "#", str(excinfo.value))] += 1
+
+
 def random_invertible(rng, field, size):
     """A random matrix of GL(size) over the field, as rows of small integers."""
     while True:
@@ -602,6 +664,40 @@ class TestCommonSubspace:
             with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
                 common_subspace(family(*first))
         assert common_subspace(iter(members)) == planted
+
+    def test_every_three_lines_of_p3_over_gf2(self):
+        # Lemma 5.2 as stated, on point sets: 15 points x 28 non-coplanar
+        # triples of lines through each give the 420 passing families
+        oracle = Lemma52Oracle(2, 3)
+        assert len(oracle.subspaces) == 35
+        for family in combinations(range(35), 3):
+            oracle.check(family)
+        assert oracle.returned == 420 and sum(oracle.raised.values()) == 6545 - 420
+
+    def test_sampled_families_over_the_smallest_fields(self):
+        # Seeded 4-sets of lines of P^3(GF(2)), then families over P^3(GF(3))
+        # and P^4(GF(2)): half drawn uniformly, half drawn with repeats from the
+        # members through one codimension-3 subspace, so that passing families,
+        # duplicates and collinear images all occur
+        rng = random.Random(5252)
+        oracle = Lemma52Oracle(2, 3)
+        for _ in range(4000):
+            oracle.check(rng.sample(range(35), 4))
+        assert oracle.returned >= 30 and sum(oracle.raised.values()) >= 3800
+        for q, n, count in ((3, 3, 130), (2, 4, 155)):
+            oracle = Lemma52Oracle(q, n)
+            assert len(oracle.subspaces) == count
+            points = sorted(frozenset().union(*(pts for _, pts in oracle.subspaces)))
+            for trial in range(1000):
+                size = rng.randint(3, 5)
+                if trial % 2:
+                    oracle.check(rng.sample(range(count), size))
+                    continue
+                center = span_points(rng.sample(points, n - 2), q)
+                through_center = [i for i, (_, pts) in enumerate(oracle.subspaces) if center <= pts]
+                oracle.check(rng.choices(through_center, k=size))
+            assert oracle.returned >= 120 and sum(oracle.raised.values()) >= 600, (q, n)
+            assert len(oracle.raised) == 4, oracle.raised
 
     def test_mixed_fields_rejected(self):
         sq = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])

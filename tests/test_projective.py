@@ -23,6 +23,8 @@ from lowdeg.projective import (
     rref,
     span,
 )
+from lowdeg.sym2_lattice import DFParams, df_class
+from lowdeg.sym2_pairs import sym2_model
 
 GF5 = PrimeField(5)
 GF101 = PrimeField(101)
@@ -483,6 +485,49 @@ def test_value_classes_compare_hash_and_print_their_fields():
         pass
 
     assert GF5 == PrimeField(5) and GF5 != Subfield(5) and p != (GF5, (0, 1, 3))
+
+
+SUBSPACE_ROWS = ((1, 0, 0, 4), (0, 1, 3, 0))
+# Per value class: a builder taking the class (or a subclass of it), an equal
+# instance built another way, the field tuple, and the exact repr.
+VALUE_TABLE = [
+    (
+        lambda cls: cls(GF5, [0, 2, 1]),
+        ProjPoint(GF5, [0, 4, 2]),
+        (GF5, (0, 1, 3)),
+        "ProjPoint(field=GF(5), coords=(0, 1, 3))",
+    ),
+    (
+        lambda cls: cls.from_vectors(GF5, 3, [[0, 2, 1, 0], [1, 0, 0, 4]]),
+        ProjSubspace._canonical(GF5, 3, SUBSPACE_ROWS, ()),  # pivots are not a field
+        (GF5, 3, SUBSPACE_ROWS),
+        "ProjSubspace(field=GF(5), ambient=3, rows=((1, 0, 0, 4), (0, 1, 3, 0)))",
+    ),
+    (
+        lambda cls: cls(5, -1),
+        df_class(DFParams(4, 1)),
+        (5, -1),
+        "SurfaceClass(a=5, b=-1)",
+    ),
+    (lambda cls: cls(4, 1), DFParams(4, 1), (4, 1), "DFParams(d=4, m=1)"),
+    (lambda cls: cls(7), sym2_model(7), (7,), "Sym2GroupModel(modulus=7)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, equal, fields, text", VALUE_TABLE, ids=[type(row[1]).__name__ for row in VALUE_TABLE]
+)
+def test_value_class_rule(build, equal, fields, text):
+    """Every value class: equal to an equal instance, hashed as its field
+    tuple, printed exactly, unequal to a subclass instance with the same fields
+    and to the tuple itself, and slotted all the way down."""
+    cls = type(equal)
+    x = build(cls)
+    assert x == equal and equal == x and hash(x) == hash(equal) == hash(fields)
+    assert repr(x) == text
+    sub = build(type("Sub", (cls,), {"__slots__": ()}))
+    assert x != sub and sub != x and x != fields and fields != x
+    assert not hasattr(x, "__dict__")
 
 
 # ---------------------------------------------------------------------------
