@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import LowdegError
+from .errors import LowdegError, brief
 from .numerology import castelnuovo_pi, genus_bound_main
 from .sym2_lattice import DFParams, df_class, df_genus, is_effective
 
@@ -92,7 +92,7 @@ def classify(d: int, arithmetic: bool = True) -> list[ClassificationCase]:
     """
     if not isinstance(d, int) or isinstance(d, bool) or not 2 <= d <= 5:
         raise LowdegError(
-            f"the classification is only available for 2 <= d <= 5, got {d!r} "
+            f"the classification is only available for 2 <= d <= 5, got {brief(d)} "
             f"(degree 6 is open)"
         )
     cases = _cover_cases(d, arithmetic)

@@ -370,7 +370,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse with one-line usage errors: ``<prog>: error: <message>``, exit 2.
     Subparsers are built from the same class.  argparse quotes most offending
     values, but not unrecognized arguments, so newlines in those become spaces.
-    It quotes them whole, so a long line is cut as ``errors.brief`` cuts a value."""
+    It quotes them whole, so a line past 200 characters keeps its first 120 and its length."""
 
     def error(self, message: str) -> NoReturn:
         line = message.replace("\n", " ")

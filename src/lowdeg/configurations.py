@@ -79,7 +79,7 @@ def collinear(config: PointConfig, i: int, j: int, k: int) -> bool:
     if config.ambient != 2:
         raise ConfigurationError("collinearity checks require points in the plane")
     pts = config.points
-    return config.field.is_zero(_det3(config.field, pts[i].coords, pts[j].coords, pts[k].coords))
+    return not _det3(config.field, pts[i].coords, pts[j].coords, pts[k].coords)
 
 
 @dataclass(frozen=True)

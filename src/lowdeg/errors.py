@@ -1,7 +1,7 @@
-"""Exception types shared across the package, how their messages quote input,
-``MAX_INPUT``, the largest absolute value of an integer argument, and
-:class:`Value`, the base of the slotted value classes (every module imports
-this one, so the base adds no import)."""
+"""Exception types shared across the package, how their messages quote input (:func:`brief`),
+the one integer-argument rule :func:`check_int`, ``MAX_INPUT``, the bound on the integer
+arguments of :mod:`lowdeg.numerology`, and :class:`Value`, the base of the slotted value
+classes (every module imports this one, so what it defines adds no import)."""
 
 MAX_INPUT = 10**6
 
@@ -28,11 +28,27 @@ class InputError(Exception):
 
 def brief(value: object) -> str:
     """``repr(value)`` for an error message, cut to a prefix and its length
-    when it is long, so that a message quoting an input stays one short line."""
-    text = repr(value)
+    when it is long, so that a message quoting an input stays one short line.
+    An int past Python's int-to-str digit limit, which ``repr`` refuses, is quoted by its size."""
+    try:
+        text = repr(value)
+    except ValueError:  # such an int, or a value that holds one
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else " too long to print"
+        return f"<{type(value).__name__}{size}>"
     if len(text) <= 60:
         return text
     return f"{text[:40]}... ({len(text)} characters)"
+
+
+def check_int(name: str, value: object, low=None, high=None, error=LowdegError) -> int:
+    """``value`` if it is an int, not a bool, at least ``low`` and, when given with ``low``, at
+    most ``high``; else raise ``error``, naming ``name`` and quoting ``value`` with :func:`brief`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {brief(value)}")
+    if low is not None and value < low or high is not None and value > high:
+        rule = f"be at least {low}" if high is None else f"be in [{low}, {high}]"
+        raise error(f"{name} must {rule}, got {brief(value)}")
+    return value
 
 
 class Value:

@@ -20,7 +20,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigurationError, InputError, LowdegError
+from .errors import ConfigurationError, InputError, LowdegError, brief
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .projective import ProjPoint, ProjSubspace, _rref, meet
 
@@ -110,7 +110,7 @@ def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar
             vec: list[Scalar] = [rng.randrange(field.p) for _ in range(length)]
         else:
             vec = [Fraction(rng.randint(-9, 9)) for _ in range(length)]
-        if any(not field.is_zero(x) for x in vec):
+        if any(vec):
             return vec
 
 
@@ -122,7 +122,7 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
     """Uniform-ish subspace of the requested projective dimension (resamples
     until the spanning vectors are independent, at most ``MAX_REDRAWS`` times)."""
     if not -1 <= dim <= ambient:
-        raise LowdegError(f"dimension {dim} out of range for P^{ambient}")
+        raise LowdegError(f"dimension {brief(dim)} out of range for P^{ambient}")
     if dim == -1:
         return ProjSubspace.empty(field, ambient)
     for _ in range(MAX_REDRAWS):
@@ -139,11 +139,11 @@ def _check_family_shape(field: Field, ambient: int, count: int) -> None:
     if ambient < 3:
         raise ConfigurationError("need ambient dimension at least 3")
     if count < 3:
-        raise ConfigurationError(f"need at least three members to span P^{ambient}, got {count}")
+        raise ConfigurationError(f"need at least three members to span P^{ambient}, got {brief(count)}")
     if isinstance(field, PrimeField) and count > field.p**2 + field.p + 1:
         raise ConfigurationError(
             f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
-            f"codimension-3 subspace, got {count}"
+            f"codimension-3 subspace, got {brief(count)}"
         )
 
 
@@ -158,7 +158,7 @@ def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limi
     if work > limit:
         raise InputError(
             f"lemma52 --random takes at most {limit} units of work, "
-            f"--trials x --count x (--ambient + 1)^3, got {work}"
+            f"--trials x --count x (--ambient + 1)^3, got {brief(work)}"
         )
     n = field.p**2 + field.p + 1
     redraws = sum(n // (n - i) for i in range(count)) - count
@@ -167,7 +167,7 @@ def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limi
         raise InputError(
             f"lemma52 --random takes at most {limit} units of work, "
             f"--trials x (--count x (--ambient + 1)^3 + {DRAW_WORK} x {redraws} "
-            f"redraws of quotient points), got {work}"
+            f"redraws of quotient points), got {brief(work)}"
         )
     return work
 
@@ -231,7 +231,7 @@ def planted_family(
     while len(points) < count:
         # one nonzero row of canonical scalars: its echelon form is the point
         point = _rref([_random_vector(rng, field, 3)], field)[0][0]
-        on_first_line = len(points) == 2 and field.is_zero(_det3(field, *points, point))
+        on_first_line = len(points) == 2 and not _det3(field, *points, point)
         if point not in points and not on_first_line:
             points[point] = None
     free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]

@@ -21,17 +21,9 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Union
 
-from .errors import MAX_INPUT, LowdegError
+from .errors import MAX_INPUT, LowdegError, brief, check_int
 
 UNBOUNDED: Literal["unbounded"] = "unbounded"
-
-
-def _check_int(name: str, value: object, low: int, high: int = MAX_INPUT) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise LowdegError(f"{name} must be an integer, got {value!r}")
-    if value < low or value > high:
-        raise LowdegError(f"{name} must be in [{low}, {high}], got {value}")
-    return value
 
 
 def castelnuovo_pi(delta: int, n: int) -> int:
@@ -40,8 +32,8 @@ def castelnuovo_pi(delta: int, n: int) -> int:
     Writing ``delta - 1 = m*(n - 1) + eps`` with ``0 <= eps < n - 1``, the
     bound is ``m*(m - 1)/2 * (n - 1) + m*eps``.
     """
-    _check_int("delta", delta, 1)
-    _check_int("n", n, 2)
+    check_int("delta", delta, 1, MAX_INPUT)
+    check_int("n", n, 2, MAX_INPUT)
     m, eps = divmod(delta - 1, n - 1)
     return m * (m - 1) * (n - 1) // 2 + m * eps
 
@@ -70,7 +62,7 @@ class GenusBoundReport(NamedTuple):
 
 def genus_bound_main(d: int) -> GenusBoundReport:
     """Two-branch genus ceiling: d(d-1)/2 + 1 versus 3m(m-1) + m*eps."""
-    _check_int("d", d, 2)
+    check_int("d", d, 2, MAX_INPUT)
     m = (d + 1) // 2 - 1
     epsilon = 3 * d - 1 - 6 * m
     bound_dagger = d * (d - 1) // 2 + 1
@@ -96,9 +88,9 @@ def genus_bound_main(d: int) -> GenusBoundReport:
 def genus_bound_special(e: int, r: int, d: int) -> int:
     """Genus ceiling for a degree-e curve in P^r carrying infinitely many
     nondegenerate degree-d points: the Castelnuovo value at (e + 2d, 2r + 1)."""
-    _check_int("e", e, 1)
-    _check_int("r", r, 2)
-    _check_int("d", d, 1)
+    check_int("e", e, 1, MAX_INPUT)
+    check_int("r", r, 2, MAX_INPUT)
+    check_int("d", d, 1, MAX_INPUT)
     return castelnuovo_pi(e + 2 * d, 2 * r + 1)
 
 
@@ -123,8 +115,8 @@ def gonality_bounds(
     2d - 2 otherwise.  The genus-based ceilings floor((g+3)/2) (geometric)
     and 2g - 2 (over the ground field) always apply.
     """
-    _check_int("d", d, 2)
-    _check_int("g", g, 2)
+    check_int("d", d, 2, MAX_INPUT)
+    check_int("g", g, 2, MAX_INPUT)
     if elliptic_cover:
         airr_based = 2 * d
     elif debarre_fahlaoui:
@@ -150,8 +142,8 @@ def riemann_hurwitz_min_degree(g_base: int, total_ram_points: int) -> Union[int,
     totally ramified points the inequality imposes nothing and the result is
     ``"unbounded"``.  A genus-1 source with four such points forces degree 2.
     """
-    _check_int("g_base", g_base, 0)
-    _check_int("total_ram_points", total_ram_points, 0)
+    check_int("g_base", g_base, 0, MAX_INPUT)
+    check_int("total_ram_points", total_ram_points, 0, MAX_INPUT)
     t = total_ram_points
     if t <= 2:
         return UNBOUNDED
@@ -164,11 +156,10 @@ def riemann_hurwitz_check(g_x: int, g_y: int, degree: int, ram_excess: int) -> b
     The excess must be a nonnegative even integer for the data to describe a
     cover of smooth curves.
     """
-    _check_int("g_x", g_x, 0)
-    _check_int("g_y", g_y, 0)
-    _check_int("degree", degree, 1)
-    if not isinstance(ram_excess, int) or isinstance(ram_excess, bool):
-        raise LowdegError(f"ram_excess must be an integer, got {ram_excess!r}")
+    check_int("g_x", g_x, 0, MAX_INPUT)
+    check_int("g_y", g_y, 0, MAX_INPUT)
+    check_int("degree", degree, 1, MAX_INPUT)
+    check_int("ram_excess", ram_excess)
     if ram_excess < 0 or ram_excess % 2 != 0:
         return False
     return 2 * g_x - 2 == degree * (2 * g_y - 2) + ram_excess
@@ -193,7 +184,7 @@ class ConfigProfile(NamedTuple):
 
     def _index(self, n: int) -> int:
         if not 2 <= n <= self.n_max:
-            raise LowdegError(f"n must be in [2, {self.n_max}], got {n}")
+            raise LowdegError(f"n must be in [2, {self.n_max}], got {brief(n)}")
         return n - 2
 
     def r(self, n: int) -> int:
@@ -223,9 +214,9 @@ def rs_profile(d: int, n_max: int, dagger: bool, r2: int) -> ConfigProfile:
     never drops, and for r2 >= 3 the two hard floors r'(3) >= 7 (d >= 4) and
     r'(4) >= 12 (odd d >= 5) are applied.
     """
-    _check_int("d", d, 2)
-    _check_int("n_max", n_max, 2)
-    _check_int("r2", r2, 2)
+    check_int("d", d, 2, MAX_INPUT)
+    check_int("n_max", n_max, 2, MAX_INPUT)
+    check_int("r2", r2, 2, MAX_INPUT)
     if r2 > d:
         raise LowdegError(
             f"r2 = {r2} is impossible for degree d = {d}: a degree-d divisor "

@@ -19,7 +19,7 @@ abundant degree-d points beyond covers of the line or of an elliptic curve.
 
 from __future__ import annotations
 
-from .errors import LowdegError, Value
+from .errors import LowdegError, Value, brief, check_int
 
 
 class SurfaceClass(Value):
@@ -28,11 +28,8 @@ class SurfaceClass(Value):
     __slots__ = _fields = ("a", "b")
 
     def __init__(self, a: int, b: int) -> None:
-        for name, v in (("a", a), ("b", b)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise LowdegError(f"{name} must be an integer, got {v!r}")
-        self.a = a
-        self.b = b
+        self.a = check_int("a", a)
+        self.b = check_int("b", b)
 
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         return SurfaceClass(self.a + other.a, self.b + other.b)
@@ -92,13 +89,12 @@ class DFParams(Value):
     __slots__ = _fields = ("d", "m")
 
     def __init__(self, d: int, m: int) -> None:
-        for name, v in (("d", d), ("m", m)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise LowdegError(f"{name} must be an integer, got {v!r}")
-        if d < 2:
-            raise LowdegError(f"d must be at least 2, got {d}")
+        # both types before d's range, so that DFParams(1, "x") names m
+        check_int("d", d)
+        check_int("m", m)
+        check_int("d", d, 2)
         if not 1 <= m <= d:
-            raise LowdegError(f"m must satisfy 1 <= m <= d = {d}, got {m}")
+            raise LowdegError(f"m must satisfy 1 <= m <= d = {d}, got {brief(m)}")
         self.d = d
         self.m = m
 

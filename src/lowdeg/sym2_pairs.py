@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError, Value
+from .errors import ConfigurationError, Value, check_int
 
 Pair = tuple[int, int]
 
@@ -25,11 +25,7 @@ class Sym2GroupModel(Value):
     __slots__ = _fields = ("modulus",)
 
     def __init__(self, modulus: int) -> None:
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise ConfigurationError(f"modulus must be an integer, got {modulus!r}")
-        if modulus < 5:
-            raise ConfigurationError(f"modulus must be at least 5, got {modulus}")
-        self.modulus = modulus
+        self.modulus = check_int("modulus", modulus, 5, error=ConfigurationError)
 
     @property
     def size(self) -> int:

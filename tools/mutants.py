@@ -1,0 +1,175 @@
+"""Mutation gate: every catalogued mutant of lowdeg must make its named tests fail.
+
+Each entry names a module under ``src/lowdeg``, an exact old text, the new text
+that replaces it, and the pytest node IDs that must fail.  For each entry the
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
+directory, applies the mutant there and runs pytest on the named tests.  Before
+the mutants it runs every named test once on an unmutated copy, since a test
+that already fails would kill any mutant.
+
+The gate fails (exit 1) when a mutant survives, when its old text does not
+occur exactly once in its module (so a refactor that moves the code must update
+the catalogue), or when pytest ends other than by failing tests.  Stdlib only:
+
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+VALUE_RULE = "tests/test_projective.py::test_value_class_rule"
+LEMMA52_ORACLES = (
+    "tests/test_configurations.py::TestCommonSubspace::test_every_three_lines_of_p3_over_gf2",
+    "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields",
+)
+CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
+
+CATALOGUE = (
+    # the value-class base
+    Mutant(
+        "value-eq-by-isinstance",
+        "errors.py",
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, self.__class__):",
+        (VALUE_RULE,),
+    ),
+    Mutant(
+        "pivots-as-a-field",
+        "projective.py",
+        '_fields = ("field", "ambient", "rows")\n    __slots__ = (*_fields, "pivot_columns")',
+        '_fields = ("field", "ambient", "rows", "pivot_columns")\n    __slots__ = _fields',
+        (VALUE_RULE, "tests/test_projective.py::test_pivots_are_not_a_field"),
+    ),
+    Mutant("value-without-slots", "errors.py", "    __slots__ = ()\n", "", (VALUE_RULE,)),
+    # Lemma 5.2, against the plain-int oracles of the lemma as stated
+    Mutant(
+        "rank-check-weakened",
+        "lemma52.py",
+        "if len(images) != 3:",
+        "if len(images) < 2:",
+        LEMMA52_ORACLES,
+    ),
+    Mutant(
+        "member-2-not-tested-for-containment",
+        "lemma52.py",
+        "if i > 1 and not s.contains_subspace(lam):",
+        "if i > 2 and not s.contains_subspace(lam):",
+        LEMMA52_ORACLES,
+    ),
+    Mutant("distinct-image-check-removed", "lemma52.py", "if j != i:", "if False:", LEMMA52_ORACLES),
+    Mutant(
+        "codimension-3-bound-loosened",
+        "lemma52.py",
+        "if lam.dim < ambient - 3:",
+        "if lam.dim < ambient - 4:",
+        LEMMA52_ORACLES,
+    ),
+    Mutant(
+        "coincidence-check-removed",
+        "lemma52.py",
+        "if lam.dim == ambient - 2:",
+        "if False:",
+        LEMMA52_ORACLES,
+    ),
+    # the integer-argument rule and how it quotes a value
+    Mutant(
+        "check-int-accepts-bools",
+        "errors.py",
+        "if not isinstance(value, int) or isinstance(value, bool):",
+        "if not isinstance(value, int):",
+        (CHECK_INT_RULE,),
+    ),
+    Mutant("check-int-exclusive-low", "errors.py", "value < low", "value <= low", (CHECK_INT_RULE,)),
+    Mutant(
+        "brief-without-fallback",
+        "errors.py",
+        "except ValueError:  # such an int, or a value that holds one",
+        "except TypeError:",
+        (CHECK_INT_RULE,),
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(cwd: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+    """pytest's exit code on ``tests`` in ``cwd`` (-1 on timeout) and its output's last lines."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(
+            command, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return -1, f"timed out after {TIMEOUT_S} s"
+    return done.returncode, "\n".join((done.stdout + done.stderr).splitlines()[-15:])
+
+
+def run_mutant(mutant: Mutant) -> str | None:
+    """None when the mutant is killed, else why the gate fails on it."""
+    with tempfile.TemporaryDirectory(prefix="lowdeg-mutant-") as tmp:
+        _copy_tree(Path(tmp))
+        path = Path(tmp) / "src" / "lowdeg" / mutant.module
+        source = path.read_text()
+        count = source.count(mutant.old)
+        if count != 1:
+            return f"its old text occurs {count} times in {mutant.module}, not once"
+        path.write_text(source.replace(mutant.old, mutant.new))
+        code, tail = _pytest(Path(tmp), mutant.tests)
+    if code == 1:  # tests ran and some failed
+        return None
+    if code == 0:
+        return "survived: every named test passed"
+    return f"pytest exited {code}:\n{tail}"
+
+
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="lowdeg-mutant-") as tmp:
+        _copy_tree(Path(tmp))
+        code, tail = _pytest(Path(tmp), tests)
+    if code != 0:
+        print(f"the named tests do not pass unmutated (pytest exited {code}):\n{tail}")
+        return 1
+    print(f"baseline: {len(tests)} named tests pass unmutated ({time.perf_counter() - start:.1f} s)")
+    failures = 0
+    for mutant in CATALOGUE:
+        start = time.perf_counter()
+        problem = run_mutant(mutant)
+        seconds = time.perf_counter() - start
+        failures += problem is not None
+        print(f"{'killed' if problem is None else 'FAILED'}  {mutant.name} ({seconds:.1f} s)")
+        if problem is not None:
+            print(f"    {mutant.module}: {problem}")
+    print(f"{len(CATALOGUE) - failures} of {len(CATALOGUE)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
