@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import LowdegError, brief
+from .errors import LowdegError, brief, check_int
 from .numerology import castelnuovo_pi, genus_bound_main
 from .sym2_lattice import DFParams, df_class, df_genus, is_effective
 
@@ -90,7 +90,7 @@ def classify(d: int, arithmetic: bool = True) -> list[ClassificationCase]:
     Raises for d outside 2..5; the first open case beyond the table is
     degree 6 in genus 11.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or not 2 <= d <= 5:
+    if not 2 <= check_int("d", d) <= 5:
         raise LowdegError(
             f"the classification is only available for 2 <= d <= 5, got {brief(d)} "
             f"(degree 6 is open)"

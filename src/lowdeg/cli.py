@@ -17,7 +17,7 @@ import os
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .errors import MAX_INPUT, InputError, LowdegError
+from .errors import MAX_INPUT, InputError, LowdegError, brief
 
 FORMATS = ("table", "json")
 
@@ -470,7 +470,7 @@ def _resolve_format(args: argparse.Namespace) -> str:
     if env is None:
         return "table"
     if env not in FORMATS:
-        raise InputError(f"LOWDEG_FORMAT must be one of {FORMATS}, got {env!r}")
+        raise InputError(f"LOWDEG_FORMAT must be one of {FORMATS}, got {brief(env)}")
     return env
 
 

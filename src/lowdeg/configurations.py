@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_int
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .lemma52 import _det3
 from .projective import ProjPoint
@@ -79,6 +79,8 @@ def collinear(config: PointConfig, i: int, j: int, k: int) -> bool:
     if config.ambient != 2:
         raise ConfigurationError("collinearity checks require points in the plane")
     pts = config.points
+    for name, index in (("i", i), ("j", j), ("k", k)):
+        check_int(name, index, 0, len(pts) - 1)
     return not _det3(config.field, pts[i].coords, pts[j].coords, pts[k].coords)
 
 
@@ -103,6 +105,7 @@ def charge_sylvester_gallai(config: PointConfig, limit: int) -> int:
     """The units of work of :func:`check_sylvester_gallai`, C(n, 2) x B^2: it keys
     C(n, 2) pairs of points, each at a cost that grows with B^2, B the bit length of
     the longest coordinate numerator or denominator.  Raises InputError past ``limit``."""
+    check_int("limit", limit, 0, error=InputError)
     work = len(config) * (len(config) - 1) // 2 * max_bits(p.coords for p in config.points) ** 2
     if work > limit:
         raise InputError(

@@ -1,7 +1,13 @@
 """Exception types shared across the package, how their messages quote input (:func:`brief`),
-the one integer-argument rule :func:`check_int`, ``MAX_INPUT``, the bound on the integer
-arguments of :mod:`lowdeg.numerology`, and :class:`Value`, the base of the slotted value
-classes (every module imports this one, so what it defines adds no import)."""
+the one integer-argument rule :func:`check_int`, ``MAX_INPUT``, and :class:`Value`, the base of
+the slotted value classes (every module imports this one, so what it defines adds no import).
+
+:func:`check_int` is the only integer-argument check in the package.  Every public function,
+constructor and method that takes an int runs it on entry, and so do the JSON readers on an
+ambient read from a file.  ``MAX_INPUT`` bounds every argument that sets a size (an ambient or
+projective dimension, a family size, a trial count, the modulus of the Z/N model) and the
+arguments of :mod:`lowdeg.numerology`.  Internal helpers trust their callers, and the scalars
+that a field's methods take are operands, not arguments: they are not checked."""
 
 MAX_INPUT = 10**6
 

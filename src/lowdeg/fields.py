@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import MixedFieldError, brief
+from .errors import LowdegError, MixedFieldError, brief, check_int
 
 Scalar = Union[Fraction, int]
 
@@ -47,15 +47,23 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _MILLER_RABIN_BOUND = 3_215_031_751
 
 
-# Every prime-field scalar of a JSON file names its modulus, so the same few
-# moduli are tested over and over.
-@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with bases 2, 3, 5 and 7, memoized for the
-    last 64 values asked about.  Raises ``ValueError`` from 3 215 031 751 on,
-    where these bases stop being exact; :class:`PrimeField` never asks."""
+    last 64 values asked about.  Raises :class:`~lowdeg.errors.LowdegError` (a
+    ``ValueError``) from 3 215 031 751 on, where these bases stop being exact;
+    :class:`PrimeField` never asks."""
+    check_int("n", n)
     if n >= _MILLER_RABIN_BOUND:
-        raise ValueError(f"is_prime is exact only below {_MILLER_RABIN_BOUND}")
+        raise LowdegError(f"is_prime is exact only below {_MILLER_RABIN_BOUND}")
+    return _miller_rabin(n)
+
+
+# Every prime-field scalar of a JSON file names its modulus, so the same few
+# moduli are tested over and over.  The cache sits behind the check, which
+# refuses what it cannot hash and the bools that would hit the entries of 0 and 1.
+@lru_cache(maxsize=64)
+def _miller_rabin(n: int) -> bool:
+    """:func:`is_prime` of an int below the bound."""
     if n < 2:
         return False
     for base in (2, 3, 5, 7):
@@ -137,8 +145,7 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int) -> None:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise MixedFieldError(f"modulus must be an int, got {brief(p)}")
+        check_int("modulus", p, error=MixedFieldError)
         if p >= PRIME_LIMIT:
             raise MixedFieldError(f"modulus {brief(p)} exceeds the 2**31 limit")
         if not is_prime(p):

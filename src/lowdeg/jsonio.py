@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import AmbientMismatchError, LowdegError, MixedFieldError, brief
+from .errors import MAX_INPUT, AmbientMismatchError, LowdegError, MixedFieldError, check_int
 
 if TYPE_CHECKING:
     from .configurations import PointConfig
@@ -52,12 +52,6 @@ def parse_matrix(raw_rows: object) -> tuple[Field, list[list[Scalar]]]:
     return field, rows
 
 
-def _check_ambient(ambient: object) -> int:
-    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 0:
-        raise LowdegError(f"bad ambient dimension {brief(ambient)}")
-    return ambient
-
-
 def subspace_to_json(s: ProjSubspace) -> dict:
     from .fields import scalar_to_json
 
@@ -83,11 +77,11 @@ def points_from_json(obj: object) -> tuple[Field, list[list[Scalar]]]:
     if not isinstance(obj, dict) or "points" not in obj:
         raise LowdegError("a point configuration needs a 'points' key")
     ambient = obj.get("ambient")
-    width = None if ambient is None else _check_ambient(ambient) + 1
+    width = None if ambient is None else check_int("ambient", ambient, 0, MAX_INPUT) + 1
     field, rows = parse_matrix(obj["points"])
     for row in rows:
         if width is not None and len(row) != width:
-            raise LowdegError(f"point of length {len(row)} does not match ambient {brief(ambient)}")
+            raise LowdegError(f"point of length {len(row)} does not match ambient {ambient}")
     return field, rows
 
 
@@ -105,12 +99,12 @@ def subspaces_from_json(obj: object) -> tuple[Field | None, list[tuple[int, list
     for item in raw:
         if not isinstance(item, dict) or "ambient" not in item or "rows" not in item:
             raise LowdegError("a subspace needs 'ambient' and 'rows' keys")
-        ambient = _check_ambient(item["ambient"])
+        ambient = check_int("ambient", item["ambient"], 0, MAX_INPUT)
         member_field, rows = parse_matrix(item["rows"])
         for row in rows:
             if len(row) != ambient + 1:
                 raise AmbientMismatchError(
-                    f"vector of length {len(row)} cannot span inside P^{brief(ambient)}"
+                    f"vector of length {len(row)} cannot span inside P^{ambient}"
                 )
         # The first member fixes the field: a file over many primes stops at the second.
         field = member_field if field is None else require_same_field(field, member_field)

@@ -20,7 +20,7 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigurationError, InputError, LowdegError, brief
+from .errors import MAX_INPUT, ConfigurationError, InputError, check_int
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .projective import ProjPoint, ProjSubspace, _rref, meet
 
@@ -115,14 +115,15 @@ def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar
 
 
 def random_point(rng: random.Random, field: Field, ambient: int) -> ProjPoint:
+    check_int("ambient", ambient, 0, MAX_INPUT)
     return ProjPoint(field, tuple(_random_vector(rng, field, ambient + 1)))
 
 
 def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) -> ProjSubspace:
     """Uniform-ish subspace of the requested projective dimension (resamples
     until the spanning vectors are independent, at most ``MAX_REDRAWS`` times)."""
-    if not -1 <= dim <= ambient:
-        raise LowdegError(f"dimension {brief(dim)} out of range for P^{ambient}")
+    check_int("ambient", ambient, 0, MAX_INPUT)
+    check_int("dim", dim, -1, ambient)
     if dim == -1:
         return ProjSubspace.empty(field, ambient)
     for _ in range(MAX_REDRAWS):
@@ -136,14 +137,12 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
 def _check_family_shape(field: Field, ambient: int, count: int) -> None:
     """Raise :class:`ConfigurationError` when no family for :func:`planted_family`
     exists: fewer than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
-    if ambient < 3:
-        raise ConfigurationError("need ambient dimension at least 3")
-    if count < 3:
-        raise ConfigurationError(f"need at least three members to span P^{ambient}, got {brief(count)}")
+    check_int("ambient", ambient, 3, MAX_INPUT, ConfigurationError)
+    check_int("count", count, 3, MAX_INPUT, ConfigurationError)
     if isinstance(field, PrimeField) and count > field.p**2 + field.p + 1:
         raise ConfigurationError(
             f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
-            f"codimension-3 subspace, got {brief(count)}"
+            f"codimension-3 subspace, got {count}"
         )
 
 
@@ -154,11 +153,13 @@ def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limi
     point: with i of the N = p^2 + p + 1 points drawn, a new one takes N / (N - i) draws on average,
     and the floor beyond one is charged (none for count <= N / 2).  Raises InputError past limit."""
     _check_family_shape(field, ambient, count)
+    check_int("trials", trials, 0, MAX_INPUT, InputError)
+    check_int("limit", limit, 0, error=InputError)
     work = trials * count * (ambient + 1) ** 3
     if work > limit:
         raise InputError(
             f"lemma52 --random takes at most {limit} units of work, "
-            f"--trials x --count x (--ambient + 1)^3, got {brief(work)}"
+            f"--trials x --count x (--ambient + 1)^3, got {work}"
         )
     n = field.p**2 + field.p + 1
     redraws = sum(n // (n - i) for i in range(count)) - count
@@ -167,7 +168,7 @@ def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limi
         raise InputError(
             f"lemma52 --random takes at most {limit} units of work, "
             f"--trials x (--count x (--ambient + 1)^3 + {DRAW_WORK} x {redraws} "
-            f"redraws of quotient points), got {brief(work)}"
+            f"redraws of quotient points), got {work}"
         )
     return work
 
@@ -186,6 +187,7 @@ def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit
     # a member at least n + 2 rows with its containment test and fixed costs, and an operation costs more
     # as its G-bit entries grow.  Over QQ an echelon entry is a ratio of minors of the rows cleared
     # of denominators, so G can reach (n + 1) x B; over GF(p) entries stay below p.
+    check_int("limit", limit, 0, error=InputError)
     n = max((ambient for ambient, _ in members), default=0)
     charged_rows = sum(max(len(vectors), n + 2) for _, vectors in members)
     if isinstance(field, PrimeField):

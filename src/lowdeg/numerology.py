@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Union
 
-from .errors import MAX_INPUT, LowdegError, brief, check_int
+from .errors import MAX_INPUT, LowdegError, check_int
 
 UNBOUNDED: Literal["unbounded"] = "unbounded"
 
@@ -87,10 +87,11 @@ def genus_bound_main(d: int) -> GenusBoundReport:
 
 def genus_bound_special(e: int, r: int, d: int) -> int:
     """Genus ceiling for a degree-e curve in P^r carrying infinitely many
-    nondegenerate degree-d points: the Castelnuovo value at (e + 2d, 2r + 1)."""
-    check_int("e", e, 1, MAX_INPUT)
-    check_int("r", r, 2, MAX_INPUT)
-    check_int("d", d, 1, MAX_INPUT)
+    nondegenerate degree-d points: the Castelnuovo value at (e + 2d, 2r + 1).
+    Each argument is bounded so that e + 2d and 2r + 1 stay within ``MAX_INPUT``."""
+    check_int("e", e, 1, MAX_INPUT - 2)
+    check_int("r", r, 2, (MAX_INPUT - 1) // 2)
+    check_int("d", d, 1, (MAX_INPUT - e) // 2)
     return castelnuovo_pi(e + 2 * d, 2 * r + 1)
 
 
@@ -183,9 +184,7 @@ class ConfigProfile(NamedTuple):
     codim_v_lb: int
 
     def _index(self, n: int) -> int:
-        if not 2 <= n <= self.n_max:
-            raise LowdegError(f"n must be in [2, {self.n_max}], got {brief(n)}")
-        return n - 2
+        return check_int("n", n, 2, self.n_max) - 2
 
     def r(self, n: int) -> int:
         return self.r_lb[self._index(n)]

@@ -17,6 +17,10 @@ Conventions:
   pivots: a subspace keeps the pivot columns it returned;
 * only the public constructor checks that rows are canonical: every other
   constructor and operation takes its rows from ``_rref``;
+* the public ``ProjSubspace`` constructors (``ProjSubspace(...)``,
+  ``from_vectors``, ``empty`` and ``full``) and :func:`span` check ``ambient``
+  with :func:`~lowdeg.errors.check_int`; ``_canonical`` trusts its caller,
+  which passes an ambient so checked or one read off an existing subspace;
 * elimination is sparse: a pivot row is scaled, unless its pivot is
   already 1, and subtracted from other rows, over its nonzero columns only,
   found by the truthiness of canonical scalars;
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import AmbientMismatchError, LowdegError, Value
+from .errors import MAX_INPUT, AmbientMismatchError, LowdegError, Value, check_int
 from .fields import Field, Scalar, require_same_field
 
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -121,8 +125,7 @@ class ProjSubspace(Value):
     __slots__ = (*_fields, "pivot_columns")
 
     def __init__(self, field: Field, ambient: int, rows: Matrix) -> None:
-        if ambient < 0:
-            raise LowdegError("ambient projective dimension must be >= 0")
+        check_int("ambient", ambient, 0, MAX_INPUT)
         mat = [[field.coerce(x) for x in row] for row in rows]
         if any(len(row) != ambient + 1 for row in mat):
             raise LowdegError(f"every row must have {ambient + 1} entries in P^{ambient}")
@@ -142,9 +145,7 @@ class ProjSubspace(Value):
         cls, field: Field, ambient: int, rows: Matrix, pivots: tuple[int, ...]
     ) -> "ProjSubspace":
         """Wrap rows that are already a reduced echelon basis, with their pivot
-        columns, skipping the check."""
-        if ambient < 0:
-            raise LowdegError("ambient projective dimension must be >= 0")
+        columns, skipping the checks."""
         subspace = cls.__new__(cls)
         subspace.field = field
         subspace.ambient = ambient
@@ -156,6 +157,7 @@ class ProjSubspace(Value):
     def from_vectors(
         cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]
     ) -> "ProjSubspace":
+        check_int("ambient", ambient, 0, MAX_INPUT)
         vecs = [list(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient + 1:
@@ -166,10 +168,12 @@ class ProjSubspace(Value):
 
     @classmethod
     def empty(cls, field: Field, ambient: int) -> "ProjSubspace":
+        check_int("ambient", ambient, 0, MAX_INPUT)
         return cls._canonical(field, ambient, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "ProjSubspace":
+        check_int("ambient", ambient, 0, MAX_INPUT)
         width = ambient + 1
         rows = tuple(
             tuple(field.one if i == j else field.zero for j in range(width)) for i in range(width)
@@ -249,7 +253,7 @@ def span(
         _check_compatible(first, p)
     if field is not None:
         require_same_field(field, first.field)
-    if ambient is not None and ambient != first.ambient:
+    if ambient is not None and check_int("ambient", ambient, 0, MAX_INPUT) != first.ambient:
         raise AmbientMismatchError(f"points live in P^{first.ambient}, not P^{ambient}")
     return ProjSubspace._canonical(
         first.field, first.ambient, *_rref([list(p.coords) for p in points], first.field)

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import ConfigurationError, Value, check_int
+from .errors import MAX_INPUT, ConfigurationError, Value, check_int
 
 Pair = tuple[int, int]
 
@@ -25,7 +25,7 @@ class Sym2GroupModel(Value):
     __slots__ = _fields = ("modulus",)
 
     def __init__(self, modulus: int) -> None:
-        self.modulus = check_int("modulus", modulus, 5, error=ConfigurationError)
+        self.modulus = check_int("modulus", modulus, 5, MAX_INPUT, ConfigurationError)
 
     @property
     def size(self) -> int:
@@ -47,6 +47,7 @@ def sym2_model(modulus: int) -> Sym2GroupModel:
 def pairs_containing(model: Sym2GroupModel, x: int) -> frozenset[Pair]:
     """The point-divisor at x: every pair with x as a member (N pairs,
     the diagonal {x, x} included)."""
+    check_int("x", x)
     return frozenset(model.normalize((x, y)) for y in range(model.modulus))
 
 
@@ -57,6 +58,7 @@ def pairs_with_sum(model: Sym2GroupModel, s: int) -> frozenset[Pair]:
     N/2 + 1 elements when s is even (two diagonal members) and N/2 when s
     is odd (none).
     """
+    check_int("s", s)
     return frozenset(model.normalize((x, s - x)) for x in range(model.modulus))
 
 

@@ -292,7 +292,7 @@ class TestSg:
         path.write_text(json.dumps(payload))
         code, out, err = run(capsys, "sg", "--input", str(path))
         assert code == 1 and out == ""
-        assert err == "bad ambient dimension '2'\n"
+        assert err == "ambient must be an integer, got '2'\n"
 
     def test_long_values_are_quoted_short(self, capsys, tmp_path):
         # a message quoting an input value shows its start and its length
@@ -303,12 +303,12 @@ class TestSg:
             (2, "x" * 5000, "malformed rational 'xxxx"),
             (2, [long], "cannot parse scalar ['1111"),
             (2, {"val": long, "mod": 5}, "cannot interpret '1111"),
-            (2, {"val": 1, "mod": long}, "modulus must be an int, got '1111"),
+            (2, {"val": 1, "mod": long}, "modulus must be an integer, got '1111"),
             (2, {"val": 1, "mod": int(long[:4000])}, "modulus 1111"),
             (2, {"val": 1, "mod": -int("9" * 4000)}, "modulus -9999"),
             (2, {"val": 1, "mod": 5, "k" * 5000: 0}, "prime-field value must have keys"),
-            ("2" * 5000, "1", "bad ambient dimension '2222"),
-            (int("9" * 4000), "1", "point of length 3 does not match ambient 9999"),
+            ("2" * 5000, "1", "ambient must be an integer, got '2222"),
+            (int("9" * 4000), "1", "ambient must be in [0, 1000000], got 9999"),
         ):
             points = [["0", "1", "0"], ["0", "0", "1"], [scalar, "0", "1"]]
             path.write_text(json.dumps({"ambient": ambient, "points": points}))
@@ -466,25 +466,25 @@ class TestLemma52:
             if ambient == 4:
                 assert err == "vector of length 2 cannot span inside P^4\n"
             else:
-                start = "vector of length 2 cannot span inside P^9999"
+                start = "ambient must be in [0, 1000000], got 9999"
                 assert err.startswith(start) and err.endswith(" (4000 characters)\n"), err[:100]
                 assert err.count("\n") == 1 and len(err) < 200
 
     def test_one_field_per_file(self, capsys, tmp_path):
         # 60 members of P^0, each over its own prime near 2^31: the reader stops
         # at the second field, so it tests only two moduli for primality
-        from lowdeg.fields import is_prime
+        from lowdeg.fields import _miller_rabin, is_prime
 
         candidates = range(2**31 - 1, 2**30, -2)
         primes = list(itertools.islice(filter(is_prime, candidates), 60))
         members = [{"ambient": 0, "rows": [[{"val": 1, "mod": p}]]} for p in primes]
         path = tmp_path / "primes.json"
         path.write_text(json.dumps({"subspaces": members}))
-        is_prime.cache_clear()
+        _miller_rabin.cache_clear()
         code, out, err = run(capsys, "lemma52", "--input", str(path))
         assert code == 1 and out == ""
         assert err == "cannot mix values from GF(2147483647) and GF(2147483629)\n"
-        assert is_prime.cache_info().misses <= 2
+        assert _miller_rabin.cache_info().misses <= 2
 
     def test_family_is_checked_as_it_arrives(self, capsys, tmp_path, monkeypatch):
         # member 0 already has the wrong codimension, so no later member is built
@@ -597,7 +597,10 @@ class TestLemma52:
         # says so before drawing.
         for flags, reason in (
             (("--mod", "3", "--count", "14"), "at most 13 members over GF(3)"),
-            (("--mod", "101", "--count", "2", "--ambient", "16"), "at least three members"),
+            (
+                ("--mod", "101", "--count", "2", "--ambient", "16"),
+                "count must be in [3, 1000000], got 2",
+            ),
         ):
             code, out, err = run(capsys, "lemma52", "--random", *flags, "--trials", "1")
             assert code == 1 and out == ""
@@ -622,7 +625,7 @@ class TestLemma52:
             capsys, "lemma52", "--random", "--ambient", "16", "--count", "2", "--trials", "4"
         )
         assert code == 1 and out == ""
-        assert err == "need at least three members to span P^16, got 2\n"
+        assert err == "count must be in [3, 1000000], got 2\n"
 
     def test_trials_cap(self, capsys):
         # the rejected edge at the shipped bound: the default family, 4 members
@@ -730,7 +733,7 @@ def test_work_rules_price_the_readme_examples():
     with pytest.raises(InputError, match=r"9 x 801374 redraws of quotient points\), got 12140814$"):
         charge_random(PrimeField(277), 3, 77007, 1, cli.MAX_LEMMA52_WORK)
     # a family that cannot exist is reported before any work is counted
-    with pytest.raises(ConfigurationError, match="at least three members"):
+    with pytest.raises(ConfigurationError, match=re.escape("count must be in [3, 1000000], got 2")):
         charge_random(PrimeField(101), 16, 2, 10**9, cli.MAX_LEMMA52_WORK)
 
 
@@ -1037,6 +1040,15 @@ class TestHarness:
         monkeypatch.setenv("LOWDEG_FORMAT", "yaml")
         code, _, err = run(capsys, "pi", "--delta", "20", "--ambient", "12")
         assert code == 2 and "LOWDEG_FORMAT" in err
+        # a long value is quoted by its start and its length, in one short line
+        monkeypatch.setenv("LOWDEG_FORMAT", "y" * 10_000)
+        code, out, err = run(capsys, "pi", "--delta", "20", "--ambient", "12")
+        assert (code, out) == (2, "")
+        assert err == (
+            "LOWDEG_FORMAT must be one of ('table', 'json'), "
+            f"got '{'y' * 39}... (10002 characters)\n"
+        )
+        assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize(
         "argv",
@@ -1290,7 +1302,7 @@ def planted_qq_family(ambient, count, share, seed):
     low, high = 1, 4000
     while low < high:
         mid = (low + high + 1) // 2
-        if charge_input(QQ, build(mid)[0], math.inf) <= target:
+        if charge_input(QQ, build(mid)[0], sys.maxsize) <= target:
             low = mid
         else:
             high = mid - 1

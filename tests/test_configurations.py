@@ -733,7 +733,9 @@ class TestRandomHelpers:
         members = random_common_subspace_instance(random.Random(3), GF5, 4, count=3)
         assert len(members) == 3 and common_subspace(members).dim == 1
         for field in (GF5, PrimeField(101), QQ):
-            self.assert_rejected_before_any_draw(field, 16, 2, "at least three members")
+            self.assert_rejected_before_any_draw(
+                field, 16, 2, re.escape("count must be in [3, 1000000], got 2")
+            )
 
     def test_family_fits_the_quotient_plane(self):
         # The members through one codimension-3 subspace are distinct points of

@@ -12,6 +12,7 @@ from lowdeg.errors import MixedFieldError, brief
 from lowdeg.fields import (
     QQ,
     PrimeField,
+    _miller_rabin,
     is_prime,
     scalar_from_json,
     scalar_to_json,
@@ -208,11 +209,11 @@ def test_is_prime_refuses_past_its_exact_range():
 
 
 def test_primality_is_tested_once_per_modulus():
-    is_prime.cache_clear()
+    _miller_rabin.cache_clear()
     for val in range(200):
         field, value = scalar_from_json({"val": val, "mod": 2147483647})
         assert field.p == 2147483647 and value == val
-    info = is_prime.cache_info()
+    info = _miller_rabin.cache_info()
     assert info.misses == 1 and info.hits == 199
 
 

@@ -43,6 +43,7 @@ LEMMA52_ORACLES = (
     "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields",
 )
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
+HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
 
 CATALOGUE = (
     # the value-class base
@@ -106,6 +107,49 @@ CATALOGUE = (
         "except ValueError:  # such an int, or a value that holds one",
         "except TypeError:",
         (CHECK_INT_RULE,),
+    ),
+    # an entry point that drops its check_int, against the hostile-argument table
+    Mutant(
+        "random-point-unchecked",
+        "lemma52.py",
+        '    check_int("ambient", ambient, 0, MAX_INPUT)\n    return ProjPoint(',
+        "    return ProjPoint(",
+        (HOSTILE_TABLE,),
+    ),
+    Mutant(
+        "random-subspace-ambient-unchecked",
+        "lemma52.py",
+        '    check_int("ambient", ambient, 0, MAX_INPUT)\n    check_int("dim", dim, -1, ambient)\n',
+        '    check_int("dim", dim, -1, ambient)\n',
+        (HOSTILE_TABLE,),
+    ),
+    Mutant(
+        "profile-index-unchecked",
+        "numerology.py",
+        'return check_int("n", n, 2, self.n_max) - 2',
+        "return n - 2",
+        (HOSTILE_TABLE,),
+    ),
+    Mutant(
+        "from-vectors-unchecked",
+        "projective.py",
+        '        check_int("ambient", ambient, 0, MAX_INPUT)\n        vecs = ',
+        "        vecs = ",
+        (HOSTILE_TABLE,),
+    ),
+    Mutant(
+        "json-ambient-unchecked",
+        "jsonio.py",
+        'ambient = check_int("ambient", item["ambient"], 0, MAX_INPUT)',
+        'ambient = item["ambient"]',
+        (HOSTILE_TABLE,),
+    ),
+    Mutant(
+        "charge-random-trials-unchecked",
+        "lemma52.py",
+        '    check_int("trials", trials, 0, MAX_INPUT, InputError)\n',
+        "",
+        (HOSTILE_TABLE,),
     ),
 )
 
