@@ -6,8 +6,11 @@ elliptic curve (positive rank required over the ground field), normalized
 Debarre-Fahlaoui curves, and a short list of sporadic genera that survive
 the genus caps.  The table is encoded as data, exactly as established; the
 finer genus endpoints are tabulated facts, not re-derived here.  The
-:func:`audit` layer cross-checks every numeric entry against
-:mod:`lowdeg.numerology` and :mod:`lowdeg.sym2_lattice`.
+:func:`audit` layer checks what :mod:`lowdeg.numerology` and
+:mod:`lowdeg.sym2_lattice` derive (the Debarre-Fahlaoui top genus, effective classes,
+each sporadic and plane-quartic genus against its caps, the d = 5 cap) and the
+cells' shape (covers first, provenances, geometric kinds among arithmetic ones,
+plane quartics only at arithmetic d = 3); a byte-exact test fixture pins the rest.
 
 ``arithmetic=True`` classifies over the ground field; ``arithmetic=False``
 classifies after base change to the algebraic closure, where the rank

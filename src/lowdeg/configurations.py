@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import ConfigurationError, InputError, check_int
+from .errors import ConfigurationError, InputError, Value, check_int
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .lemma52 import _det3
 from .projective import ProjPoint
@@ -39,28 +39,26 @@ from .sym2_pairs import incidence_pairing_check, sym2_model
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(Value):
     """A finite set of pairwise distinct points in a common projective space."""
 
-    points: tuple[ProjPoint, ...]
+    __slots__ = _fields = ("points",)
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[ProjPoint, ...]) -> None:
+        if not points:
             raise ConfigurationError("a point configuration must be nonempty")
-        first = self.points[0]
+        first = points[0]
         first_index: dict[tuple[Scalar, ...], int] = {}
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):
             require_same_field(first.field, p.field)
             if p.ambient != first.ambient:
-                raise ConfigurationError(
-                    f"points live in P^{first.ambient} and P^{p.ambient}"
-                )
+                raise ConfigurationError(f"points live in P^{first.ambient} and P^{p.ambient}")
             j = first_index.setdefault(p.coords, i)
             if j != i:
                 raise ConfigurationError(
                     f"duplicate point: points {j} and {i} are the same point of P^{p.ambient}"
                 )
+        self.points = points
 
     @property
     def field(self) -> Field:

@@ -114,6 +114,12 @@ def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar
             return vec
 
 
+def _plane_size(field: Field) -> int:
+    """The quotient points :func:`planted_family` can draw: p^2 + p + 1 over GF(p), and over QQ
+    the 2881 points of P^2 with coordinates in [-9, 9], the range :func:`_random_vector` draws."""
+    return field.p**2 + field.p + 1 if isinstance(field, PrimeField) else 2881
+
+
 def random_point(rng: random.Random, field: Field, ambient: int) -> ProjPoint:
     check_int("ambient", ambient, 0, MAX_INPUT)
     return ProjPoint(field, tuple(_random_vector(rng, field, ambient + 1)))
@@ -135,40 +141,32 @@ def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) ->
 
 
 def _check_family_shape(field: Field, ambient: int, count: int) -> None:
-    """Raise :class:`ConfigurationError` when no family for :func:`planted_family`
-    exists: fewer than three members never span P^n, and GF(p) has p^2 + p + 1 points."""
+    """Raise :class:`ConfigurationError` when :func:`planted_family` cannot build the family:
+    fewer than three members never span P^n, and the members are distinct quotient points."""
     check_int("ambient", ambient, 3, MAX_INPUT, ConfigurationError)
     check_int("count", count, 3, MAX_INPUT, ConfigurationError)
-    if isinstance(field, PrimeField) and count > field.p**2 + field.p + 1:
+    if count > (n := _plane_size(field)):
         raise ConfigurationError(
-            f"at most {field.p**2 + field.p + 1} members over {field!r} contain a common "
-            f"codimension-3 subspace, got {count}"
+            f"at most {n} members over {field!r}, the quotient points that can be drawn, got {count}"
         )
 
 
-def charge_random(field: PrimeField, ambient: int, count: int, trials: int, limit: int) -> int:
+def charge_random(field: Field, ambient: int, count: int, trials: int, limit: int) -> int:
     """The units of work of ``trials`` runs of :func:`planted_family` and :func:`common_subspace`,
-    after the shape check.  A trial costs count x (ambient + 1)^3 units, about 2 microseconds each
-    at most, so the largest accepted run takes seconds, plus ``DRAW_WORK`` per redraw of a quotient
-    point: with i of the N = p^2 + p + 1 points drawn, a new one takes N / (N - i) draws on average,
-    and the floor beyond one is charged (none for count <= N / 2).  Raises InputError past limit."""
+    after the shape check: trials x (count x (ambient + 1)^3 + ``DRAW_WORK`` x redraws), a unit
+    about 2 microseconds at most.  With i of the N = :func:`_plane_size` points drawn, a new one
+    takes N / (N - i) draws on average; the floor beyond one counts as redraws, none while
+    i < N / 2, so only draws past half the plane are summed.  Raises InputError past ``limit``."""
     _check_family_shape(field, ambient, count)
     check_int("trials", trials, 0, MAX_INPUT, InputError)
     check_int("limit", limit, 0, error=InputError)
-    work = trials * count * (ambient + 1) ** 3
+    n = _plane_size(field)
+    redraws = sum(n // (n - i) - 1 for i in range((n + 1) // 2, count))
+    work = trials * (count * (ambient + 1) ** 3 + DRAW_WORK * redraws)
     if work > limit:
         raise InputError(
-            f"lemma52 --random takes at most {limit} units of work, "
-            f"--trials x --count x (--ambient + 1)^3, got {work}"
-        )
-    n = field.p**2 + field.p + 1
-    redraws = sum(n // (n - i) for i in range(count)) - count
-    work += trials * DRAW_WORK * redraws
-    if work > limit:
-        raise InputError(
-            f"lemma52 --random takes at most {limit} units of work, "
-            f"--trials x (--count x (--ambient + 1)^3 + {DRAW_WORK} x {redraws} "
-            f"redraws of quotient points), got {work}"
+            f"lemma52 --random takes at most {limit} units of work, --trials x (--count x "
+            f"(--ambient + 1)^3 + {DRAW_WORK} x {redraws} redraws of quotient points), got {work}"
         )
     return work
 

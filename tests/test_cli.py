@@ -634,8 +634,8 @@ class TestLemma52:
         code, out, err = run(capsys, "lemma52", "--random", "--trials", "10001")
         assert code == 2 and out == ""
         assert err == (
-            "lemma52 --random takes at most 5000000 units of work, "
-            "--trials x --count x (--ambient + 1)^3, got 5000500\n"
+            "lemma52 --random takes at most 5000000 units of work, --trials x (--count x "
+            "(--ambient + 1)^3 + 9 x 0 redraws of quotient points), got 5000500\n"
         )
 
     def test_redraws_count_as_work(self, capsys, monkeypatch):

@@ -305,6 +305,54 @@ def plane_over(q):
     return points, lines
 
 
+def incidence_case(rng, trial):
+    """``(kind, field, coords)``: the homogeneous coordinates of a seeded plane point set,
+    in plain ints.  Over QQ, a subset of a 5 x 5 grid, a pencil of lines through a point
+    with stray points, a near-pencil, or affine points mixed with points at infinity;
+    over GF(p), a random subset of the plane."""
+    kind = ("grid", "pencil", "near-pencil", "infinity", "field")[trial % 5]
+
+    def small():
+        return rng.randint(-4, 4)
+
+    if kind == "grid":
+        grid = [(x, y, 1) for x in range(5) for y in range(5)]
+        chosen = rng.sample(grid, rng.randint(3, 12))
+    elif kind == "pencil":
+        center = (small(), small(), 1)
+        chosen = [center] if rng.random() < 0.5 else []
+        for _ in range(rng.randint(2, 4)):
+            d = (small(), small(), rng.randint(0, 1))
+            chosen += [[c + s * e for c, e in zip(center, d)] for s in rng.sample(range(1, 6), 3)]
+        chosen += [(small(), small(), 1) for _ in range(rng.randint(0, 2))]
+    elif kind == "near-pencil":
+        # the points u + s v and v of the line uv, and one point w off it
+        u = v = w = (0, 0, 0)
+        while not any(_cross(u, v)):
+            u, v = (small(), small(), 1), (1, small(), rng.randint(0, 1))
+        while not sum(a * b for a, b in zip(w, _cross(u, v))):
+            w = (small(), small(), 1)
+        line = [v] + [[a + s * b for a, b in zip(u, v)] for s in rng.sample(range(-6, 7), 5)]
+        chosen = [*line[: rng.randint(3, 6)], w]
+    elif kind == "infinity":
+        chosen = [(1, small(), 0) for _ in range(rng.randint(1, 4))]
+        chosen += [(0, 1, 0)] * rng.randint(0, 1)
+        chosen += [(small(), small(), 1) for _ in range(rng.randint(2, 8))]
+    else:
+        q = rng.choice((2, 3, 5, 7))
+        plane = plane_over(q)[0]
+        return kind, PrimeField(q), rng.sample(plane, rng.randint(3, min(12, len(plane))))
+    points = {}
+    for c in chosen:
+        if any(c):
+            points.setdefault(ProjPoint(QQ, c).coords, c)
+    return kind, QQ, list(points.values())
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def rank_mod(rows, p):
     """The rank of the integer rows mod p, by plain elimination."""
     rows = [[x % p for x in row] for row in rows]
@@ -745,6 +793,38 @@ class TestRandomHelpers:
         self.assert_rejected_before_any_draw(GF2, 3, 8, "at most 7 members over GF")
         self.assert_rejected_before_any_draw(GF3, 16, 14, "at most 13 members over GF")
 
+    def test_qq_family_fits_the_drawable_plane(self):
+        # Over QQ the sampler draws coordinates in [-9, 9]: the quotient points it can reach
+        # are the primitive integer vectors there, up to sign, counted here with plain ints.
+        primitive = sum(math.gcd(x, y, z) == 1 for x, y, z in product(range(-9, 10), repeat=3))
+        assert primitive // 2 == 2881
+        members = random_common_subspace_instance(random.Random(0), QQ, 4, count=2881)
+        assert len(set(members)) == 2881
+        self.assert_rejected_before_any_draw(QQ, 4, 2882, "at most 2881 members over QQ")
+        # the work rule prices QQ families on the same plane
+        work = lemma52.charge_random(QQ, 4, 4, 1, 10**9)
+        assert type(work) is int and work == 4 * 5**3
+
+    def test_redraws_are_summed_past_half_the_plane(self):
+        # Of the N // (N - i) - 1 redraws charged for the draw after i points, every term with
+        # i < (N + 1) // 2 is 0, so the sum from there equals the sum over all draws.  Both
+        # sums run as prefix sums, one per count <= N.
+        for n in range(1, 400):
+            whole = half = 0
+            for i in range(n):
+                whole += n // (n - i) - 1
+                half += n // (n - i) - 1 if i >= (n + 1) // 2 else 0
+                assert half == whole, (n, i + 1)
+        # and charge_random, the one rule, charges the sum over all draws
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            n = p**2 + p + 1
+            for count in range(3, n + 1):
+                redraws = sum(n // (n - i) for i in range(count)) - count
+                work = count * 4**3 + lemma52.DRAW_WORK * redraws
+                assert lemma52.charge_random(PrimeField(p), 3, count, 1, work) == work
+        n = 277**2 + 277 + 1
+        assert sum(n // (n - i) for i in range(n)) - n == 801374
+
     def test_planted_family_draws_are_pinned(self):
         # SHA-256 of repr((members, planted)) over 8 seeds and three shapes a field:
         # a change to the elimination or to the draws must not move the families
@@ -1100,6 +1180,44 @@ class TestSylvesterGallai:
                     sg += 1
                     collinear_sg += len(lines) == 1
             assert (small, sg, collinear_sg, not_sg) == counts, q
+
+    def test_line_counts_obey_the_incidence_theorems(self):
+        # With t_k lines of exactly k points among n points, not all collinear:
+        # - every field: each pair lies on one line, sum C(k, 2) t_k = C(n, 2), and the
+        #   lines number at least n (de Bruijn-Erdos 1948);
+        # - QQ, inside the real plane: an ordinary line exists (Sylvester-Gallai), and
+        #   t_2 >= 3 + sum_{k>=4} (k - 3) t_k (Melchior 1941), with equality for a
+        #   near-pencil, n - 1 collinear points and one more (t_2 = n - 1).
+        rng = random.Random(1941)
+        seen = Counter()
+        for trial in range(600):
+            kind, field, coords = incidence_case(rng, trial)
+            config = PointConfig(tuple(ProjPoint(field, v) for v in coords))
+            n = len(config)
+            report, lines = check_sylvester_gallai(config), maximal_lines(config)
+            t = report.lines_by_size
+            assert t == Counter(map(len, lines)), (kind, coords)
+            assert sum(math.comb(k, 2) * tk for k, tk in t.items()) == math.comb(n, 2), coords
+            if len(lines) == 1:
+                seen["collinear"] += 1
+                continue
+            assert len(lines) >= n, (kind, coords)
+            if field != QQ:
+                seen["field"] += 1
+                continue
+            assert not report.is_sylvester_gallai and report.witness in lines, coords
+            assert len(report.witness) == 2
+            excess = 3 + sum((k - 3) * tk for k, tk in t.items() if k >= 4)
+            assert t.get(2, 0) >= excess, coords
+            if kind == "near-pencil":
+                assert t.get(2, 0) == excess == n - 1 and t[n - 1] == 1, coords
+            seen["rational"] += 1
+            seen["tight"] += t.get(2, 0) == excess
+            seen[kind] += 1
+        # at this seed: 478 non-collinear QQ sets, 138 of them Melchior-tight and 120 of those
+        # near-pencils, 116 non-collinear GF(p) sets and 6 collinear sets
+        assert seen["rational"] >= 450 and seen["tight"] >= 130 and seen["near-pencil"] >= 110, seen
+        assert seen["field"] >= 100 and seen["collinear"] >= 5, seen
 
     def test_report_is_invariant_under_pgl3_and_relabelling(self):
         # g in GL(3) moves every point between the lead-index branches of the

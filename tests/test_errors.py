@@ -449,8 +449,8 @@ def test_every_integer_parameter_has_a_row():
     assert len(callables) >= 40 and outcomes >= 600
 
 
-# The two calls of the sweep that once ran without end: P^-1 has no point to draw, and
-# over QQ the sampler's small coordinates give far fewer than 10^5000 quotient points.
+# The calls that once ran without end: P^-1 has no point to draw, and over QQ the sampler's
+# coordinates in [-9, 9] reach only 2881 quotient points, so 10^5000 or 2882 members never exist.
 FORMER_HANGS = [
     (
         "random_point-ambient-minus-1",
@@ -461,6 +461,11 @@ FORMER_HANGS = [
         "planted_family-count-huge",
         lambda: planted_family(_rng(), QQ, 4, HUGE),
         f"count must be in [3, 1000000], got {HUGE_TEXT}",
+    ),
+    (
+        "planted_family-qq-past-the-plane",
+        lambda: planted_family(_rng(), QQ, 4, 2882),
+        "at most 2881 members over QQ, the quotient points that can be drawn, got 2882",
     ),
 ]
 

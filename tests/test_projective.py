@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowdeg import lemma52, projective
+from lowdeg.configurations import PointConfig
 from lowdeg.lemma52 import common_subspace, planted_family, random_point, random_subspace
 from lowdeg.errors import (
     AmbientMismatchError,
@@ -511,6 +512,13 @@ VALUE_TABLE = [
     ),
     (lambda cls: cls(4, 1), DFParams(4, 1), (4, 1), "DFParams(d=4, m=1)"),
     (lambda cls: cls(7), sym2_model(7), (7,), "Sym2GroupModel(modulus=7)"),
+    (
+        lambda cls: cls((ProjPoint(GF5, [0, 2, 1]), ProjPoint(GF5, [1, 0, 0]))),
+        PointConfig((ProjPoint(GF5, [0, 4, 2]), ProjPoint(GF5, [3, 0, 0]))),
+        ((ProjPoint(GF5, [0, 1, 3]), ProjPoint(GF5, [1, 0, 0])),),
+        "PointConfig(points=(ProjPoint(field=GF(5), coords=(0, 1, 3)), "
+        "ProjPoint(field=GF(5), coords=(1, 0, 0))))",
+    ),
 ]
 
 

@@ -44,6 +44,11 @@ LEMMA52_ORACLES = (
 )
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
 HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
+RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
+RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
+INCIDENCE_THEOREMS = (
+    "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
+)
 
 CATALOGUE = (
     # the value-class base
@@ -150,6 +155,52 @@ CATALOGUE = (
         '    check_int("trials", trials, 0, MAX_INPUT, InputError)\n',
         "",
         (HOSTILE_TABLE,),
+    ),
+    # the quotient plane of a planted family, and the one work rule that prices it
+    Mutant(
+        "redraws-not-charged",
+        "lemma52.py",
+        "work = trials * (count * (ambient + 1) ** 3 + DRAW_WORK * redraws)",
+        "work = trials * count * (ambient + 1) ** 3",
+        (f"{RANDOM_HELPERS}::test_redraws_are_summed_past_half_the_plane",),
+    ),
+    Mutant(
+        "plane-size-without-the-1",
+        "lemma52.py",
+        "field.p**2 + field.p + 1 if",
+        "field.p**2 + field.p if",
+        (f"{RANDOM_HELPERS}::test_family_fits_the_quotient_plane",),
+    ),
+    # the Sylvester-Gallai pass, against theorems on line counts
+    Mutant(
+        "three-point-lines-left-unmarked",
+        "configurations.py",
+        "if len(group) > 1:",
+        "if len(group) > 2:",
+        (INCIDENCE_THEOREMS,),
+    ),
+    # the batch division of the pass, against per-pair division
+    Mutant(
+        "ratios-prefix-zero-test-unreduced",
+        "fields.py",
+        "before.append(product)\n            if d % p:",
+        "before.append(product)\n            if d:",
+        (RATIOS_ORACLE,),
+    ),
+    Mutant(
+        "ratios-prefix-off-by-one",
+        "fields.py",
+        "before.append(product)\n            if d % p:\n                product = product * d % p\n",
+        "if d % p:\n                product = product * d % p\n            before.append(product)\n",
+        (RATIOS_ORACLE,),
+    ),
+    # meet's split of the reduced rows into the two halves
+    Mutant(
+        "meet-split-inclusive",
+        "projective.py",
+        "k = sum(c < width for c in pivots)",
+        "k = sum(c <= width for c in pivots)",
+        LEMMA52_ORACLES,
     ),
 )
 
