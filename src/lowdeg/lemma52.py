@@ -5,7 +5,8 @@ Such a family is a set of distinct, non-collinear points of the quotient
 plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet, the
 meet of members 0 and 1, and one containment test per later member,
 reading each member's point off its echelon rows and checking the member
-as it arrives;
+as it arrives, then tests that the points span the plane with 3 x 3
+determinants;
 :func:`planted_family` builds seeded families around a
 planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
 of ``lowdeg lemma52`` before they start, in the same units of work.
@@ -39,6 +40,12 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
     first two members, has codimension 3, every member contains Λ, and the
     members project from Λ to distinct, non-collinear points of the quotient
     plane P^n / Λ.  That is what is checked, with no joins; Λ is returned.
+
+    The points are distinct, so the first two span a line of the plane, and
+    the family spans P^n exactly when some later point is off that line: a
+    3 x 3 determinant of the first two points with each later one, in order,
+    stopping at the first that is nonzero.  A family that fails spans the
+    line's preimage, of dimension dim Λ + 2.
 
     A member s that contains Λ needs no elimination to give its point: Λ's
     pivot columns are among s's, and s's one echelon row with another pivot
@@ -77,11 +84,10 @@ def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
         j = first_with_image.setdefault(free_columns(row), i)
         if j != i:
             raise ConfigurationError(f"subspaces {j} and {i} coincide")
-    images, _ = _rref([list(image) for image in first_with_image], lam.field)
-    if len(images) != 3:
+    first, second, *later = first_with_image
+    if not any(_det3(lam.field, first, second, image) for image in later):
         raise ConfigurationError(
-            f"the family only spans a subspace of dimension {lam.dim + len(images)} "
-            f"in P^{ambient}"
+            f"the family only spans a subspace of dimension {lam.dim + 2} in P^{ambient}"
         )
     return lam
 

@@ -22,8 +22,10 @@ Conventions:
   with :func:`~lowdeg.errors.check_int`; ``_canonical`` trusts its caller,
   which passes an ambient so checked or one read off an existing subspace;
 * elimination is sparse: a pivot row is scaled, unless its pivot is
-  already 1, and subtracted from other rows, over its nonzero columns only,
-  found by the truthiness of canonical scalars;
+  already 1, and subtracted from other rows, over its nonzero columns after
+  the pivot only, found by the truthiness of canonical scalars; the pivot
+  cell itself is set, to 1 in the pivot row and to 0 in each row it clears,
+  never computed, and so is each pivot cell that ``_reduce`` clears;
 * scalars are coerced once, at the boundary: :func:`rref`, ``ProjPoint``,
   the public ``ProjSubspace`` constructor, ``from_vectors`` and
   ``reduce_vector`` coerce their input, and the operations pass their
@@ -63,6 +65,7 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
     height = len(mat)
     reduce = field.reduce
     one = field.one
+    zero = field.zero
     pivots: list[int] = []
     r = 0
     for c in range(width):
@@ -75,17 +78,21 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
         if p != r:
             mat[p] = mat[r]
             mat[r] = row
-        # rows r.. are zero before column c, so the pivot row is zero off its support
-        support = [k for k in range(c, width) if row[k]]
+        # rows r.. are zero before column c, so the pivot row is zero outside column c
+        # and its support; the pivot cell ends at one and each cell it clears at zero,
+        # so those cells are set, not computed
+        support = [k for k in range(c + 1, width) if row[k]]
         if row[c] != one:
             scale = field.inv(row[c])
             for k in support:
                 row[k] = reduce(scale * row[k])
+            row[c] = one
         for i, other in enumerate(mat):
             factor = other[c]
             if factor and i != r:
                 for k in support:
                     other[k] = reduce(other[k] - factor * row[k])
+                other[c] = zero
         pivots.append(c)
         r += 1
         if r == height:
@@ -204,14 +211,17 @@ class ProjSubspace(Value):
     def _reduce(self, vector: Sequence[Scalar]) -> list[Scalar]:
         """:meth:`reduce_vector` of canonical scalars of the right length."""
         reduce = self.field.reduce
+        zero = self.field.zero
         v = list(vector)
         for row, c in zip(self.rows, self.pivot_columns):
             factor = v[c]
             if factor:
-                # the row is zero before its pivot c, so only cells from c on are reduced
-                for k, x in enumerate(row):
-                    if x:
-                        v[k] = reduce(v[k] - factor * x)
+                # the row is zero before its pivot c and one at it, so v[c] is set to
+                # zero and only the cells after c are reduced
+                v[c] = zero
+                for k in range(c + 1, len(row)):
+                    if row[k]:
+                        v[k] = reduce(v[k] - factor * row[k])
         return v
 
     def contains_point(self, point: ProjPoint) -> bool:

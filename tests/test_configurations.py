@@ -547,10 +547,15 @@ class TestCommonSubspace:
             through(lam, qpoint(0, 0, 1, 1, 0)),
             through(lam, qpoint(0, 0, 1, 2, 0)),
         ]
-        with pytest.raises(
-            ConfigurationError, match=r"only spans a subspace of dimension 3 in P\^4$"
-        ):
-            common_subspace(members)
+        # two members span only their line of the quotient plane, as do four collinear ones
+        for family in (members, members[:2]):
+            with pytest.raises(
+                ConfigurationError, match=r"only spans a subspace of dimension 3 in P\^4$"
+            ):
+                common_subspace(family)
+        # images 0, 1 and 2 collinear, image 3 off their line: the family spans
+        off_the_line = through(lam, qpoint(0, 0, 0, 0, 1))
+        assert common_subspace([*members[:3], off_the_line]) == lam
 
     def test_later_duplicate_names_both_indices(self):
         lam = qspace(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
@@ -690,8 +695,8 @@ class TestCommonSubspace:
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert common_subspace(members) == planted
         assert calls["join"] == 0
-        # one meet and one rank check of the image points; no member is eliminated
-        assert calls["_rref"] == 2
+        # one meet; no member is eliminated, and spanning is a determinant of image points
+        assert calls["_rref"] == 1
 
     def test_members_are_checked_as_they_arrive(self):
         # the family is read once, and a fault stops the reading there

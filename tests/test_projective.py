@@ -710,18 +710,69 @@ def counting_field(base, *args):
 class TestEliminationWork:
     def test_rref_reduces_only_support_cells(self):
         # pivot rows [1 . . 2 . .], [. . 4 . . .] and, once row 0 is subtracted
-        # from it, [. . . -6 . 5]: a pivot of 1 is not scaled, any other support is
-        # reduced once to scale it, and each support once per row it is subtracted
-        # from: 2 (row 1), 1, then 2 + 2 (row 0).  Over GF(7), -6 is 1, so its
-        # support is not scaled either.  The dense form reduces 30 cells.
+        # from it, [. . . -6 . 5]: the pivot cell is set to 1 and the cells it
+        # clears to 0, never computed, so only the support after the pivot is
+        # reduced: once to scale it, unless the pivot is already 1, and once per
+        # row it is subtracted from.  That is 1 (row 1), 0 (an empty support),
+        # then 1 + 1 (row 0).  Over GF(7), -6 is 1, so its support is not scaled.
+        # The dense form reduces 30 cells.
         rows = [[1, 0, 0, 2, 0, 0], [3, 0, 0, 0, 0, 5], [0, 0, 4, 0, 0, 0]]
         for field, reduces, invs in (
-            (counting_field(PrimeField, 7), 5, 1),
-            (counting_field(RationalField), 7, 2),
+            (counting_field(PrimeField, 7), 2, 1),
+            (counting_field(RationalField), 3, 2),
         ):
             reduced, pivots = rref(rows, field)
             assert pivots == (0, 2, 3)
             assert field.calls == {"coerce": 18, "reduce": reduces, "inv": invs}
+
+    def test_reduce_vector_reduces_only_cells_after_a_used_pivot(self):
+        # a pivot row whose factor is nonzero sets the pivot cell to 0 and reduces
+        # the row's nonzero cells after it, once each; a zero factor costs nothing.
+        # [2 5 1 1] against [1 . 2 .] and [. 1 3 4] over GF(7): 1 cell, then 2,
+        # where the dense form reduces 8
+        gf7 = counting_field(PrimeField, 7)
+        s = ProjSubspace.from_vectors(gf7, 3, [[1, 0, 2, 0], [0, 1, 3, 4]])
+        gf7.calls.clear()
+        assert s.reduce_vector([2, 5, 1, 1]) == [0, 0, 3, 2]
+        assert gf7.calls["reduce"] == 3
+        rng = random.Random(20261022)
+        used = Counter()
+        for field in (QQ, GF3, GF101, BIG_PRIME):
+            counting = counting_field(type(field), *([] if field == QQ else [field.p]))
+            for _ in range(60):
+                width = rng.randint(2, 8)
+                sparse = [
+                    [x if rng.random() < 0.5 else 0 for x in random_row(rng, field, width)]
+                    for _ in range(rng.randint(1, width))
+                ]
+                s = ProjSubspace.from_vectors(counting, width - 1, sparse)
+                vector = [x if rng.random() < 0.5 else 0 for x in random_row(rng, field, width)]
+                expected = dense_reduce_vector(s, vector)
+                v = [counting.coerce(x) for x in vector]
+                cells = 0
+                for row, c in zip(s.rows, s.pivot_columns):
+                    used[bool(v[c])] += 1
+                    if v[c]:
+                        cells += sum(1 for x in row[c + 1 :] if x)
+                        v = [counting.reduce(x - v[c] * y) for x, y in zip(v, row)]
+                counting.calls.clear()
+                assert s.reduce_vector(vector) == expected
+                assert counting.calls["reduce"] == cells
+        # pivots with a nonzero and with a zero factor both occur
+        assert min(used.values()) >= 100, used
+
+    def test_lemma52_trial_work_is_pinned(self):
+        # one lemma52 --random trial over QQ in P^5 with 6 members, as the bench
+        # runs it: the draw, common_subspace, then each member's containment of Λ
+        qq = counting_field(RationalField)
+        members, planted = planted_family(random.Random(29), qq, 5, 6)
+        assert qq.calls == {"reduce": 78, "inv": 9}
+        qq.calls.clear()
+        assert common_subspace(members) == planted
+        assert qq.calls == {"reduce": 106, "inv": 4}
+        qq.calls.clear()
+        assert all(s.contains_subspace(planted) for s in members)
+        assert qq.calls == {"reduce": 69}
 
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
         # the public rref coerces each input cell once; the operations pass
@@ -754,9 +805,9 @@ class TestEliminationWork:
             cells.clear()
             field.calls.clear()
             assert common_subspace(members) == planted
-            # one meet (48) and the rank check of the six image points in the
-            # plane (18); each member's point is read off its echelon rows
-            assert cells["_rref"] == 48 + 18 and field.calls["coerce"] == 0
+            # one meet (48) and no other elimination: each member's point is read
+            # off its echelon rows, and spanning is a 3 x 3 determinant of points
+            assert cells["_rref"] == 48 and field.calls["coerce"] == 0
 
 
 def test_reduce_vector_checks_the_length():

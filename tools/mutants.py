@@ -3,9 +3,9 @@
 Each entry names a module under ``src/lowdeg``, an exact old text, the new text
 that replaces it, and the pytest node IDs that must fail.  For each entry the
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
-directory, applies the mutant there and runs pytest on the named tests.  Before
-the mutants it runs every named test once on an unmutated copy, since a test
-that already fails would kill any mutant.
+directory, applies the mutant there and runs pytest on the named tests, ``WORKERS``
+mutants at a time.  Before the mutants it runs every named test once on an
+unmutated copy, since a test that already fails would kill any mutant.
 
 The gate fails (exit 1) when a mutant survives, when its old text does not
 occur exactly once in its module (so a refactor that moves the code must update
@@ -22,11 +22,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
+# pytest processes run at once: a mutant's run is mostly pytest's start-up and collection
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -41,6 +44,11 @@ VALUE_RULE = "tests/test_projective.py::test_value_class_rule"
 LEMMA52_ORACLES = (
     "tests/test_configurations.py::TestCommonSubspace::test_every_three_lines_of_p3_over_gf2",
     "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields",
+)
+ELIMINATION_ORACLES = (
+    "tests/test_projective.py::test_sparse_elimination_matches_the_dense_reference",
+    "tests/test_projective.py::test_unit_pivots_match_the_dense_reference",
+    *LEMMA52_ORACLES,
 )
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
 HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
@@ -71,8 +79,8 @@ CATALOGUE = (
     Mutant(
         "rank-check-weakened",
         "lemma52.py",
-        "if len(images) != 3:",
-        "if len(images) < 2:",
+        "for image in later)",
+        "for image in later[:1])",
         LEMMA52_ORACLES,
     ),
     Mutant(
@@ -194,6 +202,50 @@ CATALOGUE = (
         "if d % p:\n                product = product * d % p\n            before.append(product)\n",
         (RATIOS_ORACLE,),
     ),
+    # the pivot cells that elimination sets instead of computing, against the dense reference
+    Mutant(
+        "cleared-cell-left-unset",
+        "projective.py",
+        "                other[c] = zero\n",
+        "",
+        ELIMINATION_ORACLES,
+    ),
+    Mutant(
+        "scaled-pivot-left-unset",
+        "projective.py",
+        "            row[c] = one\n",
+        "",
+        ELIMINATION_ORACLES,
+    ),
+    Mutant(
+        "reduced-pivot-left-unset",
+        "projective.py",
+        "                v[c] = zero\n",
+        "",
+        ELIMINATION_ORACLES,
+    ),
+    Mutant(
+        "rref-support-skips-a-column",
+        "projective.py",
+        "range(c + 1, width) if row[k]",
+        "range(c + 2, width) if row[k]",
+        ELIMINATION_ORACLES,
+    ),
+    Mutant(
+        "reduce-skips-a-column",
+        "projective.py",
+        "range(c + 1, len(row))",
+        "range(c + 2, len(row))",
+        ELIMINATION_ORACLES,
+    ),
+    # the pivot search, which must skip the rows that already hold a pivot
+    Mutant(
+        "pivot-search-from-row-0",
+        "projective.py",
+        "for p in range(r, height):",
+        "for p in range(height):",
+        ELIMINATION_ORACLES,
+    ),
     # meet's split of the reduced rows into the two halves
     Mutant(
         "meet-split-inclusive",
@@ -243,6 +295,12 @@ def run_mutant(mutant: Mutant) -> str | None:
     return f"pytest exited {code}:\n{tail}"
 
 
+def _timed(mutant: Mutant) -> tuple[str | None, float]:
+    start = time.perf_counter()
+    problem = run_mutant(mutant)
+    return problem, time.perf_counter() - start
+
+
 def main() -> int:
     tests = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
     start = time.perf_counter()
@@ -254,14 +312,12 @@ def main() -> int:
         return 1
     print(f"baseline: {len(tests)} named tests pass unmutated ({time.perf_counter() - start:.1f} s)")
     failures = 0
-    for mutant in CATALOGUE:
-        start = time.perf_counter()
-        problem = run_mutant(mutant)
-        seconds = time.perf_counter() - start
-        failures += problem is not None
-        print(f"{'killed' if problem is None else 'FAILED'}  {mutant.name} ({seconds:.1f} s)")
-        if problem is not None:
-            print(f"    {mutant.module}: {problem}")
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, (problem, seconds) in zip(CATALOGUE, pool.map(_timed, CATALOGUE)):
+            failures += problem is not None
+            print(f"{'killed' if problem is None else 'FAILED'}  {mutant.name} ({seconds:.1f} s)")
+            if problem is not None:
+                print(f"    {mutant.module}: {problem}")
     print(f"{len(CATALOGUE) - failures} of {len(CATALOGUE)} mutants killed")
     return 1 if failures else 0
 
