@@ -156,8 +156,9 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     q[k] p[b] taken.  Each anchor i collects (r[a], r[b]) for the later points
     j > i, skipping the pairs already known to share a line, so a line is
     found once, at its first point.  One ``ratios(rbs, ras)`` batch gives the
-    anchor all of its keys, one modular inverse over GF(p), and the points are
-    grouped by key in increasing j.  The output is sorted by construction:
+    anchor all of its keys, with one modular inverse and four reductions a
+    pair over GF(p), and each point joins its group in increasing j with one
+    dict probe of its key.  The output is sorted by construction:
     the anchors increase, and at one anchor the groups open in increasing
     order of their second point.  What is kept from one anchor to the next
     is one byte per pair of points.
@@ -175,7 +176,7 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     for i, p in enumerate(coords):
         skip = on_a_line[i]
         k = leads[i]
-        a, b = (c for c in range(3) if c != k)
+        a, b = ((1, 2), (0, 2), (0, 1))[k]
         pa, pb = p[a], p[b]
         later, ras, rbs = [], [], []
         for j in range(i + 1, n):
@@ -197,11 +198,7 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
             continue
         through_i: dict[Optional[Scalar], list[int]] = {}
         for j, key in zip(later, ratios(rbs, ras)):
-            group = through_i.get(key)
-            if group is None:
-                through_i[key] = [j]
-            else:
-                group.append(j)
+            through_i.setdefault(key, []).append(j)
         for group in through_i.values():
             if len(group) > 1:
                 for u, v in combinations(group, 2):

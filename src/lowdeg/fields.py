@@ -185,27 +185,29 @@ class PrimeField:
     def ratios(self, nums: Sequence[int], dens: Sequence[int]) -> list[Optional[int]]:
         """The canonical ``n / d`` for each pair, ``None`` where ``d`` is a multiple of p.
 
-        Montgomery's batch inversion (Math. Comp. 48, 1987): one ``pow``
-        inverts the product of the nonzero denominators, and a backward sweep
-        peels that inverse off one denominator at a time, three products a pair
-        instead of a ``pow`` each.
+        Montgomery's batch inversion (Math. Comp. 48, 1987): each denominator
+        is reduced once, one ``pow`` inverts the product of the nonzero ones,
+        and a backward sweep peels that inverse off one denominator at a time.
+        That is four reductions a pair (the denominator, the prefix product,
+        the quotient and the inverse) instead of a ``pow`` each.
         """
         p = self.p
+        reduced = [d % p for d in dens]
         # before[i]: the product of the nonzero denominators ahead of pair i
         before = []
         product = 1
-        for d in dens:
+        for d in reduced:
             before.append(product)
-            if d % p:
+            if d:
                 product = product * d % p
         # while sweeping back: the inverse of the nonzero denominators' product up to pair i
         inverse = pow(product, -1, p)
         out: list[Optional[int]] = [None] * len(dens)
         i = len(dens)
-        for d in reversed(dens):
+        for d in reversed(reduced):
             i -= 1
-            if d % p:
-                out[i] = nums[i] * before[i] % p * inverse % p
+            if d:
+                out[i] = nums[i] * before[i] * inverse % p
                 inverse = inverse * d % p
         return out
 

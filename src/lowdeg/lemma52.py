@@ -238,8 +238,8 @@ def planted_family(
         # one nonzero row of canonical scalars: its echelon form is the point
         point = _rref([_random_vector(rng, field, 3)], field)[0][0]
         on_first_line = len(points) == 2 and not _det3(field, *points, point)
-        if point not in points and not on_first_line:
-            points[point] = None
+        if not on_first_line:
+            points.setdefault(point)
     free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
     members = []
     for point in points:

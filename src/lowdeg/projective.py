@@ -34,6 +34,7 @@ Conventions:
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import MAX_INPUT, AmbientMismatchError, LowdegError, Value, check_int
@@ -180,7 +181,8 @@ class ProjSubspace(Value):
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "ProjSubspace":
-        check_int("ambient", ambient, 0, MAX_INPUT)
+        # the identity basis holds (ambient + 1)^2 entries, at most MAX_INPUT of them
+        check_int("ambient", ambient, 0, isqrt(MAX_INPUT) - 1)
         width = ambient + 1
         rows = tuple(
             tuple(field.one if i == j else field.zero for j in range(width)) for i in range(width)

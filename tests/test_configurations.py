@@ -1299,6 +1299,36 @@ class TestSylvesterGallai:
         assert report.witness == (0, 1) and report.max_collinear == 2
         assert peak < 128 * 2**10
 
+    def test_one_hash_per_key(self, monkeypatch):
+        # 12 QQ points in general position: every pair is keyed, and a key that is a
+        # Fraction, r[b] / r[a] with r[a] != 0, is hashed once, when its point joins its group
+        rng = random.Random(6)
+        coords = {}
+        while len(coords) < 12:
+            point = random_point(rng, QQ, 2)
+            coords.setdefault(point.coords, point)
+        config = PointConfig(tuple(coords.values()))
+        assert not any(collinear(config, *triple) for triple in combinations(range(12), 3))
+        fraction_keys = 0
+        for p, q in combinations(coords, 2):
+            k = p.index(1)
+            a = 1 if k == 0 else 0  # the first coordinate other than the lead of p
+            fraction_keys += q[a] - q[k] * p[a] != 0
+        assert 0 < fraction_keys < math.comb(12, 2)  # both kinds of key occur
+        calls = []
+        fraction_hash = Fraction.__hash__
+
+        def counted_hash(self):
+            calls.append(None)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+        lines = maximal_lines(config)
+        report = check_sylvester_gallai(config)
+        monkeypatch.undo()
+        assert len(lines) == report.lines_by_size[2] == math.comb(12, 2)
+        assert len(calls) == 2 * fraction_keys
+
 
 class TestSym2Model:
     def test_size(self):

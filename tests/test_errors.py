@@ -451,6 +451,7 @@ def test_every_integer_parameter_has_a_row():
 
 # The calls that once ran without end: P^-1 has no point to draw, and over QQ the sampler's
 # coordinates in [-9, 9] reach only 2881 quotient points, so 10^5000 or 2882 members never exist.
+# The identity basis of P^(10^6) has 10^12 entries: building it ran out of memory.
 FORMER_HANGS = [
     (
         "random_point-ambient-minus-1",
@@ -466,6 +467,11 @@ FORMER_HANGS = [
         "planted_family-qq-past-the-plane",
         lambda: planted_family(_rng(), QQ, 4, 2882),
         "at most 2881 members over QQ, the quotient points that can be drawn, got 2882",
+    ),
+    (
+        "full-ambient-max-input",
+        lambda: ProjSubspace.full(QQ, 10**6),
+        "ambient must be in [0, 999], got 1000000",
     ),
 ]
 

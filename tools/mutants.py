@@ -187,19 +187,31 @@ CATALOGUE = (
         "if len(group) > 2:",
         (INCIDENCE_THEOREMS,),
     ),
+    # one dict probe per key, against the count of Fraction hashes
+    Mutant(
+        "keys-probed-twice",
+        "configurations.py",
+        "            through_i.setdefault(key, []).append(j)\n",
+        "            group = through_i.get(key)\n"
+        "            if group is None:\n"
+        "                through_i[key] = [j]\n"
+        "            else:\n"
+        "                group.append(j)\n",
+        ("tests/test_configurations.py::TestSylvesterGallai::test_one_hash_per_key",),
+    ),
     # the batch division of the pass, against per-pair division
     Mutant(
         "ratios-prefix-zero-test-unreduced",
         "fields.py",
-        "before.append(product)\n            if d % p:",
-        "before.append(product)\n            if d:",
+        "for d in reduced:\n            before.append(product)",
+        "for d in dens:\n            before.append(product)",
         (RATIOS_ORACLE,),
     ),
     Mutant(
         "ratios-prefix-off-by-one",
         "fields.py",
-        "before.append(product)\n            if d % p:\n                product = product * d % p\n",
-        "if d % p:\n                product = product * d % p\n            before.append(product)\n",
+        "before.append(product)\n            if d:\n                product = product * d % p\n",
+        "if d:\n                product = product * d % p\n            before.append(product)\n",
         (RATIOS_ORACLE,),
     ),
     # the pivot cells that elimination sets instead of computing, against the dense reference
@@ -245,6 +257,39 @@ CATALOGUE = (
         "for p in range(r, height):",
         "for p in range(height):",
         ELIMINATION_ORACLES,
+    ),
+    # the witness bases of Miller-Rabin, against a sieve and 25326001, a strong
+    # pseudoprime to bases 2, 3 and 5
+    Mutant(
+        "miller-rabin-without-base-7",
+        "fields.py",
+        "for base in (2, 3, 5, 7):\n        x = pow(base, d, n)",
+        "for base in (2, 3, 5):\n        x = pow(base, d, n)",
+        ("tests/test_fields.py::test_is_prime_matches_trial_division",),
+    ),
+    # the rational reader's denominator
+    Mutant(
+        "rational-without-denominator",
+        "fields.py",
+        '_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")',
+        '_RATIONAL = re.compile(r"(-?[0-9]+)")',
+        ("tests/test_fields.py::TestScalarJson::test_rational_strings",),
+    ),
+    # the magnitude cap on negative flags
+    Mutant(
+        "magnitude-cap-without-abs",
+        "cli.py",
+        "abs(value) > MAX_INPUT",
+        "value > MAX_INPUT",
+        ("tests/test_cli.py::TestDfAndCone::test_magnitude_caps",),
+    ),
+    # a subspaces file over two fields
+    Mutant(
+        "subspaces-file-fields-unchecked",
+        "jsonio.py",
+        "field = member_field if field is None else require_same_field(field, member_field)",
+        "field = member_field",
+        ("tests/test_cli.py::TestLemma52::test_one_field_per_file",),
     ),
     # meet's split of the reduced rows into the two halves
     Mutant(
