@@ -5,12 +5,17 @@ points are tabulated: degree-d covers of the projective line or of an
 elliptic curve (positive rank required over the ground field), normalized
 Debarre-Fahlaoui curves, and a short list of sporadic genera that survive
 the genus caps.  The table is encoded as data, exactly as established; the
-finer genus endpoints are tabulated facts, not re-derived here.  The
-:func:`audit` layer checks what :mod:`lowdeg.numerology` and
-:mod:`lowdeg.sym2_lattice` derive (the Debarre-Fahlaoui top genus, effective classes,
-each sporadic and plane-quartic genus against its caps, the d = 5 cap) and the
-cells' shape (covers first, provenances, geometric kinds among arithmetic ones,
-plane quartics only at arithmetic d = 3); a byte-exact test fixture pins the rest.
+finer genus endpoints are tabulated facts, not re-derived here.
+
+:func:`audit` checks the table against what :mod:`lowdeg.numerology` and
+:mod:`lowdeg.sym2_lattice` derive: the Debarre-Fahlaoui top genus, m range
+(the domain of :class:`DFParams`) and effective classes, the plane-quartic
+genus pi(4, 2), each sporadic and plane-quartic genus against its caps, the
+d = 5 cap pi(20, 12), and the positive-rank flag against the mode.  It also
+checks each cell's shape; a byte-exact test fixture pins the rest.  A failing
+check never raises: a :class:`LowdegError` inside one is a failed row with the
+message as its detail, so :func:`audit` raises only when :func:`classify`
+refuses d.
 
 ``arithmetic=True`` classifies over the ground field; ``arithmetic=False``
 classifies after base change to the algebraic closure, where the rank
@@ -20,7 +25,7 @@ sporadic cases.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import LowdegError, brief, check_int
 from .numerology import castelnuovo_pi, genus_bound_main
@@ -41,52 +46,6 @@ class ClassificationCase(NamedTuple):
     provenance: str
 
 
-def _cover_cases(d: int, arithmetic: bool) -> list[ClassificationCase]:
-    p1 = ClassificationCase(
-        kind=KIND_COVER_P1,
-        params={"degree": d},
-        provenance=f"degree-{d} pullback of the rational points of the projective line",
-    )
-    if arithmetic:
-        elliptic = ClassificationCase(
-            kind=KIND_COVER_ELLIPTIC,
-            params={"degree": d, "requires_positive_rank": True},
-            provenance=(
-                f"degree-{d} pullback of the rational points of a positive-rank elliptic curve"
-            ),
-        )
-    else:
-        elliptic = ClassificationCase(
-            kind=KIND_COVER_ELLIPTIC,
-            params={"degree": d, "requires_positive_rank": False},
-            provenance=f"degree-{d} pullback from an elliptic curve",
-        )
-    return [p1, elliptic]
-
-
-def _df_case(d: int) -> ClassificationCase:
-    return ClassificationCase(
-        kind=KIND_DF,
-        params={"d": d, "m_min": 1, "m_max": d, "genus_max": df_genus(DFParams(d, 1))},
-        provenance=(
-            "Debarre-Fahlaoui 1993: normalization of an integral curve on the "
-            "symmetric square of an elliptic curve, class (d+m)*section - m*fiber"
-        ),
-    )
-
-
-def _sporadic_case(d: int, genus: int) -> ClassificationCase:
-    if d == 5:
-        cap_note = "Castelnuovo cap pi(20, 12) = 8"
-    else:
-        cap_note = f"genus cap (d-1)(d-2)/2 + 2 = {genus_bound_main(d).bound_non_df_dagger}"
-    return ClassificationCase(
-        kind=KIND_SPORADIC,
-        params={"genus": genus},
-        provenance=f"{d}-minimal curve of genus {genus}; {cap_note}",
-    )
-
-
 def classify(d: int, arithmetic: bool = True) -> list[ClassificationCase]:
     """All sources of infinitely many degree-d points, as table rows.
 
@@ -98,23 +57,36 @@ def classify(d: int, arithmetic: bool = True) -> list[ClassificationCase]:
             f"the classification is only available for 2 <= d <= 5, got {brief(d)} "
             f"(degree 6 is open)"
         )
-    cases = _cover_cases(d, arithmetic)
+    pullback = f"degree-{d} pullback of the rational points of"
+    cases = [
+        ClassificationCase(KIND_COVER_P1, {"degree": d}, f"{pullback} the projective line"),
+        ClassificationCase(
+            KIND_COVER_ELLIPTIC,
+            {"degree": d, "requires_positive_rank": bool(arithmetic)},
+            f"{pullback} a positive-rank elliptic curve"
+            if arithmetic
+            else f"degree-{d} pullback from an elliptic curve",
+        ),
+    ]
     if d >= 4 or (d == 3 and arithmetic):
-        cases.append(_df_case(d))
-    if arithmetic:
-        if d == 3:
-            cases.append(
-                ClassificationCase(
-                    kind=KIND_PLANE_QUARTIC,
-                    params={"genus": 3},
-                    provenance=(
-                        "genus-3 smooth plane quartic with no rational point, "
-                        "positive-rank Jacobian, and at least one cubic point"
-                    ),
-                )
-            )
-        for genus in SPORADIC_GENERA.get(d, ()):
-            cases.append(_sporadic_case(d, genus))
+        params = {"d": d, "m_min": 1, "m_max": d, "genus_max": df_genus(DFParams(d, 1))}
+        provenance = (
+            "Debarre-Fahlaoui 1993: normalization of an integral curve on the "
+            "symmetric square of an elliptic curve, class (d+m)*section - m*fiber"
+        )
+        cases.append(ClassificationCase(KIND_DF, params, provenance))
+    if arithmetic and d == 3:
+        provenance = (
+            "genus-3 smooth plane quartic with no rational point, "
+            "positive-rank Jacobian, and at least one cubic point"
+        )
+        cases.append(ClassificationCase(KIND_PLANE_QUARTIC, {"genus": 3}, provenance))
+    if arithmetic and d in SPORADIC_GENERA:
+        rule = "Castelnuovo cap pi(20, 12)" if d == 5 else "genus cap (d-1)(d-2)/2 + 2"
+        cap = sporadic_genus_cap(d)
+        for genus in SPORADIC_GENERA[d]:
+            provenance = f"{d}-minimal curve of genus {genus}; {rule} = {cap}"
+            cases.append(ClassificationCase(KIND_SPORADIC, {"genus": genus}, provenance))
     return cases
 
 
@@ -128,8 +100,8 @@ def classification_json(d: int, arithmetic: bool = True) -> dict:
 
 
 def sporadic_genus_cap(d: int) -> int:
-    """The cap that sporadic genera must respect: (d-1)(d-2)/2 + 2 in general,
-    improved to the Castelnuovo value pi(20, 12) = 8 for d = 5."""
+    """The cap that sporadic genera must respect: (d-1)(d-2)/2 + 2, and at
+    d = 5 the larger of that and the Castelnuovo value pi(20, 12); both are 8."""
     if d == 5:
         return max(genus_bound_main(5).bound_non_df_dagger, castelnuovo_pi(20, 12))
     return genus_bound_main(d).bound_non_df_dagger
@@ -150,78 +122,102 @@ class AuditReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
+def _df_accepts(d: int, m: int) -> bool:
+    try:
+        DFParams(d, m)
+    except LowdegError:
+        return False
+    return True
+
+
 def audit(d: int) -> AuditReport:
-    """Cross-check both table cells for degree d against the bound machinery."""
-    arithmetic_cases = classify(d, arithmetic=True)
-    geometric_cases = classify(d, arithmetic=False)
+    """Cross-check both table cells for degree d against the bound machinery;
+    raises only when :func:`classify` refuses d."""
+    cells = {"arithmetic": classify(d, arithmetic=True), "geometric": classify(d, arithmetic=False)}
     checks: list[AuditCheck] = []
 
-    def add(name: str, passed: bool, detail: str) -> None:
+    def run(name: str, detail: str, check: Callable[[], bool]) -> None:
+        try:
+            passed = check()
+        except LowdegError as exc:
+            passed, detail = False, str(exc)
         checks.append(AuditCheck(name=name, passed=passed, detail=detail))
 
-    for mode, cases in (("arithmetic", arithmetic_cases), ("geometric", geometric_cases)):
-        kinds = [c.kind for c in cases]
-        add(
+    for mode, cases in cells.items():
+        run(
             f"covers_present_{mode}",
-            kinds[:2] == [KIND_COVER_P1, KIND_COVER_ELLIPTIC]
-            and all(c.params.get("degree") == d for c in cases[:2]),
             f"both degree-{d} cover cases listed first",
+            lambda: [c.kind for c in cases[:2]] == [KIND_COVER_P1, KIND_COVER_ELLIPTIC]
+            and all(c.params.get("degree") == d for c in cases[:2]),
         )
-        add(
+        run(
             f"provenance_{mode}",
-            all(c.provenance for c in cases),
             "every case carries a provenance annotation",
+            lambda: all(c.provenance for c in cases),
+        )
+        elliptic = [c for c in cases if c.kind == KIND_COVER_ELLIPTIC]
+        ranks = [c.params.get("requires_positive_rank") for c in elliptic]
+        run(
+            f"positive_rank_{mode}",
+            f"the elliptic cover's requires_positive_rank {ranks} matches the {mode} mode",
+            lambda: ranks == [mode == "arithmetic"],
         )
 
-    geo_kinds = {c.kind for c in geometric_cases}
-    arith_kinds = {c.kind for c in arithmetic_cases}
-    add(
+    geo_kinds = {c.kind for c in cells["geometric"]}
+    arith_kinds = {c.kind for c in cells["arithmetic"]}
+    run(
         "geometric_subset_of_arithmetic",
-        geo_kinds <= arith_kinds,
         f"geometric kinds {sorted(geo_kinds)} within arithmetic kinds {sorted(arith_kinds)}",
+        lambda: geo_kinds <= arith_kinds,
     )
 
     bound = genus_bound_main(d)
-    df_cases = [c for c in arithmetic_cases if c.kind == KIND_DF]
+    df_cases = [c for c in cells["arithmetic"] if c.kind == KIND_DF]
     if d == 2:
-        add("no_df_for_d2", not df_cases, "no Debarre-Fahlaoui entry in the d = 2 cells")
+        run("no_df_for_d2", "no Debarre-Fahlaoui entry in the d = 2 cells", lambda: not df_cases)
     else:
         for case in df_cases:
+            low, high, top = case.params["m_min"], case.params["m_max"], case.params["genus_max"]
             expected = df_genus(DFParams(d, 1))
-            add(
+            run(
                 "df_genus_max",
-                case.params["genus_max"] == expected == bound.bound_dagger,
-                f"genus_max {case.params['genus_max']} equals the adjunction value "
+                f"genus_max {top} equals the adjunction value "
                 f"{expected} and the d(d-1)/2 + 1 ceiling {bound.bound_dagger}",
+                lambda: top == expected == bound.bound_dagger,
             )
-            effective = all(
-                is_effective(df_class(DFParams(d, m)))
-                for m in range(case.params["m_min"], case.params["m_max"] + 1)
+            run(
+                "df_m_range",
+                f"m from {low} to {high} is the domain of DFParams: "
+                f"{low} and {high} accepted, {low - 1} and {high + 1} refused",
+                lambda: [_df_accepts(d, m) for m in (low - 1, low, high, high + 1)]
+                == [False, True, True, False],
             )
-            add("df_classes_effective", effective, "every class in the m range is effective")
+            run(
+                "df_classes_effective",
+                "every class in the m range is effective",
+                lambda: all(is_effective(df_class(DFParams(d, m))) for m in range(low, high + 1)),
+            )
 
-    sporadic = [c for c in arithmetic_cases if c.kind == KIND_SPORADIC]
-    quartic = [c for c in arithmetic_cases if c.kind == KIND_PLANE_QUARTIC]
+    sporadic = [c for c in cells["arithmetic"] if c.kind in (KIND_SPORADIC, KIND_PLANE_QUARTIC)]
     if d == 2:
-        add(
-            "no_sporadic_for_d2",
-            not sporadic and not quartic,
-            "the d = 2 cells contain covers only",
-        )
+        run("no_sporadic_for_d2", "the d = 2 cells contain covers only", lambda: not sporadic)
     else:
         cap = sporadic_genus_cap(d)
-        for case in sporadic + quartic:
+        for case in sporadic:
             genus = case.params["genus"]
-            add(
+            run(
                 f"sporadic_genus_{genus}_cap",
-                genus <= cap and genus <= bound.overall,
                 f"genus {genus} within cap {cap} and overall ceiling {bound.overall}",
+                lambda: genus <= cap and genus <= bound.overall,
             )
+            if case.kind == KIND_PLANE_QUARTIC:
+                pi = castelnuovo_pi(4, 2)
+                run("plane_quartic_genus", f"genus {genus} is pi(4, 2) = {pi}", lambda: genus == pi)
     if d == 5:
-        add(
+        run(
             "castelnuovo_cap_value",
-            sporadic_genus_cap(5) == castelnuovo_pi(20, 12) == 8,
             "the d = 5 sporadic cap is the Castelnuovo value pi(20, 12) = 8",
+            lambda: sporadic_genus_cap(5) == castelnuovo_pi(20, 12) == 8,
         )
     quartic_everywhere = [
         (dd, mode)
@@ -229,18 +225,15 @@ def audit(d: int) -> AuditReport:
         for mode, flag in (("arithmetic", True), ("geometric", False))
         if any(c.kind == KIND_PLANE_QUARTIC for c in classify(dd, flag))
     ]
-    add(
+    run(
         "plane_quartic_only_d3_arithmetic",
-        quartic_everywhere == [(3, "arithmetic")],
         f"plane-quartic entries found at {quartic_everywhere}",
+        lambda: quartic_everywhere == [(3, "arithmetic")],
     )
     return AuditReport(d=d, checks=tuple(checks))
 
 
 def audit_json(d: int) -> dict:
     report = audit(d)
-    return {
-        "d": report.d,
-        "passed": report.passed,
-        "checks": [c._asdict() for c in report.checks],
-    }
+    checks = [c._asdict() for c in report.checks]
+    return {"d": report.d, "passed": report.passed, "checks": checks}

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import lowdeg.classify as classify_module
 from lowdeg.classify import (
     KIND_COVER_ELLIPTIC,
     KIND_COVER_P1,
@@ -154,3 +155,74 @@ class TestAudit:
         for d in (2, 3, 4, 5):
             names = [c["name"] for c in audit_json(d)["checks"]]
             assert "plane_quartic_only_d3_arithmetic" in names
+
+
+def _set_param(kind, key, value, modes=(True, False)):
+    """A corruption of the table: ``params[key] = value(d)`` on each ``kind`` case of
+    the cells whose ``arithmetic`` flag is in ``modes``."""
+
+    def corrupt(monkeypatch):
+        real = classify_module.classify
+
+        def corrupted(d, arithmetic=True):
+            return [
+                c._replace(params={**c.params, key: value(d)})
+                if c.kind == kind and arithmetic in modes
+                else c
+                for c in real(d, arithmetic)
+            ]
+
+        monkeypatch.setattr(classify_module, "classify", corrupted)
+
+    return corrupt
+
+
+# each corruption, and the exact checks that fail at each d (a d left out passes)
+CORRUPTIONS = {
+    "none": (lambda monkeypatch: None, {}),
+    "df-m-max-one-short": (
+        _set_param(KIND_DF, "m_max", lambda d: d - 1),
+        {d: {"df_m_range"} for d in (3, 4, 5)},
+    ),
+    "df-m-max-one-past": (
+        _set_param(KIND_DF, "m_max", lambda d: d + 1),
+        {d: {"df_m_range", "df_classes_effective"} for d in (3, 4, 5)},
+    ),
+    "rank-flag-flipped-arithmetic": (
+        _set_param(KIND_COVER_ELLIPTIC, "requires_positive_rank", lambda d: False, (True,)),
+        {d: {"positive_rank_arithmetic"} for d in (2, 3, 4, 5)},
+    ),
+    "rank-flag-flipped-geometric": (
+        _set_param(KIND_COVER_ELLIPTIC, "requires_positive_rank", lambda d: True, (False,)),
+        {d: {"positive_rank_geometric"} for d in (2, 3, 4, 5)},
+    ),
+    "quartic-genus-2": (
+        _set_param(KIND_PLANE_QUARTIC, "genus", lambda d: 2),
+        {3: {"plane_quartic_genus"}},
+    ),
+    # above the d = 4 cap 5, below the overall ceiling 7
+    "extra-d4-genus-6": (
+        lambda monkeypatch: monkeypatch.setitem(classify_module.SPORADIC_GENERA, 4, (4, 5, 6)),
+        {4: {"sporadic_genus_6_cap"}},
+    ),
+    # the d = 5 cap becomes 9 and equals pi, but is no longer 8
+    "castelnuovo-pi-9": (
+        lambda monkeypatch: monkeypatch.setattr(classify_module, "castelnuovo_pi", lambda *a: 9),
+        {3: {"plane_quartic_genus"}, 5: {"castelnuovo_cap_value"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("corrupt, failing", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_corrupted_table_fails_the_audit(monkeypatch, corrupt, failing):
+    corrupt(monkeypatch)
+    for d in (2, 3, 4, 5):
+        report = audit(d)  # a failing check is a row, never an exception
+        failed = {c.name for c in report.checks if not c.passed}
+        assert (report.passed, failed) == (d not in failing, failing.get(d, set())), d
+
+
+def test_a_check_that_raises_is_a_failed_row(monkeypatch):
+    CORRUPTIONS["df-m-max-one-past"][0](monkeypatch)
+    row = next(c for c in audit(3).checks if c.name == "df_classes_effective")
+    assert row == ("df_classes_effective", False, "m must satisfy 1 <= m <= d = 3, got 4")

@@ -183,6 +183,26 @@ class TestClassifyAndAudit:
         assert data["passed"] is True
         assert any(c["name"] == "castelnuovo_cap_value" for c in data["checks"])
 
+    def test_failed_audit_is_printed_and_exits_0(self, capsys, monkeypatch):
+        from lowdeg import classify as table
+
+        real = table.classify
+
+        def short_df_range(d, arithmetic=True):
+            return [
+                c._replace(params={**c.params, "m_max": d - 1}) if c.kind == table.KIND_DF else c
+                for c in real(d, arithmetic)
+            ]
+
+        monkeypatch.setattr(table, "classify", short_df_range)
+        code, out, err = run(capsys, "audit", "--d", "3")
+        lines = out.splitlines()
+        assert (code, lines[0], err) == (0, "audit d = 3: FAIL", "")
+        assert [line for line in lines if line.startswith("  [FAIL]")] == [
+            "  [FAIL] df_m_range: m from 1 to 2 is the domain of DFParams: "
+            "1 and 2 accepted, 0 and 3 refused"
+        ]
+
 
 class TestSg:
     def test_generic_points_from_file(self, capsys, tmp_path):

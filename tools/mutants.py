@@ -57,6 +57,9 @@ RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
 )
+CORRUPTED_TABLE = "tests/test_classify.py::test_corrupted_table_fails_the_audit"
+CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_castelnuovo_anchor_and_monotonicity"
+CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_lattice_combinatorics_agreement"
 
 CATALOGUE = (
     # the value-class base
@@ -298,6 +301,171 @@ CATALOGUE = (
         "k = sum(c < width for c in pivots)",
         "k = sum(c <= width for c in pivots)",
         LEMMA52_ORACLES,
+    ),
+    # the classification audit, against corruptions of the table it must catch
+    Mutant(
+        "audit-runner-always-passes",
+        "classify.py",
+        "checks.append(AuditCheck(name=name, passed=passed, detail=detail))",
+        "checks.append(AuditCheck(name=name, passed=True, detail=detail))",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "audit-runner-lets-errors-through",
+        "classify.py",
+        "except LowdegError as exc:\n            passed, detail",
+        "except TypeError as exc:\n            passed, detail",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "d5-cap-at-least-8",
+        "classify.py",
+        "castelnuovo_pi(20, 12) == 8,",
+        "castelnuovo_pi(20, 12) >= 8,",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "sporadic-cap-not-compared",
+        "classify.py",
+        "lambda: genus <= cap and genus <= bound.overall,",
+        "lambda: genus <= bound.overall,",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "df-effective-range-one-short",
+        "classify.py",
+        "for m in range(low, high + 1)),",
+        "for m in range(low, high)),",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "df-m-range-top-not-probed-past",
+        "classify.py",
+        "(low - 1, low, high, high + 1)]\n                == [False, True, True, False],",
+        "(low - 1, low, high)]\n                == [False, True, True],",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "quartic-genus-only-capped",
+        "classify.py",
+        "lambda: genus == pi)",
+        "lambda: genus <= pi)",
+        (CORRUPTED_TABLE,),
+    ),
+    Mutant(
+        "rank-flag-not-compared-with-mode",
+        "classify.py",
+        'lambda: ranks == [mode == "arithmetic"],',
+        "lambda: len(ranks) == 1,",
+        (CORRUPTED_TABLE,),
+    ),
+    # the paper's numbers: Castelnuovo, the genus and gonality ceilings, the ledger floors
+    Mutant(
+        "castelnuovo-without-m-eps",
+        "numerology.py",
+        "return m * (m - 1) * (n - 1) // 2 + m * eps",
+        "return m * (m - 1) * (n - 1) // 2 + eps",
+        (CRITERION_1,),
+    ),
+    Mutant(
+        "castelnuovo-divmod-of-delta",
+        "numerology.py",
+        "divmod(delta - 1, n - 1)",
+        "divmod(delta, n - 1)",
+        (CRITERION_1,),
+    ),
+    Mutant(
+        "special-bound-ambient-2r",
+        "numerology.py",
+        "castelnuovo_pi(e + 2 * d, 2 * r + 1)",
+        "castelnuovo_pi(e + 2 * d, 2 * r)",
+        ("tests/test_numerology.py::TestOtherGenusBounds::test_special_values",),
+    ),
+    Mutant(
+        "main-bound-epsilon-shifted",
+        "numerology.py",
+        "epsilon = 3 * d - 1 - 6 * m",
+        "epsilon = 3 * d - 6 * m",
+        ("tests/test_cli.py::TestBounds::test_genus_bounds",),
+    ),
+    Mutant(
+        "non-df-bound-plus-1",
+        "numerology.py",
+        "bound_non_df_dagger=(d - 1) * (d - 2) // 2 + 2,",
+        "bound_non_df_dagger=(d - 1) * (d - 2) // 2 + 1,",
+        ("tests/test_acceptance.py::test_criterion_7_classification_table",),
+    ),
+    Mutant(
+        "governing-without-tie",
+        "numerology.py",
+        "elif bound_no_dagger > bound_dagger:",
+        "elif bound_no_dagger >= bound_dagger:",
+        ("tests/test_numerology.py::TestGenusBoundMain::test_governing_crossover",),
+    ),
+    Mutant(
+        "gonality-floor-g-plus-2",
+        "numerology.py",
+        "genus_based_geometric = (g + 3) // 2",
+        "genus_based_geometric = (g + 2) // 2",
+        ("tests/test_cli.py::TestBounds::test_gonality_section",),
+    ),
+    Mutant(
+        "odd-d-floor-dropped",
+        "numerology.py",
+        "if n == 4 and d >= 5 and d % 2 == 1:",
+        "if False:",
+        ("tests/test_numerology.py::TestRsProfile::test_floors_hold_across_the_range",),
+    ),
+    Mutant(
+        "rh-degree-floor-2",
+        "numerology.py",
+        "return max(1, (t + 2 * g_base - 2) // (t - 2))",
+        "return max(2, (t + 2 * g_base - 2) // (t - 2))",
+        ("tests/test_numerology.py::TestRiemannHurwitz::test_five_points_force_isomorphism",),
+    ),
+    # the Sym^2 lattice: the effective cone, the Debarre-Fahlaoui range, pairing, gonality guard
+    Mutant(
+        "effective-boundary-excluded",
+        "sym2_lattice.py",
+        "return c.a >= 0 and c.a + 2 * c.b >= 0",
+        "return c.a >= 0 and c.a + 2 * c.b > 0",
+        (CRITERION_4,),
+    ),
+    Mutant(
+        "df-top-m-refused",
+        "sym2_lattice.py",
+        "if not 1 <= m <= d:",
+        "if not 1 <= m < d:",
+        (CRITERION_4,),
+    ),
+    Mutant(
+        "gonality-guard-not-strict",
+        "sym2_lattice.py",
+        "return 2 * params.m < params.d",
+        "return 2 * params.m <= params.d",
+        ("tests/test_sym2_lattice.py::TestDebarreFahlaoui::test_gonality_guard",),
+    ),
+    Mutant(
+        "pairing-not-symmetric",
+        "sym2_lattice.py",
+        "c1.a * c2.b + c2.a * c1.b",
+        "2 * c1.a * c2.b",
+        ("tests/test_acceptance.py::test_criterion_2_genus_bound_coherence",),
+    ),
+    # the finite Sym^2 model's divisor families
+    Mutant(
+        "fiber-divisor-missing-a-pair",
+        "sym2_pairs.py",
+        "return frozenset(model.normalize((x, s - x)) for x in range(model.modulus))",
+        "return frozenset(model.normalize((x, s - x)) for x in range(model.modulus - 1))",
+        (CRITERION_4,),
+    ),
+    Mutant(
+        "diagonal-not-flagged",
+        "sym2_pairs.py",
+        "flagged = tuple(p for p in members if p[0] == p[1])",
+        "flagged = ()",
+        ("tests/test_configurations.py::TestSym2Model::test_two_divisor_flags_diagonal",),
     ),
 )
 
