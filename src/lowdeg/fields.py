@@ -6,10 +6,17 @@ values is equality of representations.  Prime-field values are plain ints in
 ``[0, p)``.  Arithmetic uses Python's operators; a field object supplies only
 what differs between the two kinds of scalars: ``coerce`` validates a value
 from outside, ``reduce`` maps an operator result to its canonical
-representative, ``inv`` inverts one value, ``ratios`` divides a batch of
-pairs, and ``is_zero`` tests a value for zero.  That keeps the matrix routines
-in :mod:`lowdeg.projective` and the Sylvester-Gallai pass in
-:mod:`lowdeg.configurations` generic over both.
+representative, ``submul`` gives the canonical ``x - f * y`` of three
+canonical values (the cell update of elimination), ``inv`` inverts one value,
+``ratios`` divides a batch of pairs, and ``is_zero`` tests a value for zero.
+That keeps the matrix routines in :mod:`lowdeg.projective` and the
+Sylvester-Gallai pass in :mod:`lowdeg.configurations` generic over both.
+
+Over QQ, ``submul`` builds one ``Fraction`` over the common denominator,
+where ``x - f * y`` builds two, each with its own gcds.  That wins while the
+bit lengths of the three denominators sum to at most ``_SUBMUL_BITS``; past
+that, the operators' cancelling before they multiply is cheaper, so
+``submul`` uses them.
 
 A canonical zero, ``Fraction(0)`` or the int ``0``, is falsy and every other
 canonical scalar is truthy, so code holding values from ``coerce`` or
@@ -35,6 +42,11 @@ from .errors import LowdegError, MixedFieldError, brief, check_int
 Scalar = Union[Fraction, int]
 
 PRIME_LIMIT = 2**31
+
+# The size rule of QQ's submul, in the three denominators' bit lengths summed.
+# Elimination's denominators share factors that the operators cancel before they
+# multiply, so past this the one-Fraction form is the slower one.
+_SUBMUL_BITS = 1024
 
 # The documented format, and what ``str(Fraction)`` writes.  It admits no exponent,
 # so Python's limit on the digits of an int string bounds the cost of a parse; its
@@ -102,6 +114,14 @@ class RationalField:
 
     def reduce(self, x: Fraction) -> Fraction:
         return x
+
+    def submul(self, x: Fraction, f: Fraction, y: Fraction) -> Fraction:
+        xd, fd, yd = x.denominator, f.denominator, y.denominator
+        # summed bit lengths, not the product's: on long entries the product alone
+        # costs a sixth of the operators
+        if xd.bit_length() + fd.bit_length() + yd.bit_length() > _SUBMUL_BITS:
+            return x - f * y
+        return Fraction(x.numerator * fd * yd - f.numerator * y.numerator * xd, xd * fd * yd)
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
@@ -173,6 +193,9 @@ class PrimeField:
 
     def reduce(self, x: int) -> int:
         return x % self.p
+
+    def submul(self, x: int, f: int, y: int) -> int:
+        return (x - f * y) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

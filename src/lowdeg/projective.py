@@ -23,7 +23,9 @@ Conventions:
   which passes an ambient so checked or one read off an existing subspace;
 * elimination is sparse: a pivot row is scaled, unless its pivot is
   already 1, and subtracted from other rows, over its nonzero columns after
-  the pivot only, found by the truthiness of canonical scalars; the pivot
+  the pivot only, found by the truthiness of canonical scalars; each cell
+  it subtracts from is one ``Field.submul``, in ``_rref`` and ``_reduce``
+  alike, which over QQ builds one ``Fraction`` instead of two; the pivot
   cell itself is set, to 1 in the pivot row and to 0 in each row it clears,
   never computed, and so is each pivot cell that ``_reduce`` clears;
 * scalars are coerced once, at the boundary: :func:`rref`, ``ProjPoint``,
@@ -65,6 +67,7 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
     width = len(mat[0])
     height = len(mat)
     reduce = field.reduce
+    submul = field.submul
     one = field.one
     zero = field.zero
     pivots: list[int] = []
@@ -92,7 +95,7 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
             factor = other[c]
             if factor and i != r:
                 for k in support:
-                    other[k] = reduce(other[k] - factor * row[k])
+                    other[k] = submul(other[k], factor, row[k])
                 other[c] = zero
         pivots.append(c)
         r += 1
@@ -212,7 +215,7 @@ class ProjSubspace(Value):
 
     def _reduce(self, vector: Sequence[Scalar]) -> list[Scalar]:
         """:meth:`reduce_vector` of canonical scalars of the right length."""
-        reduce = self.field.reduce
+        submul = self.field.submul
         zero = self.field.zero
         v = list(vector)
         for row, c in zip(self.rows, self.pivot_columns):
@@ -223,7 +226,7 @@ class ProjSubspace(Value):
                 v[c] = zero
                 for k in range(c + 1, len(row)):
                     if row[k]:
-                        v[k] = reduce(v[k] - factor * row[k])
+                        v[k] = submul(v[k], factor, row[k])
         return v
 
     def contains_point(self, point: ProjPoint) -> bool:

@@ -342,7 +342,12 @@ HOSTILE_TABLE = [
 EXEMPT_CALLABLES = {
     name: "a scalar operand of field arithmetic, not an argument: the hot paths call these "
     "once per matrix entry, so a check would tax every entry"
-    for name in ("fields.PrimeField.reduce", "fields.PrimeField.inv", "fields.PrimeField.is_zero")
+    for name in (
+        "fields.PrimeField.reduce",
+        "fields.PrimeField.submul",
+        "fields.PrimeField.inv",
+        "fields.PrimeField.is_zero",
+    )
 }
 LONG_LINE_EXEMPT = {
     ("lemma52.charge_input", "limit", 0): "the work rule's line, 273 characters of fixed text "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdeg import lemma52, projective
+from lowdeg import fields, lemma52, projective
 from lowdeg.configurations import PointConfig
 from lowdeg.lemma52 import common_subspace, planted_family, random_point, random_subspace
 from lowdeg.errors import (
@@ -580,16 +580,39 @@ def dense_reduce_vector(s, vector):
     return v
 
 
+class BranchCounting(RationalField):
+    """QQ that counts in ``.branches`` which side of the size rule each ``submul``
+    takes: one ``Fraction`` over the common denominator, or the operators."""
+
+    def __init__(self):
+        self.branches = Counter()
+
+    def submul(self, x, f, y):
+        bits = sum(z.denominator.bit_length() for z in (x, f, y))
+        self.branches["fused" if bits <= fields._SUBMUL_BITS else "operators"] += 1
+        return super().submul(x, f, y)
+
+
+def long_fraction(rng):
+    """A rational with a 200- to 400-digit numerator and denominator."""
+    numerator, denominator = (10 ** rng.randint(199, 399) + rng.randrange(10**199) for _ in "nd")
+    return Fraction(rng.choice((-1, 1)) * numerator, denominator)
+
+
 def test_sparse_elimination_matches_the_dense_reference():
     rng = random.Random(20261019)
     kinds = Counter()
-    for field in (QQ, GF3, GF101, BIG_PRIME):
+    qq = BranchCounting()
+    for field in (qq, GF3, GF101, BIG_PRIME):
 
         def entry(density):
-            # raw values: QQ mixes ints and fractions, GF(p) takes any int
+            # raw values: QQ mixes ints, short fractions and, one entry in 25, long
+            # ones, which take submul past its size rule; GF(p) takes any int
             if rng.random() >= density:
                 return 0
             if field == QQ:
+                if rng.random() < 1 / 25:
+                    return long_fraction(rng)
                 fraction = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                 return rng.choice((rng.randint(-9, 9), fraction))
             return rng.randint(-2 * field.p, 2 * field.p)
@@ -625,6 +648,8 @@ def test_sparse_elimination_matches_the_dense_reference():
             assert rref(wide, field) == dense_rref(wide, field)
             kinds["wide"] += 1
     assert min(kinds.values()) >= 100, kinds
+    # the cell updates over QQ run both sides of submul's size rule
+    assert min(qq.branches[side] for side in ("fused", "operators")) >= 1000, qq.branches
 
 
 def test_unit_pivots_match_the_dense_reference():
@@ -687,7 +712,8 @@ def test_operations_return_what_the_public_constructor_accepts():
 
 
 def counting_field(base, *args):
-    """A ``base`` field that counts its ``coerce``, ``reduce`` and ``inv`` calls in ``.calls``."""
+    """A ``base`` field that counts its ``coerce``, ``reduce``, ``submul`` and ``inv``
+    calls in ``.calls``."""
 
     class Counting(base):
         calls = Counter()
@@ -699,6 +725,10 @@ def counting_field(base, *args):
         def reduce(self, x):
             self.calls["reduce"] += 1
             return super().reduce(x)
+
+        def submul(self, x, f, y):
+            self.calls["submul"] += 1
+            return super().submul(x, f, y)
 
         def inv(self, a):
             self.calls["inv"] += 1
@@ -712,29 +742,30 @@ class TestEliminationWork:
         # pivot rows [1 . . 2 . .], [. . 4 . . .] and, once row 0 is subtracted
         # from it, [. . . -6 . 5]: the pivot cell is set to 1 and the cells it
         # clears to 0, never computed, so only the support after the pivot is
-        # reduced: once to scale it, unless the pivot is already 1, and once per
-        # row it is subtracted from.  That is 1 (row 1), 0 (an empty support),
-        # then 1 + 1 (row 0).  Over GF(7), -6 is 1, so its support is not scaled.
-        # The dense form reduces 30 cells.
+        # updated: reduced once to scale it, unless the pivot is already 1, and
+        # one submul per row it is subtracted from.  That is one submul (row 1),
+        # nothing (an empty support), then one reduce and one submul (row 0).
+        # Over GF(7), -6 is 1, so its support is not scaled.  The dense form
+        # reduces 30 cells.
         rows = [[1, 0, 0, 2, 0, 0], [3, 0, 0, 0, 0, 5], [0, 0, 4, 0, 0, 0]]
-        for field, reduces, invs in (
-            (counting_field(PrimeField, 7), 2, 1),
-            (counting_field(RationalField), 3, 2),
+        for field, work in (
+            (counting_field(PrimeField, 7), {"submul": 2, "inv": 1}),
+            (counting_field(RationalField), {"reduce": 1, "submul": 2, "inv": 2}),
         ):
             reduced, pivots = rref(rows, field)
             assert pivots == (0, 2, 3)
-            assert field.calls == {"coerce": 18, "reduce": reduces, "inv": invs}
+            assert field.calls == {"coerce": 18, **work}
 
     def test_reduce_vector_reduces_only_cells_after_a_used_pivot(self):
-        # a pivot row whose factor is nonzero sets the pivot cell to 0 and reduces
-        # the row's nonzero cells after it, once each; a zero factor costs nothing.
-        # [2 5 1 1] against [1 . 2 .] and [. 1 3 4] over GF(7): 1 cell, then 2,
-        # where the dense form reduces 8
+        # a pivot row whose factor is nonzero sets the pivot cell to 0 and updates
+        # the row's nonzero cells after it, one submul each; a zero factor costs
+        # nothing.  [2 5 1 1] against [1 . 2 .] and [. 1 3 4] over GF(7): 1 cell,
+        # then 2, where the dense form reduces 8
         gf7 = counting_field(PrimeField, 7)
         s = ProjSubspace.from_vectors(gf7, 3, [[1, 0, 2, 0], [0, 1, 3, 4]])
         gf7.calls.clear()
         assert s.reduce_vector([2, 5, 1, 1]) == [0, 0, 3, 2]
-        assert gf7.calls["reduce"] == 3
+        assert gf7.calls == {"coerce": 4, "submul": 3}
         rng = random.Random(20261022)
         used = Counter()
         for field in (QQ, GF3, GF101, BIG_PRIME):
@@ -757,7 +788,7 @@ class TestEliminationWork:
                         v = [counting.reduce(x - v[c] * y) for x, y in zip(v, row)]
                 counting.calls.clear()
                 assert s.reduce_vector(vector) == expected
-                assert counting.calls["reduce"] == cells
+                assert counting.calls["submul"] == cells and counting.calls["reduce"] == 0
         # pivots with a nonzero and with a zero factor both occur
         assert min(used.values()) >= 100, used
 
@@ -766,13 +797,13 @@ class TestEliminationWork:
         # runs it: the draw, common_subspace, then each member's containment of Λ
         qq = counting_field(RationalField)
         members, planted = planted_family(random.Random(29), qq, 5, 6)
-        assert qq.calls == {"reduce": 78, "inv": 9}
+        assert qq.calls == {"reduce": 23, "submul": 55, "inv": 9}
         qq.calls.clear()
         assert common_subspace(members) == planted
-        assert qq.calls == {"reduce": 106, "inv": 4}
+        assert qq.calls == {"reduce": 14, "submul": 92, "inv": 4}
         qq.calls.clear()
         assert all(s.contains_subspace(planted) for s in members)
-        assert qq.calls == {"reduce": 69}
+        assert qq.calls == {"submul": 69}
 
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
         # the public rref coerces each input cell once; the operations pass

@@ -45,8 +45,10 @@ LEMMA52_ORACLES = (
     "tests/test_configurations.py::TestCommonSubspace::test_every_three_lines_of_p3_over_gf2",
     "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields",
 )
+# the one oracle with long rational entries, so the one that reaches both sides of submul's size rule
+DENSE_REFERENCE = "tests/test_projective.py::test_sparse_elimination_matches_the_dense_reference"
 ELIMINATION_ORACLES = (
-    "tests/test_projective.py::test_sparse_elimination_matches_the_dense_reference",
+    DENSE_REFERENCE,
     "tests/test_projective.py::test_unit_pivots_match_the_dense_reference",
     *LEMMA52_ORACLES,
 )
@@ -252,6 +254,21 @@ CATALOGUE = (
         "range(c + 1, len(row))",
         "range(c + 2, len(row))",
         ELIMINATION_ORACLES,
+    ),
+    # both sides of QQ's cell-update size rule, against the dense reference's operators
+    Mutant(
+        "submul-numerator-drops-a-denominator",
+        "fields.py",
+        "x.numerator * fd * yd - f.numerator",
+        "x.numerator * fd - f.numerator",
+        ELIMINATION_ORACLES,
+    ),
+    Mutant(
+        "submul-long-entries-add",
+        "fields.py",
+        "            return x - f * y\n",
+        "            return x + f * y\n",
+        (DENSE_REFERENCE,),
     ),
     # the pivot search, which must skip the rows that already hold a pivot
     Mutant(
