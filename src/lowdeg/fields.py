@@ -44,9 +44,11 @@ Scalar = Union[Fraction, int]
 PRIME_LIMIT = 2**31
 
 # The size rule of QQ's submul, in the three denominators' bit lengths summed.
-# Elimination's denominators share factors that the operators cancel before they
-# multiply, so past this the one-Fraction form is the slower one.
-_SUBMUL_BITS = 1024
+# The one Fraction pays one gcd over the whole common denominator, where the
+# operators pay a few over operand-sized ints.  Timed on elimination's own cell
+# updates, the one Fraction is the faster below about this many bits and the
+# slower above.
+_SUBMUL_BITS = 2048
 
 # The documented format, and what ``str(Fraction)`` writes.  It admits no exponent,
 # so Python's limit on the digits of an int string bounds the cost of a parse; its

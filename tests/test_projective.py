@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowdeg import fields, lemma52, projective
+from lowdeg import lemma52, projective
 from lowdeg.configurations import PointConfig
 from lowdeg.lemma52 import common_subspace, planted_family, random_point, random_subspace
 from lowdeg.errors import (
@@ -582,15 +582,25 @@ def dense_reduce_vector(s, vector):
 
 class BranchCounting(RationalField):
     """QQ that counts in ``.branches`` which side of the size rule each ``submul``
-    takes: one ``Fraction`` over the common denominator, or the operators."""
+    took: the operators, seen as a call of ``Fraction.__sub__`` inside it, or one
+    ``Fraction`` over the common denominator, which makes no such call."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.branches = Counter()
+        self.subtractions = 0
+        subtract = Fraction.__sub__
+
+        def counted(a, b):
+            self.subtractions += 1
+            return subtract(a, b)
+
+        monkeypatch.setattr(Fraction, "__sub__", counted)
 
     def submul(self, x, f, y):
-        bits = sum(z.denominator.bit_length() for z in (x, f, y))
-        self.branches["fused" if bits <= fields._SUBMUL_BITS else "operators"] += 1
-        return super().submul(x, f, y)
+        before = self.subtractions
+        value = super().submul(x, f, y)
+        self.branches["operators" if self.subtractions > before else "fused"] += 1
+        return value
 
 
 def long_fraction(rng):
@@ -599,10 +609,10 @@ def long_fraction(rng):
     return Fraction(rng.choice((-1, 1)) * numerator, denominator)
 
 
-def test_sparse_elimination_matches_the_dense_reference():
+def test_sparse_elimination_matches_the_dense_reference(monkeypatch):
     rng = random.Random(20261019)
     kinds = Counter()
-    qq = BranchCounting()
+    qq = BranchCounting(monkeypatch)
     for field in (qq, GF3, GF101, BIG_PRIME):
 
         def entry(density):
