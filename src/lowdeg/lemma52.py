@@ -7,9 +7,11 @@ meet of members 0 and 1, and one containment test per later member,
 reading each member's point off its echelon rows and checking the member
 as it arrives, then tests that the points span the plane with 3 x 3
 determinants;
-:func:`planted_family` builds seeded families around a
-planted Λ.  :func:`charge_random` and :func:`charge_input` price the two jobs
-of ``lowdeg lemma52`` before they start, in the same units of work.
+:func:`planted_family` builds seeded families around a planted Λ, each
+member from Λ's echelon rows and one lifted quotient point, with no
+elimination of its own.  :func:`charge_random` and :func:`charge_input` price
+the two jobs of ``lowdeg lemma52`` before they start, in the same units of
+work.
 """
 
 from __future__ import annotations
@@ -230,7 +232,12 @@ def planted_family(
     The members through ``planted`` are the points of the quotient plane, so
     the family is built, not searched for: three non-collinear quotient
     points, then distinct further ones, each lifted onto the non-pivot
-    columns of ``planted`` (the coordinates projection reads back)."""
+    columns of ``planted`` (the coordinates projection reads back).
+
+    A member's echelon basis is known without elimination.  The lift is zero
+    on the pivots of ``planted`` and is 1 at ``lead``, the free column where
+    the point leads, so the basis is the rows of ``planted``, each cleared at
+    ``lead`` by the lift, with the lift inserted in pivot order."""
     _check_family_shape(field, ambient, count)
     planted = random_subspace(rng, field, ambient, ambient - 3)
     points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
@@ -240,13 +247,21 @@ def planted_family(
         on_first_line = len(points) == 2 and not _det3(field, *points, point)
         if not on_first_line:
             points.setdefault(point)
-    free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
+    pivots = planted.pivot_columns
+    free = [c for c in range(ambient + 1) if c not in pivots]
     members = []
     for point in points:
-        lift = dict(zip(free, point))
-        row = [lift.get(c, field.zero) for c in range(ambient + 1)]
-        rows = [*map(list, planted.rows), row]
-        members.append(ProjSubspace._canonical(field, ambient, *_rref(rows, field)))
+        lift = [field.zero] * (ambient + 1)
+        for c, x in zip(free, point):
+            lift[c] = x
+        lead = free[point.index(field.one)]
+        lift_span = ProjSubspace._canonical(field, ambient, (lift,), (lead,))
+        rows = [tuple(lift_span._reduce(r)) for r in planted.rows]
+        at = sum(c < lead for c in pivots)
+        rows.insert(at, tuple(lift))
+        members.append(
+            ProjSubspace._canonical(field, ambient, tuple(rows), (*pivots[:at], lead, *pivots[at:]))
+        )
     return members, planted
 
 

@@ -16,7 +16,10 @@ Conventions:
   that puts a point or a subspace in canonical form, and the one that finds
   pivots: a subspace keeps the pivot columns it returned;
 * only the public constructor checks that rows are canonical: every other
-  constructor and operation takes its rows from ``_rref``;
+  constructor and operation takes its rows from ``_rref``, with one
+  exception: a member of :func:`~lowdeg.lemma52.planted_family` takes Λ's
+  echelon rows through ``_reduce`` against the member's lift, plus that lift,
+  which is canonical by construction, and Λ's pivots with the lift's inserted;
 * the public ``ProjSubspace`` constructors (``ProjSubspace(...)``,
   ``from_vectors``, ``empty`` and ``full``) and :func:`span` check ``ambient``
   with :func:`~lowdeg.errors.check_int`; ``_canonical`` trusts its caller,

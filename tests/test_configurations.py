@@ -849,6 +849,29 @@ class TestRandomHelpers:
                     h.update(repr(family).encode())
             assert h.hexdigest() == digest, field
 
+    def test_planted_members_match_the_eliminated_lift(self):
+        # Each member is Λ's rows cleared at `lead` by the lift of its quotient point,
+        # with the lift inserted in pivot order.  Rebuilt the old way, as rref of Λ's
+        # rows and the lift, it must give the same rows and pivots, for every position
+        # of the point's leading 1 and with and without a Λ row to clear at `lead`.
+        cases = Counter()
+        for field in (GF2, GF3, QQ):
+            for ambient in range(3, 7):
+                for seed in range(12):
+                    members, planted = planted_family(random.Random(seed), field, ambient, 7)
+                    free = [c for c in range(ambient + 1) if c not in planted.pivot_columns]
+                    for s in members:
+                        # the point as common_subspace reads it: the row whose pivot is free
+                        row, lead = next(
+                            (row, c) for row, c in zip(s.rows, s.pivot_columns) if c in free
+                        )
+                        lift = [row[c] if c in free else 0 for c in range(ambient + 1)]
+                        assert rref([*planted.rows, lift], field) == (s.rows, s.pivot_columns)
+                        cases[free.index(lead), any(r[lead] for r in planted.rows)] += 1
+        assert sorted(cases) == [(i, cleared) for i in range(3) for cleared in (False, True)]
+        # 1008 members: the rarest case, a point (0, 0, 1) with no Λ row to clear, has 18
+        assert min(cases.values()) >= 15, cases
+
     def test_planted_family_fills_the_quotient_plane(self):
         # Every quotient point is needed; rejection sampling of whole families
         # almost never drew them all.

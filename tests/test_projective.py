@@ -815,6 +815,23 @@ class TestEliminationWork:
         assert all(s.contains_subspace(planted) for s in members)
         assert qq.calls == {"submul": 69}
 
+    def test_planted_members_are_not_eliminated(self, monkeypatch):
+        # the draw of that trial eliminates only what it draws: Λ's three spanning
+        # vectors of P^5 (18 cells), then six quotient points with no redraw (3 cells
+        # each).  A member takes Λ's echelon rows and its lift without another _rref
+        cells = Counter()
+        original = projective._rref
+
+        def counting_cells(mat, field):
+            cells["calls"] += 1
+            cells["cells"] += sum(len(row) for row in mat)
+            return original(mat, field)
+
+        for module in (projective, lemma52):
+            monkeypatch.setattr(module, "_rref", counting_cells)
+        planted_family(random.Random(29), QQ, 5, 6)
+        assert cells == {"calls": 7, "cells": 36}
+
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
         # the public rref coerces each input cell once; the operations pass
         # canonical rows to _rref and coerce nothing

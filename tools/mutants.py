@@ -56,6 +56,8 @@ CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
 HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
 RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
 RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
+PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
+PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lift"
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
 )
@@ -109,6 +111,28 @@ CATALOGUE = (
         "if lam.dim == ambient - 2:",
         "if False:",
         LEMMA52_ORACLES,
+    ),
+    # planted members built on Λ's echelon rows, against the eliminated lift and the pinned draws
+    Mutant(
+        "planted-rows-left-uncleared",
+        "lemma52.py",
+        "rows = [tuple(lift_span._reduce(r)) for r in planted.rows]",
+        "rows = list(planted.rows)",
+        (PLANTED_LIFT, PLANTED_DRAWS),
+    ),
+    Mutant(
+        "planted-lift-inserted-last",
+        "lemma52.py",
+        "at = sum(c < lead for c in pivots)",
+        "at = len(pivots)",
+        (PLANTED_LIFT, PLANTED_DRAWS),
+    ),
+    Mutant(
+        "collinearity-guard-dropped",
+        "lemma52.py",
+        "on_first_line = len(points) == 2 and not _det3(field, *points, point)",
+        "on_first_line = False",
+        (PLANTED_DRAWS,),
     ),
     # the integer-argument rule and how it quotes a value
     Mutant(
