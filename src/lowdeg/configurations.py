@@ -3,13 +3,16 @@
 The report is read off one anchored pass over the points: the lines through
 an anchor p are the points of the quotient line P^2 / p, so each anchor
 groups the later points by their image there, skipping pairs already on an
-emitted line.  Points are scaled to a leading 1, so the image of a later
-point q is read off q - p when q leads where p does, off q itself when q
-leads later, and off q - q[k] p, with k the lead of p, only when q leads
-earlier.  The image is a ratio, and an anchor divides all of its pairs in one
-``Field.ratios`` batch, one modular inverse per anchor over GF(p).  Each line
-is found once at its first point, and the lines come out sorted with n^2
-bytes of bookkeeping.  :func:`collinear` is the exact triple test (no
+emitted line.  The pass reads each point's integer coordinates off
+``Field.integral``: a prime-field point as it is, a rational point scaled by
+the lcm of its denominators, which turns its leading 1 into that lcm.  With k
+the lead index of p, the image of a later point q is read off q - p when q
+leads at k with the same lead entry, off q itself when q leads later, and off
+p[k] q - q[k] p otherwise.  The image is a ratio, and an anchor divides all
+of its pairs in one ``Field.ratios`` batch: one modular inverse per anchor
+over GF(p), one ``Fraction`` of two ints a pair over QQ.  Each line is found
+once at its first point, and the lines come out sorted with n^2 bytes of
+bookkeeping.  :func:`collinear` is the exact triple test (no
 tolerances anywhere).
 
 The paper's other two gadgets live in their own modules, so that a command
@@ -146,19 +149,23 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     """The lines of :func:`maximal_lines`, yielded in order as they are found.
 
     One anchored pass: the lines through p are the points of the quotient
-    line P^2 / p.  Let k be the lead index of p, so p[k] = 1, and a < b the
-    other two.  For a later point q, r = q - q[k] p spans the line pq together
+    line P^2 / p.  The pass runs on the integral rows of the points, so every
+    coordinate is an int.  Let k be the lead index of p and a < b the other
+    two.  For a later point q, r = p[k] q - q[k] p spans the line pq together
     with p, is nonzero because the points are distinct, and has r[k] = 0; so
     the line is the point (r[a] : r[b]) of P^1, keyed by r[b] / r[a], or by
-    ``None`` when r[a] = 0.  The lead of q gives q[k] without arithmetic: when
-    q leads at k too, q[k] = 1 and r = q - p; when q leads after k, q[k] = 0
-    and r = q; only when q leads before k are the two products q[k] p[a] and
-    q[k] p[b] taken.  Each anchor i collects (r[a], r[b]) for the later points
-    j > i, skipping the pairs already known to share a line, so a line is
-    found once, at its first point.  One ``ratios(rbs, ras)`` batch gives the
-    anchor all of its keys, with one modular inverse and four reductions a
-    pair over GF(p), and each point joins its group in increasing j with one
-    dict probe of its key.  The output is sorted by construction:
+    ``None`` when r[a] = 0.  Scaling r changes no key, so a tag of each point,
+    its lead index and lead entry, spares most of the products: when q has the
+    tag of p, q[k] = p[k] and r = q - p; when q leads after k, q[k] = 0 and
+    r = q; only otherwise, when q leads before k or at k with another lead
+    entry, are the four products taken.  Over GF(p) every lead entry is 1, so
+    that last case is q leading before k.  Each anchor i collects (r[a], r[b])
+    for the later points j > i, skipping the pairs already known to share a
+    line, so a line is found once, at its first point.  One
+    ``ratios(rbs, ras)`` batch gives the anchor all of its keys, with one
+    modular inverse and four reductions a pair over GF(p) and one ``Fraction``
+    of two ints a pair over QQ, and each point joins its group in increasing j
+    with one dict probe of its key.  The output is sorted by construction:
     the anchors increase, and at one anchor the groups open in increasing
     order of their second point.  What is kept from one anchor to the next
     is one byte per pair of points.
@@ -167,30 +174,33 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
     field = config.field
     ratios = field.ratios
-    coords = [p.coords for p in config.points]
+    points = config.points
+    coords = [field.integral(p.coords) for p in points]
     n = len(coords)
     # points are scaled so their first nonzero coordinate is 1
-    leads = [q.index(field.one) for q in coords]
+    leads = [p.coords.index(field.one) for p in points]
+    # the lead index k and the integral lead entry, the lcm of the point's denominators,
+    # in one int, so that one compare tells whether two points share both: k < 3
+    tags = [3 * q[k] + k for k, q in zip(leads, coords)]
     # on_a_line[u][v], for u < v: the pair lies on a line already emitted
     on_a_line = [bytearray(n) for _ in range(n)]
     for i, p in enumerate(coords):
         skip = on_a_line[i]
-        k = leads[i]
+        k, tag = leads[i], tags[i]
         a, b = ((1, 2), (0, 2), (0, 1))[k]
-        pa, pb = p[a], p[b]
+        pk, pa, pb = p[k], p[a], p[b]
         later, ras, rbs = [], [], []
         for j in range(i + 1, n):
             if skip[j]:
                 continue
             q = coords[j]
-            lead = leads[j]
-            if lead == k:  # q[k] = 1
+            if tags[j] == tag:  # q[k] = p[k]
                 ra, rb = q[a] - pa, q[b] - pb
-            elif lead > k:  # q[k] = 0
+            elif leads[j] > k:  # q[k] = 0
                 ra, rb = q[a], q[b]
             else:
                 t = q[k]
-                ra, rb = q[a] - t * pa, q[b] - t * pb
+                ra, rb = pk * q[a] - t * pa, pk * q[b] - t * pb
             later.append(j)
             ras.append(ra)
             rbs.append(rb)

@@ -8,7 +8,8 @@ what differs between the two kinds of scalars: ``coerce`` validates a value
 from outside, ``reduce`` maps an operator result to its canonical
 representative, ``submul`` gives the canonical ``x - f * y`` of three
 canonical values (the cell update of elimination), ``inv`` inverts one value,
-``ratios`` divides a batch of pairs, and ``is_zero`` tests a value for zero.
+``integral`` scales a row to integer entries, ``ratios`` divides a batch of
+pairs, and ``is_zero`` tests a value for zero.
 That keeps the matrix routines in :mod:`lowdeg.projective` and the
 Sylvester-Gallai pass in :mod:`lowdeg.configurations` generic over both.
 
@@ -24,7 +25,10 @@ canonical scalar is truthy, so code holding values from ``coerce`` or
 take unreduced values, such as differences of products, where any multiple of
 ``p``, not only ``0``, is zero in the field.  ``ratios`` is where the two
 kinds differ most: over GF(p) one modular inverse serves the whole batch
-(Montgomery's trick), while over QQ each pair is one ``Fraction`` division.
+(Montgomery's trick), while over QQ each pair is one reduced ``Fraction``.
+``integral`` gives ``ratios`` int arguments over both fields: a prime-field
+row is already ints, and a rational row is scaled by the lcm of its
+denominators, which moves it along its own line and so keeps every ratio.
 
 Mixing scalars that belong to different fields is a contract violation and
 raises :class:`~lowdeg.errors.MixedFieldError`.
@@ -32,6 +36,7 @@ raises :class:`~lowdeg.errors.MixedFieldError`.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -134,12 +139,20 @@ class RationalField:
     def is_zero(self, a: Fraction) -> bool:
         return a == 0
 
+    def integral(self, row: Sequence[Fraction]) -> list[int]:
+        """The row scaled by the lcm of its denominators, so that its entries are
+        integers.  A row whose first nonzero entry is 1, as a point's coordinates
+        are, comes out primitive: that entry becomes the lcm itself."""
+        scale = math.lcm(*(x.denominator for x in row))
+        return [x.numerator * (scale // x.denominator) for x in row]
+
     def ratios(
-        self, nums: Sequence[Fraction], dens: Sequence[Fraction]
+        self, nums: Sequence[Scalar], dens: Sequence[Scalar]
     ) -> list[Optional[Fraction]]:
-        """``n / d`` for each pair of Fractions, ``None`` where ``d`` is zero:
-        one division a pair, which gives the reduced quotient directly."""
-        return [n / d if d else None for n, d in zip(nums, dens)]
+        """The reduced ``Fraction`` ``n / d`` for each pair, ``None`` where ``d`` is
+        zero.  The pairs may be ints or Fractions; on ints, as the Sylvester-Gallai
+        pass gives, each quotient is one ``Fraction`` built from two ints."""
+        return [Fraction(n, d) if d else None for n, d in zip(nums, dens)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)
@@ -206,6 +219,10 @@ class PrimeField:
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
+
+    def integral(self, row: Sequence[int]) -> Sequence[int]:
+        """The row itself: its entries are already ints."""
+        return row
 
     def ratios(self, nums: Sequence[int], dens: Sequence[int]) -> list[Optional[int]]:
         """The canonical ``n / d`` for each pair, ``None`` where ``d`` is a multiple of p.

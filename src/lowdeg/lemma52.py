@@ -16,7 +16,6 @@ work.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import chain, islice
@@ -24,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MAX_INPUT, ConfigurationError, InputError, check_int
-from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
+from .fields import QQ, Field, PrimeField, Scalar, max_bits, require_same_field
 from .projective import ProjPoint, ProjSubspace, _rref, meet
 
 # Draws random_subspace makes before it gives up on independent spanning vectors.
@@ -179,12 +178,6 @@ def charge_random(field: Field, ambient: int, count: int, trials: int, limit: in
     return work
 
 
-def _integral_row(row: Sequence[Scalar]) -> list[int]:
-    """The row scaled by the lcm of its denominators, so that its entries are integers."""
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
 def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit: int) -> int:
     """The units of work of :func:`common_subspace` on the ``(ambient, rows)`` pairs
     of a file, by a rule fitted to timed files over QQ and GF(2^31 - 1), where an
@@ -199,7 +192,7 @@ def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit
     if isinstance(field, PrimeField):
         growth = field.p.bit_length()
     else:
-        growth = (n + 1) * max_bits(_integral_row(row) for _, rows in members for row in rows)
+        growth = (n + 1) * max_bits(QQ.integral(row) for _, rows in members for row in rows)
     work = charged_rows * (n + 1) ** 2 * (1024 + growth) ** 2 // 2**19
     if work > limit:
         raise InputError(

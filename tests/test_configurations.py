@@ -99,20 +99,22 @@ def sizes_in_order(lines):
 def counting_field(base, *args):
     """A ``base`` field that logs what is asked of it: in ``.calls``, whether
     each entry of every ``ratios`` batch is ``None``; in ``.batches``, each
-    batch's length; in ``.others``, the name of each ``inv``, ``reduce`` and
-    ``is_zero`` call.  ``reset`` empties the three logs."""
+    batch's length; in ``.types``, the type of each numerator and denominator
+    passed to ``ratios``; in ``.others``, the name of each ``inv``, ``reduce``
+    and ``is_zero`` call.  ``reset`` empties the four logs."""
 
     class Counting(base):
-        calls, batches, others = [], [], []
+        calls, batches, types, others = [], [], [], []
 
         def reset(self):
-            for log in (self.calls, self.batches, self.others):
+            for log in (self.calls, self.batches, self.types, self.others):
                 log.clear()
 
         def ratios(self, nums, dens):
             answers = super().ratios(nums, dens)
             self.batches.append(len(answers))
             self.calls.extend(answer is None for answer in answers)
+            self.types.extend(map(type, chain(nums, dens)))
             return answers
 
         def inv(self, a):
@@ -141,6 +143,26 @@ def keyed_lead_cases(config, lines):
         if len(line) >= 3
         for j in line[1:]
     )
+
+
+def keyed_tag_cases(config, lines):
+    """Like :func:`keyed_lead_cases` over QQ, with the same-lead case split by the
+    integral lead entries, which the pass compares with the lead index: "same
+    tag" when j leads where i does with the same entry, "other entry" when with
+    another, "later" and "earlier" when j leads later or earlier than i."""
+    leads = [p.coords.index(1) for p in config.points]
+    entries = [QQ.integral(p.coords)[k] for p, k in zip(config.points, leads)]
+    cases = Counter()
+    for line in lines:
+        if len(line) < 3:
+            continue
+        i = line[0]
+        for j in line[1:]:
+            if leads[j] == leads[i]:
+                cases["same tag" if entries[j] == entries[i] else "other entry"] += 1
+            else:
+                cases["later" if leads[j] > leads[i] else "earlier"] += 1
+    return cases
 
 
 def triple_scan(config):
@@ -650,8 +672,8 @@ class TestCommonSubspace:
         for _ in range(60):
             ambient = rng.randint(3, 6)
             members, planted = planted_family(rng, QQ, ambient, rng.randint(3, 6))
-            rows = [[lemma52._integral_row(row) for row in s.rows] for s in members]
-            lam_rows = [lemma52._integral_row(row) for row in planted.rows]
+            rows = [[QQ.integral(row) for row in s.rows] for s in members]
+            lam_rows = [QQ.integral(row) for row in planted.rows]
             shapes = [(lam_rows, ambient - 2), *((r, ambient - 1) for r in rows)]
             spans = [
                 *((a + b, ambient) for a, b in combinations(rows, 2)),
@@ -1056,7 +1078,8 @@ class TestSylvesterGallai:
 
     def test_one_ratios_batch_per_anchor(self):
         # the pass divides in one ratios batch per anchor at most, an empty one
-        # never, and asks the field for no single inverse, reduction or zero test
+        # never, of ints alone over both fields, and asks the field for no
+        # single inverse, reduction or zero test
         rng = random.Random(2323)
         gf7, gf5, big, qq = (
             counting_field(PrimeField, 7),
@@ -1081,6 +1104,7 @@ class TestSylvesterGallai:
                 scan(config)
                 assert 1 <= len(field.batches) <= n - 1 and min(field.batches) >= 1
                 assert sum(field.batches) == len(field.calls)
+                assert set(field.types) == {int}
                 assert field.others == []
 
     def test_whole_projective_planes_match_the_triple_scan(self):
@@ -1174,6 +1198,29 @@ class TestSylvesterGallai:
                 assert list(report.lines_by_size.items()) == sizes_in_order(expected)
                 assert report.witness == witness
             assert min(cases[0], cases[1], cases[-1]) >= 20, cases
+
+    def test_each_tag_case_matches_the_triple_scan(self):
+        # over QQ the pass keys (p, q) by q - p only when q has the lead index and
+        # the integral lead entry of p, the lcm of its denominators; at the same
+        # lead index with another entry it takes p[k] q - q[k] p.  Points of the
+        # grid {-3, ..., 3}^3 lead with entries 1, 2 and 3, and small grids are
+        # rich in lines of three or more points, which a wrong key splits
+        rng = random.Random(3403)
+        grid = [v for v in product(range(-3, 4), repeat=3) if any(v)]
+        cases = Counter()
+        for _ in range(12):
+            coords = {}
+            for v in rng.sample(grid, rng.randint(12, 20)):
+                point = ProjPoint(QQ, v)
+                coords.setdefault(point.coords, point)
+            config = PointConfig(tuple(coords.values()))
+            expected, witness = triple_scan(config)
+            cases.update(keyed_tag_cases(config, expected))
+            assert maximal_lines(config) == expected
+            report = check_sylvester_gallai(config)
+            assert list(report.lines_by_size.items()) == sizes_in_order(expected)
+            assert report.witness == witness
+        assert len(cases) == 4 and min(cases.values()) >= 20, cases
 
     def test_every_subset_of_the_smallest_planes(self):
         # Every nonempty point set of P^2(GF(2)) and P^2(GF(3)), against its

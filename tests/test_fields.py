@@ -17,6 +17,7 @@ from lowdeg.fields import (
     scalar_from_json,
     scalar_to_json,
 )
+from lowdeg.projective import ProjPoint, rref
 
 
 class TestRationalField:
@@ -116,8 +117,9 @@ class TestPrimeField:
 
 
 def _ratio_entry(rng, field):
-    """One numerator or denominator as the Sylvester-Gallai pass makes them:
-    unreduced, often zero in the field, negative or past the modulus."""
+    """One numerator or denominator of a ``ratios`` batch: unreduced, often zero
+    in the field, negative or past the modulus.  Over QQ it is a Fraction, which
+    ``ratios`` takes beside the ints that the Sylvester-Gallai pass gives it."""
     if field == QQ:
         kind = rng.randrange(4)
         if kind == 0:
@@ -164,6 +166,43 @@ def test_ratios_match_per_pair_division():
                     assert type(answer) is type(field.one) and field.coerce(answer) == answer
                 answers[answer is None] += 1
         assert answers[True] >= 1000 and answers[False] >= 400, (field, answers)
+
+
+def test_integral_rows():
+    # over QQ: the row scaled by the lcm of its denominators is ints, the same
+    # point (equal rref), primitive when it leads with 1 as a point does, and
+    # divides pair by pair into the same ratios as the Fractions it came from;
+    # over GF(p): the row object itself
+    rng = random.Random(3434)
+    leads_seen = Counter()
+    for trial in range(300):
+        width = rng.randint(1, 6)
+        raw = []
+        for _ in range(width):
+            digits = rng.randint(1, 12)
+            if rng.randrange(4) == 0:
+                raw.append(Fraction(0))
+            else:
+                num = rng.choice((1, -1)) * rng.randint(1, 10**digits)
+                raw.append(Fraction(num, 1 if trial % 5 == 0 else rng.randint(1, 10**digits)))
+        if not any(raw):
+            continue
+        point = ProjPoint(QQ, raw).coords
+        for row in (raw, point):
+            integral = QQ.integral(row)
+            assert all(type(x) is int for x in integral)
+            assert rref([integral], QQ) == rref([row], QQ)
+            assert QQ.ratios(integral[1:], integral[:-1]) == QQ.ratios(row[1:], row[:-1])
+        integral = QQ.integral(point)
+        lead = next(x for x in integral if x)
+        assert lead == math.lcm(*(x.denominator for x in point))
+        assert math.gcd(*integral) == 1
+        leads_seen[lead == 1] += 1
+    assert min(leads_seen.values()) >= 40, leads_seen
+    for p in (2, 101, 2**31 - 1):
+        field = PrimeField(p)
+        for row in ((0, 1, p - 1), [1, 0, 0], (rng.randrange(p),)):
+            assert field.integral(row) is row
 
 
 def test_is_prime_small_values():

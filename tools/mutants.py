@@ -61,6 +61,9 @@ PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lif
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
 )
+TAG_CASES = (
+    "tests/test_configurations.py::TestSylvesterGallai::test_each_tag_case_matches_the_triple_scan"
+)
 CORRUPTED_TABLE = "tests/test_classify.py::test_corrupted_table_fails_the_audit"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_castelnuovo_anchor_and_monotonicity"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_lattice_combinatorics_agreement"
@@ -215,6 +218,15 @@ CATALOGUE = (
         "if len(group) > 1:",
         "if len(group) > 2:",
         (INCIDENCE_THEOREMS,),
+    ),
+    # the tag that keys a same-lead pair by q - p, against a QQ oracle whose
+    # same-lead points lead with equal and with unequal integral entries
+    Mutant(
+        "tag-ignores-lead-entry",
+        "configurations.py",
+        "tags = [3 * q[k] + k for k, q in zip(leads, coords)]",
+        "tags = leads",
+        (TAG_CASES,),
     ),
     # one dict probe per key, against the count of Fraction hashes
     Mutant(
