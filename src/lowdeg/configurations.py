@@ -13,7 +13,8 @@ of its pairs in one ``Field.ratios`` batch: one modular inverse per anchor
 over GF(p), one ``Fraction`` of two ints a pair over QQ.  Each line is found
 once at its first point, and the lines come out sorted with n^2 bytes of
 bookkeeping.  :func:`collinear` is the exact triple test (no
-tolerances anywhere).
+tolerances anywhere): a 3 x 3 determinant of the three points' integer
+rows, which is zero exactly when the points are collinear.
 
 The paper's other two gadgets live in their own modules, so that a command
 loads only its own: Lemma 5.2's common codimension-3 subspace in
@@ -76,7 +77,8 @@ class PointConfig(Value):
 
 
 def collinear(config: PointConfig, i: int, j: int, k: int) -> bool:
-    """Exact collinearity of three configuration points in the plane."""
+    """Exact collinearity of three configuration points in the plane: the 3 x 3
+    determinant of their ``Field.integral`` rows vanishes."""
     if config.ambient != 2:
         raise ConfigurationError("collinearity checks require points in the plane")
     pts = config.points

@@ -6,7 +6,7 @@ plane P^n / Λ.  :func:`common_subspace` extracts Λ with one meet, the
 meet of members 0 and 1, and one containment test per later member,
 reading each member's point off its echelon rows and checking the member
 as it arrives, then tests that the points span the plane with 3 x 3
-determinants;
+determinants of their integer rows;
 :func:`planted_family` builds seeded families around a planted Λ, each
 member from Λ's echelon rows and one lifted quotient point, with no
 elimination of its own.  :func:`charge_random` and :func:`charge_input` price
@@ -204,7 +204,12 @@ def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit
     return work
 
 
-def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> Scalar:
+def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> int:
+    """The determinant of the rows p, q and r up to a nonzero factor, so zero exactly
+    when they are dependent.  It is computed on their ``Field.integral`` rows, in ints:
+    over QQ each row is scaled by the lcm of its denominators, which changes the
+    determinant by a nonzero factor, and the int is not reduced to a ``Fraction``."""
+    p, q, r = field.integral(p), field.integral(q), field.integral(r)
     raw = (
         p[0] * q[1] * r[2]
         + p[1] * q[2] * r[0]

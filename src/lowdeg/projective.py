@@ -11,7 +11,15 @@ Conventions:
 * a point is stored as its one-row reduced echelon form: the coordinates
   scaled so the first nonzero one is 1;
 * ``meet(s1, s2)`` is the kernel of projecting ``s2`` away from ``s1``,
-  found by one elimination over the rows ``[b mod s1 | b]``, b in ``s2``;
+  found by one elimination over the rows ``[b mod s1 | b]``, b in ``s2``
+  from its last row up: each left-half pivot then comes from the last row
+  with a nonzero image, which leaves the right halves in reduced echelon
+  form, or nearly;
+* containment is read off the pivots: ``o`` lies in ``s`` exactly when the
+  pivots of ``o`` are among those of ``s`` and each row v of ``o`` equals, on
+  the free columns of ``s``, the row of ``s`` at v's pivot plus v[c] times
+  the row of ``s`` at c, over the pivots c of ``s`` that ``o`` lacks; a point
+  is its one echelon row, its pivot the index of its leading 1;
 * :func:`rref`, whose one elimination loop is ``_rref``, is the one routine
   that puts a point or a subspace in canonical form, and the one that finds
   pivots: a subspace keeps the pivot columns it returned;
@@ -235,11 +243,36 @@ class ProjSubspace(Value):
     def contains_point(self, point: ProjPoint) -> bool:
         """Membership test; the empty subspace contains no point."""
         _check_compatible(self, point)
-        return not any(self._reduce(point.coords))
+        coords = point.coords
+        return self._contains((coords,), (coords.index(self.field.one),))
 
     def contains_subspace(self, other: "ProjSubspace") -> bool:
         _check_compatible(self, other)
-        return not any(any(self._reduce(row)) for row in other.rows)
+        return self._contains(other.rows, other.pivot_columns)
+
+    def _contains(self, rows: Matrix, pivots: tuple[int, ...]) -> bool:
+        """Whether the echelon rows ``rows``, with pivot columns ``pivots``, lie in
+        this subspace, by the rule of the module docstring: a vector of the subspace
+        leads at one of its pivots, and is the combination of its basis weighted by
+        the vector's entries on those pivots."""
+        by_pivot = dict(zip(self.pivot_columns, self.rows))
+        extra = [(c, row) for c, row in by_pivot.items() if c not in pivots]
+        # ``pivots`` are among this subspace's exactly when it has that many fewer
+        # pivots outside them
+        if len(extra) != len(by_pivot) - len(pivots):
+            return False
+        free = [k for k in range(self.ambient + 1) if k not in by_pivot]
+        submul = self.field.submul
+        for v, pv in zip(rows, pivots):
+            target = by_pivot[pv]
+            for k in free:
+                x = v[k]
+                for c, row in extra:
+                    if v[c] and row[k]:
+                        x = submul(x, v[c], row[k])
+                if x != target[k]:
+                    return False
+        return True
 
 
 def _check_compatible(a: ProjSubspace | ProjPoint, b: ProjSubspace | ProjPoint) -> Field:
@@ -288,10 +321,13 @@ def join(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
 def meet(s1: ProjSubspace, s2: ProjSubspace) -> ProjSubspace:
     """Intersection subspace: the kernel of projecting ``s2`` away from ``s1``.
     Reduced rows of ``[b mod s1 | b]`` (``b`` a basis row of ``s2``) with a
-    zero left half carry the echelon basis of the intersection on the right."""
+    zero left half carry the echelon basis of the intersection on the right.
+    The rows go in last first, so that the right halves come out reduced, or
+    nearly, with little work of their own; the reduced echelon form is unique,
+    so the order changes the work, not the result."""
     field = _check_compatible(s1, s2)
     width = s1.ambient + 1
-    reduced, pivots = _rref([s1._reduce(b) + list(b) for b in s2.rows], field)
+    reduced, pivots = _rref([s1._reduce(b) + list(b) for b in reversed(s2.rows)], field)
     # pivots increase, so the rows with a zero left half come last
     k = sum(c < width for c in pivots)
     rows = tuple(row[width:] for row in reduced[k:])

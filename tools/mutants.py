@@ -52,6 +52,9 @@ ELIMINATION_ORACLES = (
     "tests/test_projective.py::test_unit_pivots_match_the_dense_reference",
     *LEMMA52_ORACLES,
 )
+CONTAINMENT_ORACLE = (
+    "tests/test_projective.py::TestContains::test_containment_matches_a_rank_oracle"
+)
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
 HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
 RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
@@ -347,13 +350,43 @@ CATALOGUE = (
         "field = member_field",
         ("tests/test_cli.py::TestLemma52::test_one_field_per_file",),
     ),
-    # meet's split of the reduced rows into the two halves
+    # meet's split of the reduced rows into the two halves and the order of the halves,
+    # against the Lemma 5.2 oracles, and the order of its rows, against its work pin
     Mutant(
         "meet-split-inclusive",
         "projective.py",
         "k = sum(c < width for c in pivots)",
         "k = sum(c <= width for c in pivots)",
         LEMMA52_ORACLES,
+    ),
+    Mutant(
+        "meet-halves-swapped",
+        "projective.py",
+        "[s1._reduce(b) + list(b) for b in",
+        "[list(b) + s1._reduce(b) for b in",
+        LEMMA52_ORACLES,
+    ),
+    Mutant(
+        "meet-rows-top-down",
+        "projective.py",
+        "for b in reversed(s2.rows)",
+        "for b in s2.rows",
+        ("tests/test_projective.py::TestEliminationWork::test_meet_pivots_on_the_last_rows",),
+    ),
+    # containment read off the pivots, against a rank oracle in plain ints
+    Mutant(
+        "containment-pivot-subset-dropped",
+        "projective.py",
+        "if len(extra) != len(by_pivot) - len(pivots):",
+        "if False:",
+        (CONTAINMENT_ORACLE,),
+    ),
+    Mutant(
+        "containment-skips-extra-pivots",
+        "projective.py",
+        "                for c, row in extra:\n",
+        "                for c, row in ():\n",
+        (CONTAINMENT_ORACLE,),
     ),
     # the classification audit, against corruptions of the table it must catch
     Mutant(
