@@ -62,25 +62,19 @@ def _read_input(path: str) -> object:
         raise InputError(f"JSON in {path} is nested too deeply") from exc
 
 
-def _render_table(data: object, indent: int = 0) -> list[str]:
+def _render_table(data: dict | list, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(data, dict):
-        for key, value in data.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_table(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_render_scalar(value)}")
-    elif isinstance(data, list):
-        for value in data:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_table(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {_render_scalar(value)}")
+        pairs = [(f"{key}:", value) for key, value in data.items()]
     else:
-        lines.append(f"{pad}{_render_scalar(data)}")
+        pairs = [("-", value) for value in data]
+    lines: list[str] = []
+    for label, value in pairs:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_table(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_render_scalar(value)}")
     return lines
 
 

@@ -14,7 +14,8 @@ systems attached to a moving degree-d point on a curve:
 The recursion identity ``r(n) - s(n) = r'(n) - s'(n) = r(n-1) + 1`` holds at
 every step, a family divisor of degree d never spans more than a
 (d-1)-plane, and the common subspace of the n=2 system has codimension at
-least 3.
+least 3.  The span bound never drops, so from n = 3 on the primed bounds
+equal the unprimed ones.
 """
 
 from __future__ import annotations
@@ -211,7 +212,10 @@ def rs_profile(d: int, n_max: int, dagger: bool, r2: int) -> ConfigProfile:
     grows by at least one per step until it saturates at d - 1, which for
     r2 = 2 yields r(n) >= n(n+1)/2 - 1.  Without it the span dimension still
     never drops, and for r2 >= 3 the two hard floors r'(3) >= 7 (d >= 4) and
-    r'(4) >= 12 (odd d >= 5) are applied.
+    r'(4) >= 12 (odd d >= 5) are applied.  As s(n) >= s(n-1) in both
+    branches, r'(n) = r(n) and s'(n) = s(n) from n = 3 on.  s(n) <= d - 1 needs
+    no check: s(2) = r2 - 1 <= d - 1, a dagger step stops at d - 1, and the
+    floors give s(3) <= 3 for d >= 4 and s(4) <= 12 - r(3) - 1 <= 4 for d >= 5.
     """
     check_int("d", d, 2, MAX_INPUT)
     check_int("n_max", n_max, 2, MAX_INPUT)
@@ -222,36 +226,22 @@ def rs_profile(d: int, n_max: int, dagger: bool, r2: int) -> ConfigProfile:
             f"spans at most a (d-1)-plane and its spans are hyperplanes"
         )
 
-    cap = d - 1
     r_lb = [r2]
     s_lb = [r2 - 1]
-    rprime_lb = [2]
-    sprime_lb = [1]
-
     for n in range(3, n_max + 1):
         prev_r = r_lb[-1]
-        prev_s = s_lb[-1]
+        s_n = s_lb[-1]
         if dagger:
-            sp = min(prev_s + 1, cap)
-        else:
-            sp = prev_s
-        rp = prev_r + 1 + sp
+            s_n = min(s_n + 1, d - 1)
+        r_n = prev_r + 1 + s_n
         if not dagger and r2 >= 3:
             if n == 3 and d >= 4:
-                rp = max(rp, 7)
+                r_n = max(r_n, 7)
             if n == 4 and d >= 5 and d % 2 == 1:
-                rp = max(rp, 12)
-            sp = rp - prev_r - 1
-        s_n = max(prev_s, sp)
-        if s_n > cap:
-            raise LowdegError(
-                f"inconsistent profile: s({n}) lower bound {s_n} exceeds d - 1 = {cap}"
-            )
-        r_n = prev_r + s_n + 1
+                r_n = max(r_n, 12)
+            s_n = r_n - prev_r - 1
         r_lb.append(r_n)
         s_lb.append(s_n)
-        rprime_lb.append(rp)
-        sprime_lb.append(sp)
 
     return ConfigProfile(
         d=d,
@@ -260,7 +250,7 @@ def rs_profile(d: int, n_max: int, dagger: bool, r2: int) -> ConfigProfile:
         n_max=n_max,
         r_lb=tuple(r_lb),
         s_lb=tuple(s_lb),
-        rprime_lb=tuple(rprime_lb),
-        sprime_lb=tuple(sprime_lb),
+        rprime_lb=(2, *r_lb[1:]),
+        sprime_lb=(1, *s_lb[1:]),
         codim_v_lb=3,
     )

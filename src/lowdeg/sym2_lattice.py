@@ -34,12 +34,6 @@ class SurfaceClass(Value):
     def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
         return SurfaceClass(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
-        return SurfaceClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "SurfaceClass":
-        return SurfaceClass(-self.a, -self.b)
-
     def __rmul__(self, k: int) -> "SurfaceClass":
         return SurfaceClass(k * self.a, k * self.b)
 
@@ -77,10 +71,7 @@ def adjunction_genus(c: SurfaceClass) -> int:
     ``C.(C + K) = (a - 1)(a + 2b)`` is always even on this lattice, so the
     division is exact for every integer class.
     """
-    total = pair(c, c) + pair(c, canonical_class())
-    if total % 2 != 0:
-        raise LowdegError(f"adjunction total {total} is odd for {c}")
-    return 1 + total // 2
+    return 1 + (pair(c, c) + pair(c, canonical_class())) // 2
 
 
 class DFParams(Value):

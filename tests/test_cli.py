@@ -232,6 +232,13 @@ class TestSg:
             assert data["max_collinear"] == q
             assert data["lines_by_size"] == {str(q): q * q + q}
             assert data["violations"] == []
+            # the table renders the absent witness as none
+            assert run(capsys, "sg", "--input", str(path)) == (
+                0,
+                f"num_points: {q * q}\nis_sylvester_gallai: true\nmax_collinear: {q}\n"
+                f"witness: none\nlines_by_size:\n  {q}: {q * q + q}\nviolations:\n",
+                "",
+            )
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -362,6 +369,19 @@ class TestSg:
         code, out, err = run(capsys, "sg", "--input", "-")
         assert code == 2 and out == ""
         assert err.startswith("cannot read -: ") and err.count("\n") == 1
+
+
+def test_misshapen_files_exit_1(capsys, tmp_path):
+    path = tmp_path / "misshapen.json"
+    for command, doc, message in (
+        ("sg", {"ambient": 2, "points": [["1", "0", "0"], "0 1 0"]}, "expected a list of rows"),
+        ("lemma52", {"subspaces": [{"ambient": 1, "rows": "1 0"}]}, "expected a list of rows"),
+        ("lemma52", {"subspaces": {"ambient": 1, "rows": []}}, "'subspaces' must be a list"),
+        ("lemma52", {"subspaces": [{"ambient": 1}]}, "a subspace needs 'ambient' and 'rows' keys"),
+        ("lemma52", {"subspaces": [[["1", "0"]]]}, "a subspace needs 'ambient' and 'rows' keys"),
+    ):
+        path.write_text(json.dumps(doc))
+        assert run(capsys, command, "--input", str(path)) == (1, "", message + "\n")
 
 
 class TestLemma52:
@@ -799,6 +819,11 @@ class TestRh:
     def test_incomplete_check_rejected(self, capsys):
         code, _, err = run(capsys, "rh", "--gx", "1", "--gy", "0")
         assert code == 2
+        assert run(capsys, "rh", "--source-genus", "1") == (
+            2,
+            "",
+            "rh maximal-degree mode needs both --source-genus and --ram-points\n",
+        )
 
 
 def subcommands():

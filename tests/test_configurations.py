@@ -45,6 +45,7 @@ from lowdeg.projective import (
     span,
 )
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
+from test_projective import int_rank  # the plain-int rank oracle of the projective tests
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -375,23 +376,6 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def rank_mod(rows, p):
-    """The rank of the integer rows mod p, by plain elimination."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0])):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is not None:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            top = rows[rank]
-            scale = pow(top[c], -1, p)
-            for r in range(rank + 1, len(rows)):
-                f = rows[r][c] * scale
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], top)]
-            rank += 1
-    return rank
-
-
 def span_points(vectors, q):
     """The points of the span of the int vectors over GF(q), each scaled to a
     leading 1, by running over every combination."""
@@ -425,7 +409,7 @@ def lemma52_hypotheses_hold(point_sets, q, n):
     return (
         len(set(point_sets)) == len(point_sets)
         and all(len(a & b) >= codim3_size for a, b in combinations(point_sets, 2))
-        and rank_mod(list(frozenset().union(*point_sets)), q) == n + 1
+        and int_rank(list(frozenset().union(*point_sets)), q) == n + 1
     )
 
 
@@ -681,12 +665,12 @@ class TestCommonSubspace:
             ]
             reached = 0
             for p in primes:
-                if any(rank_mod(stack, p) != rank for stack, rank in shapes):
+                if any(int_rank(stack, p) != rank for stack, rank in shapes):
                     skipped[p] += 1
                     continue
                 field = PrimeField(p)
                 reduced = [ProjSubspace.from_vectors(field, ambient, r) for r in rows]
-                if all(rank_mod(stack, p) == rank for stack, rank in spans):
+                if all(int_rank(stack, p) == rank for stack, rank in spans):
                     expected = ProjSubspace.from_vectors(field, ambient, lam_rows)
                     assert common_subspace(reduced) == expected, p
                     outcomes["equal"] += 1
@@ -917,6 +901,10 @@ class TestPointConfig:
         ):
             PointConfig(points)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigurationError, match="^a point configuration must be nonempty$"):
+            PointConfig(())
+
     def test_mixed_ambient_rejected(self):
         with pytest.raises(ConfigurationError):
             PointConfig((qpoint(1, 0, 0), qpoint(1, 0)))
@@ -999,6 +987,10 @@ class TestSylvesterGallai:
         config = PointConfig((qpoint(1, 0, 0, 0), qpoint(0, 1, 0, 0), qpoint(0, 0, 1, 0)))
         with pytest.raises(ConfigurationError):
             check_sylvester_gallai(config)
+        with pytest.raises(
+            ConfigurationError, match="^collinearity checks require points in the plane$"
+        ):
+            collinear(config, 0, 1, 2)
         # the ambient error comes before the point count error
         with pytest.raises(ConfigurationError, match=r"expected points in P\^2, got P\^3"):
             check_sylvester_gallai(PointConfig((qpoint(1, 0, 0, 0), qpoint(0, 1, 0, 0))))

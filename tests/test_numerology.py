@@ -206,10 +206,17 @@ class TestRsProfile:
                 assert profile.rprime(n) - profile.sprime(n) == profile.r(n - 1) + 1
 
     def test_span_cap(self):
-        for d, dagger, r2 in [(3, True, 2), (5, True, 5), (6, False, 4)]:
-            profile = rs_profile(d, 15, dagger, r2)
-            assert all(s <= d - 1 for s in profile.s_lb)
-            assert all(s <= d - 1 for s in profile.sprime_lb)
+        # rs_profile checks none of this at run time, so every small case is checked here
+        for d in range(2, 41):
+            for r2 in range(2, d + 1):
+                for dagger in (False, True):
+                    profile = rs_profile(d, 40, dagger, r2)
+                    s_lb, case = profile.s_lb, (d, r2, dagger)
+                    assert all(s <= d - 1 for s in s_lb), case
+                    assert all(s <= d - 1 for s in profile.sprime_lb), case
+                    assert all(a <= b for a, b in zip(s_lb, s_lb[1:])), case
+                    assert profile.rprime_lb[1:] == profile.r_lb[1:], case
+                    assert profile.sprime_lb[1:] == s_lb[1:], case
 
     def test_codim_floor(self):
         assert rs_profile(5, 3, True, 2).codim_v_lb == 3

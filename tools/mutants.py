@@ -503,6 +503,13 @@ CATALOGUE = (
         ("tests/test_numerology.py::TestRsProfile::test_floors_hold_across_the_range",),
     ),
     Mutant(
+        "primed-base-dropped",
+        "numerology.py",
+        "rprime_lb=(2, *r_lb[1:])",
+        "rprime_lb=tuple(r_lb)",
+        ("tests/test_numerology.py::TestRsProfile::test_base_values",),
+    ),
+    Mutant(
         "rh-degree-floor-2",
         "numerology.py",
         "return max(1, (t + 2 * g_base - 2) // (t - 2))",
@@ -564,9 +571,13 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _pytest(cwd: Path, tests: tuple[str, ...]) -> tuple[int, str]:
-    """pytest's exit code on ``tests`` in ``cwd`` (-1 on timeout) and its output's last lines."""
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    """pytest's exit code on ``tests`` in ``cwd`` (-1 on timeout) and its output's last lines.
+
+    Plugin autoload is off, as loading every installed plugin costs more than most
+    named tests; hypothesis's plugin is loaded by name, since the tests use it."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command += ["-p", "_hypothesis_pytestplugin", *tests]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     try:
         done = subprocess.run(
             command, cwd=cwd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
