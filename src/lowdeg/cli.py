@@ -131,15 +131,17 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
     if n_max > MAX_PROFILE_N:
         raise InputError(f"--nmax (default --d) must be at most {MAX_PROFILE_N}, got {n_max}")
     profile = num.rs_profile(args.d, n_max, args.dagger, args.r2)
+    # read off the fields, not the accessors: rs_profile has checked n_max, and each
+    # field holds one entry per n
     rows = [
-        {
-            "n": n,
-            "r_lb": profile.r(n),
-            "s_lb": profile.s(n),
-            "rprime_lb": profile.rprime(n),
-            "sprime_lb": profile.sprime(n),
-        }
-        for n in range(2, profile.n_max + 1)
+        {"n": n, "r_lb": r, "s_lb": s, "rprime_lb": rp, "sprime_lb": sp}
+        for n, r, s, rp, sp in zip(
+            range(2, profile.n_max + 1),
+            profile.r_lb,
+            profile.s_lb,
+            profile.rprime_lb,
+            profile.sprime_lb,
+        )
     ]
     data = {
         "d": profile.d,

@@ -529,21 +529,16 @@ class TestLemma52:
     def test_family_is_checked_as_it_arrives(self, capsys, tmp_path, monkeypatch):
         # member 0 already has the wrong codimension, so no later member is built
         from lowdeg.projective import ProjSubspace
+        from support import count_calls
 
-        built = []
-        real = ProjSubspace.from_vectors.__func__
-
-        def counting(cls, field, ambient, vectors):
-            built.append(ambient)
-            return real(cls, field, ambient, vectors)
-
-        monkeypatch.setattr(ProjSubspace, "from_vectors", classmethod(counting))
+        size = lambda field, ambient, vectors: ambient  # the ambient of the member built
+        built = count_calls(monkeypatch, "from_vectors", ProjSubspace, size=size)
         path = tmp_path / "points.json"
         path.write_text(json.dumps({"subspaces": [{"ambient": 0, "rows": [["1"]]}] * 2000}))
         code, out, err = run(capsys, "lemma52", "--input", str(path))
         assert code == 1 and out == ""
         assert err == "subspace 0 has codimension 0, expected 2\n"
-        assert built == [0]
+        assert built == {"calls": 1, "size": 0}
 
     def test_input_work_bound(self, capsys, tmp_path, monkeypatch):
         # 2 x R x (n + 1)^2 x (1 + G/1024)^2, each member counted as at least

@@ -45,19 +45,11 @@ from lowdeg.projective import (
     span,
 )
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
-from test_projective import int_rank  # the plain-int rank oracle of the projective tests
+from support import count_calls, counting_field, int_rank, qpoint, qspace
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
-
-
-def qpoint(*coords):
-    return ProjPoint(QQ, tuple(coords))
-
-
-def qspace(ambient, *vectors):
-    return ProjSubspace.from_vectors(QQ, ambient, vectors)
 
 
 def affine_plane(field):
@@ -97,40 +89,9 @@ def sizes_in_order(lines):
     return list(Counter(len(line) for line in lines).items())
 
 
-def counting_field(base, *args):
-    """A ``base`` field that logs what is asked of it: in ``.calls``, whether
-    each entry of every ``ratios`` batch is ``None``; in ``.batches``, each
-    batch's length; in ``.types``, the type of each numerator and denominator
-    passed to ``ratios``; in ``.others``, the name of each ``inv``, ``reduce``
-    and ``is_zero`` call.  ``reset`` empties the four logs."""
-
-    class Counting(base):
-        calls, batches, types, others = [], [], [], []
-
-        def reset(self):
-            for log in (self.calls, self.batches, self.types, self.others):
-                log.clear()
-
-        def ratios(self, nums, dens):
-            answers = super().ratios(nums, dens)
-            self.batches.append(len(answers))
-            self.calls.extend(answer is None for answer in answers)
-            self.types.extend(map(type, chain(nums, dens)))
-            return answers
-
-        def inv(self, a):
-            self.others.append("inv")
-            return super().inv(a)
-
-        def reduce(self, x):
-            self.others.append("reduce")
-            return super().reduce(x)
-
-        def is_zero(self, a):
-            self.others.append("is_zero")
-            return super().is_zero(a)
-
-    return Counting(*args)
+def keys_are_none(field):
+    """Whether each key of each ``ratios`` batch logged by a counting field is ``None``."""
+    return [answer is None for _, _, answers in field.batches for answer in answers]
 
 
 def keyed_lead_cases(config, lines):
@@ -686,23 +647,13 @@ class TestCommonSubspace:
 
     def test_one_meet_and_no_joins(self, monkeypatch):
         members, planted = planted_family(random.Random(40), PrimeField(101), 5, 40)
-        calls = {"_rref": 0, "join": 0}
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
         # every elimination, through rref or straight from an operation, runs _rref
-        for module in (projective, lemma52):
-            for name in calls:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        rrefs = count_calls(monkeypatch, "_rref", projective, lemma52)
+        joins = count_calls(monkeypatch, "join", projective, lemma52)
         assert common_subspace(members) == planted
-        assert calls["join"] == 0
+        assert joins["calls"] == 0
         # one meet; no member is eliminated, and spanning is a determinant of image points
-        assert calls["_rref"] == 1
+        assert rrefs["calls"] == 1
 
     def test_members_are_checked_as_they_arrive(self):
         # the family is read once, and a fault stops the reading there
@@ -1058,15 +1009,15 @@ class TestSylvesterGallai:
         gf7.reset()
         lines = maximal_lines(config)
         assert len(lines) == 56 and all(len(line) == 7 for line in lines)
-        assert len(gf7.calls) == 56 * 6
-        assert set(gf7.calls) == {True, False}
+        assert len(keys_are_none(gf7)) == 56 * 6
+        assert set(keys_are_none(gf7)) == {True, False}
         qq = counting_field(RationalField)
         conic = PointConfig(tuple(ProjPoint(qq, (1, t, t * t)) for t in range(40)))
         qq.reset()
         assert len(maximal_lines(conic)) == math.comb(40, 2)
-        assert len(qq.calls) == math.comb(40, 2)
+        assert len(keys_are_none(qq)) == math.comb(40, 2)
         # (1, t, t^2) - (1, s, s^2) = (0, t - s, t^2 - s^2): never the None key
-        assert set(qq.calls) == {False}
+        assert set(keys_are_none(qq)) == {False}
 
     def test_one_ratios_batch_per_anchor(self):
         # the pass divides in one ratios batch per anchor at most, an empty one
@@ -1094,10 +1045,12 @@ class TestSylvesterGallai:
             for scan in (maximal_lines, check_sylvester_gallai):
                 field.reset()
                 scan(config)
-                assert 1 <= len(field.batches) <= n - 1 and min(field.batches) >= 1
-                assert sum(field.batches) == len(field.calls)
-                assert set(field.types) == {int}
-                assert field.others == []
+                sizes = [len(answers) for _, _, answers in field.batches]
+                assert 1 <= len(sizes) <= n - 1 and min(sizes) >= 1
+                for nums, dens, answers in field.batches:
+                    assert len(nums) == len(dens) == len(answers)
+                    assert {type(x) for x in chain(nums, dens)} == {int}
+                assert not field.calls
 
     def test_whole_projective_planes_match_the_triple_scan(self):
         # every anchor lead index 0, 1 and 2 occurs, and both kinds of key:
@@ -1111,8 +1064,8 @@ class TestSylvesterGallai:
             assert {p.coords.index(1) for p in points} == {0, 1, 2}
             field.reset()
             lines = maximal_lines(config)
-            assert set(field.calls) == {True, False}
-            assert len(field.calls) == (q * q + q + 1) * q
+            assert set(keys_are_none(field)) == {True, False}
+            assert len(keys_are_none(field)) == (q * q + q + 1) * q
             assert len(lines) == q * q + q + 1
             assert all(len(line) == q + 1 for line in lines)
             assert (lines, None) == triple_scan(config)
@@ -1150,7 +1103,7 @@ class TestSylvesterGallai:
         assert max(map(len, expected)) == 7  # the line x = 0
         qq.reset()
         assert maximal_lines(config) == expected
-        assert set(qq.calls) == {True, False}
+        assert set(keys_are_none(qq)) == {True, False}
         report = check_sylvester_gallai(config)
         assert list(report.lines_by_size.items()) == sizes_in_order(expected)
         assert report.witness == witness
@@ -1377,19 +1330,12 @@ class TestSylvesterGallai:
             a = 1 if k == 0 else 0  # the first coordinate other than the lead of p
             fraction_keys += q[a] - q[k] * p[a] != 0
         assert 0 < fraction_keys < math.comb(12, 2)  # both kinds of key occur
-        calls = []
-        fraction_hash = Fraction.__hash__
-
-        def counted_hash(self):
-            calls.append(None)
-            return fraction_hash(self)
-
-        monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+        hashes = count_calls(monkeypatch, "__hash__", Fraction)
         lines = maximal_lines(config)
         report = check_sylvester_gallai(config)
         monkeypatch.undo()
         assert len(lines) == report.lines_by_size[2] == math.comb(12, 2)
-        assert len(calls) == 2 * fraction_keys
+        assert hashes["calls"] == 2 * fraction_keys
 
 
 class TestSym2Model:

@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,19 +26,12 @@ from lowdeg.projective import (
 )
 from lowdeg.sym2_lattice import DFParams, df_class
 from lowdeg.sym2_pairs import sym2_model
+from support import count_calls, counting_field, int_rank, qpoint, qspace
 
 GF5 = PrimeField(5)
 GF101 = PrimeField(101)
 BIG_PRIME = PrimeField(2147483647)
 GF3 = PrimeField(3)
-
-
-def qpoint(*coords):
-    return ProjPoint(QQ, tuple(coords))
-
-
-def qspace(ambient, *vectors):
-    return ProjSubspace.from_vectors(QQ, ambient, vectors)
 
 
 def unit(ambient, i):
@@ -280,35 +272,6 @@ def combination(rng, field, rows):
 
 def lead(vector):
     return next((k for k, x in enumerate(vector) if x), len(vector))
-
-
-def int_rank(rows, p):
-    """The rank of the rows over GF(p), or over QQ when p is None, by elimination in
-    plain ints: each row is scaled to integers, and a row is cleared below a pivot a
-    by b as a x - b y, divided over QQ by the gcd of its entries."""
-    mat = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        mat.append(ints if p is None else [x % p for x in ints])
-    rank = 0
-    for c in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            b = mat[i][c]
-            if b:
-                row = [top[c] * x - b * y for x, y in zip(mat[i], top)]
-                if p is None:
-                    g = math.gcd(*row)
-                    mat[i] = [x // g for x in row] if g else row
-                else:
-                    mat[i] = [x % p for x in row]
-        rank += 1
-    return rank
 
 
 class TestProjection:
@@ -674,19 +637,12 @@ class BranchCounting(RationalField):
 
     def __init__(self, monkeypatch):
         self.branches = Counter()
-        self.subtractions = 0
-        subtract = Fraction.__sub__
-
-        def counted(a, b):
-            self.subtractions += 1
-            return subtract(a, b)
-
-        monkeypatch.setattr(Fraction, "__sub__", counted)
+        self.subtractions = count_calls(monkeypatch, "__sub__", Fraction)
 
     def submul(self, x, f, y):
-        before = self.subtractions
+        before = self.subtractions["calls"]
         value = super().submul(x, f, y)
-        self.branches["operators" if self.subtractions > before else "fused"] += 1
+        self.branches["operators" if self.subtractions["calls"] > before else "fused"] += 1
         return value
 
 
@@ -808,30 +764,9 @@ def test_operations_return_what_the_public_constructor_accepts():
     assert min(checked.values()) >= 48, checked
 
 
-def counting_field(base, *args):
-    """A ``base`` field that counts its ``coerce``, ``reduce``, ``submul`` and ``inv``
-    calls in ``.calls``."""
-
-    class Counting(base):
-        calls = Counter()
-
-        def coerce(self, value):
-            self.calls["coerce"] += 1
-            return super().coerce(value)
-
-        def reduce(self, x):
-            self.calls["reduce"] += 1
-            return super().reduce(x)
-
-        def submul(self, x, f, y):
-            self.calls["submul"] += 1
-            return super().submul(x, f, y)
-
-        def inv(self, a):
-            self.calls["inv"] += 1
-            return super().inv(a)
-
-    return Counting(*args)
+def rref_cells(mat, field):
+    """The cells of one ``_rref`` input."""
+    return sum(map(len, mat))
 
 
 class TestEliminationWork:
@@ -917,53 +852,36 @@ class TestEliminationWork:
         # the draw of that trial eliminates only what it draws: Λ's three spanning
         # vectors of P^5 (18 cells), then six quotient points with no redraw (3 cells
         # each).  A member takes Λ's echelon rows and its lift without another _rref
-        cells = Counter()
-        original = projective._rref
-
-        def counting_cells(mat, field):
-            cells["calls"] += 1
-            cells["cells"] += sum(len(row) for row in mat)
-            return original(mat, field)
-
-        for module in (projective, lemma52):
-            monkeypatch.setattr(module, "_rref", counting_cells)
+        rrefs = count_calls(monkeypatch, "_rref", projective, lemma52, size=rref_cells)
         planted_family(random.Random(29), QQ, 5, 6)
-        assert cells == {"calls": 7, "cells": 36}
+        assert rrefs == {"calls": 7, "size": 36}
 
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
         # the public rref coerces each input cell once; the operations pass
         # canonical rows to _rref and coerce nothing
-        cells = Counter()
-        original = projective._rref
-
-        def counting_cells(mat, field):
-            cells["_rref"] += sum(len(row) for row in mat)
-            return original(mat, field)
-
-        for module in (projective, lemma52):
-            monkeypatch.setattr(module, "_rref", counting_cells)
+        rrefs = count_calls(monkeypatch, "_rref", projective, lemma52, size=rref_cells)
         for field in (counting_field(PrimeField, 101), counting_field(RationalField)):
             rng = random.Random(52)
             members, planted = planted_family(rng, field, 5, 6)
             s1 = ProjSubspace.from_vectors(field, 5, [[1, 2, 0, 0, 3, 1], [0, 1, 1, 4, 0, 2]])
             wide = [s1.reduce_vector(b) + list(b) for b in members[0].rows]
-            cells.clear()
+            rrefs.clear()
             field.calls.clear()
             rref(wide, field)
-            assert cells["_rref"] == 48 and field.calls["coerce"] == 48
-            cells.clear()
+            assert rrefs["size"] == 48 and field.calls["coerce"] == 48
+            rrefs.clear()
             field.calls.clear()
             met = meet(s1, members[0])
             # the four rows of a codimension-2 member, each as [b mod s1 | b]: 4 x 12 cells
-            assert cells["_rref"] == 48 and field.calls["coerce"] == 0
+            assert rrefs["size"] == 48 and field.calls["coerce"] == 0
             assert members[0].contains_subspace(met) and s1.contains_subspace(met)
             assert field.calls["coerce"] == 0
-            cells.clear()
+            rrefs.clear()
             field.calls.clear()
             assert common_subspace(members) == planted
             # one meet (48) and no other elimination: each member's point is read
             # off its echelon rows, and spanning is a 3 x 3 determinant of points
-            assert cells["_rref"] == 48 and field.calls["coerce"] == 0
+            assert rrefs["size"] == 48 and field.calls["coerce"] == 0
 
 
 def test_reduce_vector_checks_the_length():

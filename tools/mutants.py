@@ -118,6 +118,13 @@ CATALOGUE = (
         "if False:",
         LEMMA52_ORACLES,
     ),
+    Mutant(
+        "image-read-off-the-last-row",
+        "lemma52.py",
+        "row = next(row for row, c in zip(s.rows, s.pivot_columns) if c not in lam_pivots)",
+        "row = s.rows[-1]",
+        LEMMA52_ORACLES,
+    ),
     # planted members built on Λ's echelon rows, against the eliminated lift and the pinned draws
     Mutant(
         "planted-rows-left-uncleared",
@@ -258,6 +265,14 @@ CATALOGUE = (
         "if d:\n                product = product * d % p\n            before.append(product)\n",
         (RATIOS_ORACLE,),
     ),
+    # an anchor with no later point makes no batch, against the count of batches
+    Mutant(
+        "empty-ratios-batch",
+        "configurations.py",
+        "        if not later:\n            continue\n",
+        "",
+        ("tests/test_configurations.py::TestSylvesterGallai::test_one_ratios_batch_per_anchor",),
+    ),
     # the pivot cells that elimination sets instead of computing, against the dense reference
     Mutant(
         "cleared-cell-left-unset",
@@ -316,6 +331,22 @@ CATALOGUE = (
         "for p in range(r, height):",
         "for p in range(height):",
         ELIMINATION_ORACLES,
+    ),
+    # a unit pivot skips inv, against the reference that never does
+    Mutant(
+        "unit-pivot-test-inverted",
+        "projective.py",
+        "if row[c] != one:",
+        "if row[c] == one:",
+        ("tests/test_projective.py::test_unit_pivots_match_the_dense_reference",),
+    ),
+    # a column with no pivot is skipped, not the end of elimination
+    Mutant(
+        "rref-zero-column-stops",
+        "projective.py",
+        "        else:\n            continue\n",
+        "        else:\n            break\n",
+        (LEMMA52_ORACLES[0],),
     ),
     # the witness bases of Miller-Rabin, against a sieve and 25326001, a strong
     # pseudoprime to bases 2, 3 and 5
