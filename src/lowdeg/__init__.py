@@ -9,8 +9,9 @@ Five layers:
 * :mod:`lowdeg.sym2_lattice` / :mod:`lowdeg.sym2_pairs` -- the numerical
   intersection lattice of the symmetric square of an elliptic curve, and a
   finite pairs model whose brute-force incidence checks mirror it;
-* :mod:`lowdeg.lemma52` / :mod:`lowdeg.configurations` -- Lemma 5.2's common
-  codimension-3 subspace, and Sylvester-Gallai checks of plane point sets;
+* :mod:`lowdeg.lemma52` / :mod:`lowdeg.plane` -- Lemma 5.2's common
+  codimension-3 subspace, and Sylvester-Gallai checks of plane point sets,
+  with :mod:`lowdeg.configurations` as one import for both and the pairs model;
 * :mod:`lowdeg.classify` -- the classification table for degrees 2 to 5
   with a cross-checking audit.
 

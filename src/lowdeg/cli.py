@@ -23,7 +23,7 @@ FORMATS = ("table", "json")
 
 # Caps on inputs whose cost grows far faster than their size, each checked before the work
 # starts.  The sym2 check is quadratic in the modulus.  The lemma52 and sg work rules are the
-# charge_* functions of lemma52 and configurations; sg holds n^2 bytes of bookkeeping, so it
+# charge_* functions of lemma52 and plane; sg holds n^2 bytes of bookkeeping, so it
 # also has a point cap, checked before building the points.  profile prints a row per n.
 MAX_CHECK_MODULUS = 256
 MAX_LEMMA52_WORK = 5_000_000
@@ -233,25 +233,24 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
 
 
 def _cmd_sg(args: argparse.Namespace) -> tuple[dict, Optional[str]]:
-    from . import configurations as conf
+    from . import plane
     from .jsonio import points_from_json
     from .projective import ProjPoint
 
     field, rows = points_from_json(_read_input(args.input))
     if len(rows) > MAX_SG_POINTS:
         raise InputError(f"sg takes at most {MAX_SG_POINTS} points, got {len(rows)}")
-    config = conf.PointConfig(tuple(ProjPoint(field, row) for row in rows))
-    conf.charge_sylvester_gallai(config, MAX_SG_WORK)
-    report = conf.check_sylvester_gallai(config)
-    violations = [] if report.is_sylvester_gallai else [
-        {"pair": list(report.witness), "reason": "no third collinear point"}
-    ]
+    config = plane.PointConfig(tuple(ProjPoint(field, row) for row in rows))
+    plane.charge_sylvester_gallai(config, MAX_SG_WORK)
+    witness, lines_by_size = plane.line_counts(config)
+    pair = None if witness is None else list(witness)
+    violations = [] if pair is None else [{"pair": pair, "reason": "no third collinear point"}]
     return {
-        "num_points": report.num_points,
-        "is_sylvester_gallai": report.is_sylvester_gallai,
-        "max_collinear": report.max_collinear,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "lines_by_size": {str(size): count for size, count in report.lines_by_size.items()},
+        "num_points": len(config),
+        "is_sylvester_gallai": witness is None,
+        "max_collinear": max(lines_by_size),
+        "witness": pair,
+        "lines_by_size": {str(size): count for size, count in lines_by_size.items()},
         "violations": violations,
     }, None
 

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import MAX_INPUT, AmbientMismatchError, LowdegError, MixedFieldError, check_int
 
 if TYPE_CHECKING:
-    from .configurations import PointConfig
     from .fields import Field, Scalar
+    from .plane import PointConfig
     from .projective import ProjSubspace
 
 

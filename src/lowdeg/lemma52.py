@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import MAX_INPUT, ConfigurationError, InputError, check_int
 from .fields import QQ, Field, PrimeField, Scalar, max_bits, require_same_field
-from .projective import ProjPoint, ProjSubspace, _rref, meet
+from .projective import ProjPoint, ProjSubspace, _det3, _rref, meet
 
 # Draws random_subspace makes before it gives up on independent spanning vectors.
 MAX_REDRAWS = 1000
@@ -202,23 +202,6 @@ def charge_input(field: Field | None, members: Sequence[tuple[int, list]], limit
             f"of a row scaled to integers, and the bits of p over GF(p), got {work}"
         )
     return work
-
-
-def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> int:
-    """The determinant of the rows p, q and r up to a nonzero factor, so zero exactly
-    when they are dependent.  It is computed on their ``Field.integral`` rows, in ints:
-    over QQ each row is scaled by the lcm of its denominators, which changes the
-    determinant by a nonzero factor, and the int is not reduced to a ``Fraction``."""
-    p, q, r = field.integral(p), field.integral(q), field.integral(r)
-    raw = (
-        p[0] * q[1] * r[2]
-        + p[1] * q[2] * r[0]
-        + p[2] * q[0] * r[1]
-        - p[2] * q[1] * r[0]
-        - p[1] * q[0] * r[2]
-        - p[0] * q[2] * r[1]
-    )
-    return field.reduce(raw)
 
 
 def planted_family(

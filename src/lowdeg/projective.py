@@ -115,6 +115,23 @@ def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...
     return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
+def _det3(field: Field, p: Sequence[Scalar], q: Sequence[Scalar], r: Sequence[Scalar]) -> int:
+    """The determinant of the rows p, q and r up to a nonzero factor, so zero exactly
+    when they are dependent.  It is computed on their ``Field.integral`` rows, in ints:
+    over QQ each row is scaled by the lcm of its denominators, which changes the
+    determinant by a nonzero factor, and the int is not reduced to a ``Fraction``."""
+    p, q, r = field.integral(p), field.integral(q), field.integral(r)
+    raw = (
+        p[0] * q[1] * r[2]
+        + p[1] * q[2] * r[0]
+        + p[2] * q[0] * r[1]
+        - p[2] * q[1] * r[0]
+        - p[1] * q[0] * r[2]
+        - p[0] * q[2] * r[1]
+    )
+    return field.reduce(raw)
+
+
 class ProjPoint(Value):
     """A point of P^n, stored as the one-row reduced echelon form of its
     nonzero homogeneous coordinates: the first nonzero entry is 1."""

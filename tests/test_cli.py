@@ -930,7 +930,7 @@ class TestHarness:
             "sym2": (["sym2", "--modulus", "11", "--check"], {"sym2_pairs"}),
             "classify": (["classify", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
             "audit": (["audit", "--d", "5"], {"classify", "numerology", "sym2_lattice"}),
-            "sg": (["sg", "--input", str(sg_input)], {"configurations", "sym2_pairs", *lemma52}),
+            "sg": (["sg", "--input", str(sg_input)], {"fields", "jsonio", "plane", "projective"}),
             "lemma52": (["lemma52", "--input", lemma52_input], lemma52),
         }
         runs = [("import", "", ["-c", "import lowdeg"], "", {"lowdeg"})]
@@ -992,6 +992,17 @@ class TestHarness:
             loaded = imported_modules(r.proc.stderr)
             for owner, stdlib in brought_in_by.items():
                 assert owner in loaded or not loaded & stdlib, (r.args, loaded & stdlib)
+
+    def test_sg_imports_no_dataclasses_and_no_other_gadget(self, startup):
+        # sg runs lowdeg.plane, not the configurations facade and its report dataclass
+        _, runs = startup
+        sg = [r for r in runs if r.name == "sg"]
+        assert len(sg) == 2
+        for r in sg:
+            loaded = imported_modules(r.proc.stderr)
+            assert "lowdeg.plane" in loaded, r.args
+            unwanted = {"dataclasses", "inspect", "lowdeg.lemma52", "lowdeg.sym2_pairs"}
+            assert not loaded & unwanted, (r.args, loaded & unwanted)
 
     def test_lemma52_and_sym2_import_only_their_own_gadget(self, startup):
         # QQ input (table), GF(2^31 - 1) input (JSON), random lemma52, and sym2 in both formats
@@ -1306,8 +1317,8 @@ def planted_qq_family(ambient, count, share, seed):
     free columns, as in ``planted_family``, mixed by a unitriangular matrix of
     small integers and shuffled."""
     from lowdeg.fields import QQ
-    from lowdeg.lemma52 import _det3, charge_input
-    from lowdeg.projective import ProjPoint
+    from lowdeg.lemma52 import charge_input
+    from lowdeg.projective import ProjPoint, _det3
 
     def build(digits):
         rng = random.Random(seed)

@@ -1474,6 +1474,14 @@ class TestSym2Model:
             model = sym2_model(n)
             assert [pairs_containing(model, x) for x in range(n)] == points
             assert [pairs_with_sum(model, s) for s in range(n)] == fibers
+            # the builders reduce x and s mod N first: any int names the same divisor
+            for k in range(-2 * n, 2 * n):
+                assert pairs_containing(model, k) == {
+                    tuple(sorted((k % n, y))) for y in range(n)
+                }, (n, k)
+                assert pairs_with_sum(model, k) == {
+                    tuple(sorted((x, (k - x) % n))) for x in range(n)
+                }, (n, k)
             report = incidence_pairing_check(model)
             assert report == (n, math.comb(2 * n, 2), tuple(chain(*violations)))
             checked += 1

@@ -17,7 +17,6 @@ import pytest
 
 import lowdeg
 from lowdeg.classify import audit, audit_json, classification_json, classify, sporadic_genus_cap
-from lowdeg.configurations import charge_sylvester_gallai, collinear, hesse_configuration
 from lowdeg.errors import (
     MAX_INPUT,
     ConfigurationError,
@@ -45,6 +44,7 @@ from lowdeg.numerology import (
     riemann_hurwitz_min_degree,
     rs_profile,
 )
+from lowdeg.plane import charge_sylvester_gallai, collinear, hesse_configuration
 from lowdeg.projective import ProjPoint, ProjSubspace, span
 from lowdeg.sym2_lattice import DFParams, SurfaceClass
 from lowdeg.sym2_pairs import Sym2GroupModel, pairs_containing, pairs_with_sum, sym2_model
@@ -262,13 +262,6 @@ HOSTILE_TABLE = [
     Row("classify.sporadic_genus_cap", sporadic_genus_cap, dict(d=4)),
     Row("classify.audit", audit, dict(d=3)),
     Row("classify.audit_json", audit_json, dict(d=3)),
-    Row("configurations.collinear", lambda **kw: collinear(HESSE, **kw), dict(i=0, j=1, k=2)),
-    Row(
-        "configurations.charge_sylvester_gallai",
-        lambda limit: charge_sylvester_gallai(HESSE, limit),
-        dict(limit=10**9),
-        ("limit",),
-    ),
     Row("fields.PrimeField", PrimeField, dict(p=101), spoken=dict(p="modulus")),
     Row("fields.is_prime", is_prime, dict(n=7), ("n",)),
     # a document field, not a parameter: the reader checks it like one
@@ -315,6 +308,13 @@ HOSTILE_TABLE = [
     Row("numerology.ConfigProfile.rprime", lambda n: _profile().rprime(n), dict(n=3)),
     Row("numerology.ConfigProfile.sprime", lambda n: _profile().sprime(n), dict(n=3)),
     Row("numerology.rs_profile", lambda **kw: rs_profile(dagger=True, **kw), dict(d=5, n_max=4, r2=2)),
+    Row("plane.collinear", lambda **kw: collinear(HESSE, **kw), dict(i=0, j=1, k=2)),
+    Row(
+        "plane.charge_sylvester_gallai",
+        lambda limit: charge_sylvester_gallai(HESSE, limit),
+        dict(limit=10**9),
+        ("limit",),
+    ),
     Row("projective.ProjSubspace", lambda ambient: ProjSubspace(QQ, ambient, ()), dict(ambient=3)),
     Row(
         "projective.ProjSubspace.from_vectors",

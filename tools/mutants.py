@@ -67,6 +67,9 @@ INCIDENCE_THEOREMS = (
 TAG_CASES = (
     "tests/test_configurations.py::TestSylvesterGallai::test_each_tag_case_matches_the_triple_scan"
 )
+LEAD_CASES = (
+    "tests/test_configurations.py::TestSylvesterGallai::test_each_lead_case_matches_the_triple_scan"
+)
 CORRUPTED_TABLE = "tests/test_classify.py::test_corrupted_table_fails_the_audit"
 CRITERION_1 = "tests/test_acceptance.py::test_criterion_1_castelnuovo_anchor_and_monotonicity"
 CRITERION_4 = "tests/test_acceptance.py::test_criterion_4_lattice_combinatorics_agreement"
@@ -224,7 +227,7 @@ CATALOGUE = (
     # the Sylvester-Gallai pass, against theorems on line counts
     Mutant(
         "three-point-lines-left-unmarked",
-        "configurations.py",
+        "plane.py",
         "if len(group) > 1:",
         "if len(group) > 2:",
         (INCIDENCE_THEOREMS,),
@@ -233,15 +236,45 @@ CATALOGUE = (
     # same-lead points lead with equal and with unequal integral entries
     Mutant(
         "tag-ignores-lead-entry",
-        "configurations.py",
+        "plane.py",
         "tags = [3 * q[k] + k for k, q in zip(leads, coords)]",
         "tags = leads",
         (TAG_CASES,),
     ),
+    # the three ways the pass keys a pair by its lead case, against a triple scan
+    # that meets same-lead, later-lead and earlier-lead pairs on lines of three or more
+    Mutant(
+        "earlier-lead-drops-factor-t",
+        "plane.py",
+        "ra, rb = pk * q[a] - t * pa, pk * q[b] - t * pb",
+        "ra, rb = pk * q[a] - pa, pk * q[b] - pb",
+        (LEAD_CASES,),
+    ),
+    Mutant(
+        "earlier-lead-keyed-as-same-lead",
+        "plane.py",
+        "if tags[j] == tag:",
+        "if tags[j] == tag or leads[j] < k:",
+        (LEAD_CASES,),
+    ),
+    Mutant(
+        "earlier-lead-keyed-as-later-lead",
+        "plane.py",
+        "elif leads[j] > k:",
+        "elif leads[j] != k:",
+        (LEAD_CASES,),
+    ),
+    Mutant(
+        "later-lead-keyed-as-same-lead",
+        "plane.py",
+        "if tags[j] == tag:",
+        "if tags[j] == tag or leads[j] > k:",
+        (LEAD_CASES,),
+    ),
     # one dict probe per key, against the count of Fraction hashes
     Mutant(
         "keys-probed-twice",
-        "configurations.py",
+        "plane.py",
         "            through_i.setdefault(key, []).append(j)\n",
         "            group = through_i.get(key)\n"
         "            if group is None:\n"
@@ -268,7 +301,7 @@ CATALOGUE = (
     # an anchor with no later point makes no batch, against the count of batches
     Mutant(
         "empty-ratios-batch",
-        "configurations.py",
+        "plane.py",
         "        if not later:\n            continue\n",
         "",
         ("tests/test_configurations.py::TestSylvesterGallai::test_one_ratios_batch_per_anchor",),
@@ -580,9 +613,17 @@ CATALOGUE = (
     Mutant(
         "fiber-divisor-missing-a-pair",
         "sym2_pairs.py",
-        "return frozenset(model.normalize((x, s - x)) for x in range(model.modulus))",
-        "return frozenset(model.normalize((x, s - x)) for x in range(model.modulus - 1))",
+        "low = [(x, s - x) for x in range(s // 2 + 1)]",
+        "low = [(x, s - x) for x in range(s // 2)]",
         (CRITERION_4,),
+    ),
+    # a row equal to its expected slice is passed whole, against corrupted divisors
+    Mutant(
+        "every-row-passed-whole",
+        "sym2_pairs.py",
+        "if row[i + 1:] == (ones if i < n else zeros)[i + 1:]:",
+        "if True:",
+        ("tests/test_configurations.py::TestSym2Model::test_corrupted_models_match_the_reference",),
     ),
     Mutant(
         "diagonal-not-flagged",
