@@ -11,7 +11,7 @@ canonical values (the cell update of elimination), ``inv`` inverts one value,
 ``integral`` scales a row to integer entries, ``ratios`` divides a batch of
 pairs, and ``is_zero`` tests a value for zero.
 That keeps the matrix routines in :mod:`lowdeg.projective` and the
-Sylvester-Gallai pass in :mod:`lowdeg.configurations` generic over both.
+Sylvester-Gallai pass in :mod:`lowdeg.plane` generic over both.
 
 Over QQ, ``submul`` builds one ``Fraction`` over the common denominator,
 where ``x - f * y`` builds two, each with its own gcds.  That wins while the

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -17,7 +18,15 @@ from lowdeg.fields import (
     scalar_from_json,
     scalar_to_json,
 )
-from lowdeg.projective import ProjPoint, rref
+from lowdeg.jsonio import (
+    canonical_dumps,
+    point_config_to_json,
+    points_from_json,
+    subspaces_from_json,
+    subspaces_to_json,
+)
+from lowdeg.plane import PointConfig
+from lowdeg.projective import ProjPoint, ProjSubspace, rref
 
 
 class TestRationalField:
@@ -332,3 +341,31 @@ class TestScalarJson:
         value = Fraction(num, den)
         field, parsed = scalar_from_json(scalar_to_json(QQ, value))
         assert field == QQ and parsed == value
+
+
+def test_document_writers_round_trip_and_are_pinned():
+    """The writers of point configurations and families, which the benchmark uses for its
+    input files: each document reads back to the rows it was written from, and its
+    canonical bytes are pinned by SHA-256."""
+    gf = PrimeField(101)
+    # a fraction, and a point at infinity of the affine plane z != 0
+    qq_config = PointConfig(tuple(ProjPoint(QQ, c) for c in [(0, 0, 1), (3, 1, 2), (1, -1, 0)]))
+    gf_config = PointConfig(tuple(ProjPoint(gf, c) for c in [(1, 5, 100), (0, 1, 7), (1, 0, 0)]))
+    family = [
+        ProjSubspace.from_vectors(QQ, 3, [[1, 2, 0, 0], [0, 1, 1, 3]]),
+        ProjSubspace.from_vectors(QQ, 3, [[2, 0, 1, 1]]),
+    ]
+    for config in (qq_config, gf_config):
+        assert points_from_json(point_config_to_json(config)) == (
+            config.field, [list(p.coords) for p in config.points]
+        )
+    assert subspaces_from_json(subspaces_to_json(family)) == (
+        QQ, [(s.ambient, [list(row) for row in s.rows]) for s in family]
+    )
+    docs = (point_config_to_json(qq_config), point_config_to_json(gf_config), subspaces_to_json(family))
+    digests = [hashlib.sha256(canonical_dumps(doc).encode()).hexdigest() for doc in docs]
+    assert digests == [
+        "1b9fcd08a3510de155b4f9ecfb2ad3fdcf272d88e0fdfbd2a8a6dfc846c475bb",
+        "1703f2e07e4f802f28e02c26718f897a2ccf0b81987f494f3e34c4bfeb33d1c2",
+        "cd7de6e53974425efc0058e75bfb4cd5aef1734241422813845f6c502f5b94fa",
+    ]

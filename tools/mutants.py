@@ -56,7 +56,7 @@ CONTAINMENT_ORACLE = (
     "tests/test_projective.py::TestContains::test_containment_matches_a_rank_oracle"
 )
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
-HOSTILE_TABLE = "tests/test_errors.py::test_hostile_arguments"
+HOSTILE_SWEEP = "tests/test_errors.py::test_hostile_arguments"
 RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
 RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
@@ -159,6 +159,7 @@ CATALOGUE = (
         (CHECK_INT_RULE,),
     ),
     Mutant("check-int-exclusive-low", "errors.py", "value < low", "value <= low", (CHECK_INT_RULE,)),
+    Mutant("check-int-inclusive-high", "errors.py", "value > high", "value >= high", (CHECK_INT_RULE,)),
     Mutant(
         "brief-without-fallback",
         "errors.py",
@@ -166,48 +167,48 @@ CATALOGUE = (
         "except TypeError:",
         (CHECK_INT_RULE,),
     ),
-    # an entry point that drops its check_int, against the hostile-argument table
+    # an entry point that drops its check_int, against the hostile sweep of the integer-parameter table
     Mutant(
         "random-point-unchecked",
         "lemma52.py",
         '    check_int("ambient", ambient, 0, MAX_INPUT)\n    return ProjPoint(',
         "    return ProjPoint(",
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     Mutant(
         "random-subspace-ambient-unchecked",
         "lemma52.py",
         '    check_int("ambient", ambient, 0, MAX_INPUT)\n    check_int("dim", dim, -1, ambient)\n',
         '    check_int("dim", dim, -1, ambient)\n',
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     Mutant(
         "profile-index-unchecked",
         "numerology.py",
         'return check_int("n", n, 2, self.n_max) - 2',
         "return n - 2",
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     Mutant(
         "from-vectors-unchecked",
         "projective.py",
         '        check_int("ambient", ambient, 0, MAX_INPUT)\n        vecs = ',
         "        vecs = ",
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     Mutant(
         "json-ambient-unchecked",
         "jsonio.py",
         'ambient = check_int("ambient", item["ambient"], 0, MAX_INPUT)',
         'ambient = item["ambient"]',
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     Mutant(
         "charge-random-trials-unchecked",
         "lemma52.py",
         '    check_int("trials", trials, 0, MAX_INPUT, InputError)\n',
         "",
-        (HOSTILE_TABLE,),
+        (HOSTILE_SWEEP,),
     ),
     # the quotient plane of a planted family, and the one work rule that prices it
     Mutant(
