@@ -261,7 +261,8 @@ Field = Union[RationalField, PrimeField]
 
 
 def require_same_field(a: Field, b: Field) -> Field:
-    if a != b:
+    # one field object is the common case, and the identity test spares its __eq__
+    if a is not b and a != b:
         raise MixedFieldError(f"cannot mix values from {a!r} and {b!r}")
     return a
 

@@ -17,6 +17,7 @@ work.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
@@ -218,7 +219,9 @@ def planted_family(
     A member's echelon basis is known without elimination.  The lift is zero
     on the pivots of ``planted`` and is 1 at ``lead``, the free column where
     the point leads, so the basis is the rows of ``planted``, each cleared at
-    ``lead`` by the lift, with the lift inserted in pivot order."""
+    ``lead`` by the lift in place: its cell at ``lead`` is set to zero, with one
+    ``submul`` per nonzero cell of the lift after ``lead``.  The lift goes in
+    where ``lead`` falls among the pivots of ``planted``."""
     _check_family_shape(field, ambient, count)
     planted = random_subspace(rng, field, ambient, ambient - 3)
     points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
@@ -230,15 +233,25 @@ def planted_family(
             points.setdefault(point)
     pivots = planted.pivot_columns
     free = [c for c in range(ambient + 1) if c not in pivots]
+    zero, submul = field.zero, field.submul
     members = []
     for point in points:
-        lift = [field.zero] * (ambient + 1)
+        lift = [zero] * (ambient + 1)
         for c, x in zip(free, point):
             lift[c] = x
         lead = free[point.index(field.one)]
-        lift_span = ProjSubspace._canonical(field, ambient, (lift,), (lead,))
-        rows = [tuple(lift_span._reduce(r)) for r in planted.rows]
-        at = sum(c < lead for c in pivots)
+        after = [k for k in range(lead + 1, ambient + 1) if lift[k]]
+        rows = []
+        for r in planted.rows:
+            f = r[lead]
+            if f:
+                r = list(r)
+                r[lead] = zero
+                for k in after:
+                    r[k] = submul(r[k], f, lift[k])
+                r = tuple(r)
+            rows.append(r)
+        at = bisect(pivots, lead)
         rows.insert(at, tuple(lift))
         members.append(
             ProjSubspace._canonical(field, ambient, tuple(rows), (*pivots[:at], lead, *pivots[at:]))

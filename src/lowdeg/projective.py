@@ -26,8 +26,10 @@ Conventions:
 * only the public constructor checks that rows are canonical: every other
   constructor and operation takes its rows from ``_rref``, with one
   exception: a member of :func:`~lowdeg.lemma52.planted_family` takes Λ's
-  echelon rows through ``_reduce`` against the member's lift, plus that lift,
-  which is canonical by construction, and Λ's pivots with the lift's inserted;
+  echelon rows, each cleared in place at the lead column of the member's
+  lift, one ``submul`` per nonzero cell of the lift after it, plus that lift,
+  which is canonical by construction, inserted at ``bisect(pivots, lead)``
+  among Λ's rows, and its lead inserted among Λ's pivots;
 * the public ``ProjSubspace`` constructors (``ProjSubspace(...)``,
   ``from_vectors``, ``empty`` and ``full``) and :func:`span` check ``ambient``
   with :func:`~lowdeg.errors.check_int`; ``_canonical`` trusts its caller,

@@ -13,8 +13,10 @@ from lowdeg.errors import MixedFieldError, brief
 from lowdeg.fields import (
     QQ,
     PrimeField,
+    RationalField,
     _miller_rabin,
     is_prime,
+    require_same_field,
     scalar_from_json,
     scalar_to_json,
 )
@@ -75,10 +77,23 @@ class TestRationalField:
             QQ.coerce(True)
 
     def test_singleton_equality(self):
-        from lowdeg.fields import RationalField
-
         assert QQ == RationalField()
         assert QQ != PrimeField(5)
+
+
+def test_same_field_is_equality_not_identity():
+    # one field object returns at once; distinct but equal objects still pass,
+    # and unequal fields are refused with the same text
+    gf5 = PrimeField(5)
+    for a, b in ((gf5, gf5), (gf5, PrimeField(5)), (QQ, QQ), (QQ, RationalField())):
+        assert require_same_field(a, b) is a
+    for a, b, text in (
+        (gf5, PrimeField(7), "cannot mix values from GF(5) and GF(7)"),
+        (QQ, gf5, "cannot mix values from QQ and GF(5)"),
+    ):
+        with pytest.raises(MixedFieldError) as info:
+            require_same_field(a, b)
+        assert str(info.value) == text
 
 
 class TestPrimeField:

@@ -856,6 +856,14 @@ class TestEliminationWork:
         planted_family(random.Random(29), QQ, 5, 6)
         assert rrefs == {"calls": 7, "size": 36}
 
+    def test_planted_members_are_built_in_place(self, monkeypatch):
+        # that draw wraps Λ and each of its six members once, and clears Λ's rows
+        # against each lift in place, with no one-row subspace of the lift to reduce them
+        canonicals = count_calls(monkeypatch, "_canonical", ProjSubspace)
+        reduces = count_calls(monkeypatch, "_reduce", ProjSubspace)
+        planted_family(random.Random(29), QQ, 5, 6)
+        assert canonicals == {"calls": 7} and reduces == {}
+
     def test_coerce_once_per_rref_input_cell(self, monkeypatch):
         # the public rref coerces each input cell once; the operations pass
         # canonical rows to _rref and coerce nothing

@@ -132,14 +132,14 @@ CATALOGUE = (
     Mutant(
         "planted-rows-left-uncleared",
         "lemma52.py",
-        "rows = [tuple(lift_span._reduce(r)) for r in planted.rows]",
-        "rows = list(planted.rows)",
+        "            f = r[lead]\n",
+        "            f = zero\n",
         (PLANTED_LIFT, PLANTED_DRAWS),
     ),
     Mutant(
         "planted-lift-inserted-last",
         "lemma52.py",
-        "at = sum(c < lead for c in pivots)",
+        "at = bisect(pivots, lead)",
         "at = len(pivots)",
         (PLANTED_LIFT, PLANTED_DRAWS),
     ),
@@ -307,6 +307,14 @@ CATALOGUE = (
         "",
         ("tests/test_configurations.py::TestSylvesterGallai::test_one_ratios_batch_per_anchor",),
     ),
+    # an anchor divides in one batch, not one batch a pair, against the count of batches
+    Mutant(
+        "ratios-batch-per-pair",
+        "plane.py",
+        "zip(later, ratios(rbs, ras))",
+        "zip(later, (ratios([rb], [ra])[0] for rb, ra in zip(rbs, ras)))",
+        ("tests/test_configurations.py::TestSylvesterGallai::test_one_ratios_batch_per_anchor",),
+    ),
     # the pivot cells that elimination sets instead of computing, against the dense reference
     Mutant(
         "cleared-cell-left-unset",
@@ -381,6 +389,14 @@ CATALOGUE = (
         "        else:\n            continue\n",
         "        else:\n            break\n",
         (LEMMA52_ORACLES[0],),
+    ),
+    # two fields are the same by equality, not only by identity
+    Mutant(
+        "same-field-by-identity-only",
+        "fields.py",
+        "if a is not b and a != b:",
+        "if a is not b:",
+        ("tests/test_fields.py::test_same_field_is_equality_not_identity",),
     ),
     # the witness bases of Miller-Rabin, against a sieve and 25326001, a strong
     # pseudoprime to bases 2, 3 and 5
