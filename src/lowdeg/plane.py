@@ -12,14 +12,17 @@ p[k] q - q[k] p otherwise.  The image is a ratio, and an anchor divides all
 of its pairs in one ``Field.ratios`` batch: one modular inverse per anchor
 over GF(p), one ``Fraction`` of two ints a pair over QQ.  Each line is found
 once at its first point, and the lines come out sorted with n^2 bytes of
-bookkeeping.  :func:`line_counts` folds them into the first ordinary pair and
-the number of lines of each size as they are found.  :func:`collinear` is the
-exact triple test (no tolerances anywhere): a 3 x 3 determinant of the three
-points' integer rows, which is zero exactly when the points are collinear.
+bookkeeping.  Only a key that repeats opens a group: a line of two points is
+its anchor and its one later point, so :func:`line_counts` builds no such
+line.  Any two points lie on exactly one line, so the ordinary lines are the
+C(n, 2) pairs less those covered by the lines of three or more points, and the
+first of them is the first pair whose key does not repeat.  :func:`collinear`
+is the exact triple test (no tolerances anywhere): a 3 x 3 determinant of the
+three points' integer rows, which is zero exactly when the points are collinear.
 
 This module loads only :mod:`lowdeg.errors`, :mod:`lowdeg.fields` and
 :mod:`lowdeg.projective`, so ``lowdeg sg`` loads no other gadget;
-:mod:`lowdeg.configurations` wraps the fold in a report.
+:mod:`lowdeg.configurations` wraps the counts in a report.
 """
 
 from __future__ import annotations
@@ -93,32 +96,56 @@ def charge_sylvester_gallai(config: PointConfig, limit: int) -> int:
 
 
 def line_counts(config: PointConfig) -> tuple[Optional[Pair], dict[int, int]]:
-    """``(witness, lines_by_size)``, folded from the lines of :func:`maximal_lines`
-    as they are found.  ``witness`` is the lexicographically first ordinary pair,
-    None when every connecting line carries a third point; ``lines_by_size``
-    counts the lines by their number of points, in the order the sizes first
-    occur.  Exact arithmetic throughout."""
+    """``(witness, lines_by_size)``, what folding the lines of :func:`maximal_lines`
+    gives, counted without building a two-point line.  ``witness`` is the
+    lexicographically first ordinary pair, None when every connecting line
+    carries a third point; ``lines_by_size`` counts the lines by their number of
+    points, in the order the sizes first occur.  Any two points lie on one line,
+    so the ordinary lines are the C(n, 2) pairs that no line of three or more
+    points covers.  Exact arithmetic throughout."""
     lines_by_size: dict[int, int] = {}
+    # each size's first line (i, g): the lines through one anchor i differ in g
+    first_line: dict[int, Pair] = {}
     witness: Optional[Pair] = None
     # the pass raises the ambient error, so it comes before the count check
-    for line in _anchored_lines(config):
-        size = len(line)
-        lines_by_size[size] = lines_by_size.get(size, 0) + 1
-        if size == 2 and witness is None:
-            witness = line
-    if len(config) < 3:
-        raise ConfigurationError(f"need at least 3 points, got {len(config)}")
-    return witness, lines_by_size
+    for i, first, rich in _anchored_groups(config):
+        for group in rich.values():
+            size = len(group) + 1
+            lines_by_size[size] = lines_by_size.get(size, 0) + 1
+        if len(first_line) < len(lines_by_size):  # a size first occurs at this anchor
+            for g in sorted(rich):
+                first_line.setdefault(len(rich[g]) + 1, (i, g))
+        if witness is None and len(first) > len(rich):
+            witness = (i, next(g for g in first.values() if g not in rich))
+    n = len(config)
+    if n < 3:
+        raise ConfigurationError(f"need at least 3 points, got {n}")
+    # the pairs of points on the lines of three or more points
+    covered = sum(size * (size - 1) // 2 * count for size, count in lines_by_size.items())
+    if covered < n * (n - 1) // 2:
+        lines_by_size[2] = n * (n - 1) // 2 - covered
+        first_line[2] = witness
+    return witness, {size: lines_by_size[size] for size in sorted(first_line, key=first_line.get)}
 
 
 def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
     """All lines spanned by the configuration, as sorted index tuples of the
     points lying on them, each line listed once, in sorted order."""
-    return tuple(_anchored_lines(config))
+    return tuple(
+        (i, *rich[g]) if g in rich else (i, g)
+        for i, first, rich in _anchored_groups(config)
+        for g in first.values()
+    )
 
 
-def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
-    """The lines of :func:`maximal_lines`, yielded in order as they are found.
+def _anchored_groups(
+    config: PointConfig,
+) -> Iterator[tuple[int, dict[Optional[Scalar], int], dict[int, list[int]]]]:
+    """``(i, first, rich)`` for each anchor i in turn, the lines on which i is the
+    first point: ``first`` maps the key of each such line to its second point g,
+    and ``rich`` maps g to the line's points after i, ``[g, ...]``, only when the
+    line has three points or more.  So the line is ``(i, g)`` when g is not in
+    ``rich``, and ``(i, *rich[g])`` otherwise.
 
     One anchored pass: the lines through p are the points of the quotient
     line P^2 / p.  The pass runs on the integral rows of the points, so every
@@ -136,11 +163,12 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     line, so a line is found once, at its first point.  One
     ``ratios(rbs, ras)`` batch gives the anchor all of its keys, with one
     modular inverse and four reductions a pair over GF(p) and one ``Fraction``
-    of two ints a pair over QQ, and each point joins its group in increasing j
-    with one dict probe of its key.  The output is sorted by construction:
-    the anchors increase, and at one anchor the groups open in increasing
-    order of their second point.  What is kept from one anchor to the next
-    is one byte per pair of points.
+    of two ints a pair over QQ.  Each point meets its key in ``first`` with one
+    dict probe, in increasing j; only a key already there opens or extends a
+    group, so a line of two points costs no list.  ``first`` holds the lines
+    in increasing order of g, and the anchors increase, so the lines come out
+    sorted.  What is kept from one anchor to the next is one byte per pair of
+    points, set for the pairs of each rich group.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
@@ -154,7 +182,7 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
     # the lead index k and the integral lead entry, the lcm of the point's denominators,
     # in one int, so that one compare tells whether two points share both: k < 3
     tags = [3 * q[k] + k for k, q in zip(leads, coords)]
-    # on_a_line[u][v], for u < v: the pair lies on a line already emitted
+    # on_a_line[u][v], for u < v: the pair lies on a line found at an earlier anchor
     on_a_line = [bytearray(n) for _ in range(n)]
     for i, p in enumerate(coords):
         skip = on_a_line[i]
@@ -178,14 +206,20 @@ def _anchored_lines(config: PointConfig) -> Iterator[tuple[int, ...]]:
             rbs.append(rb)
         if not later:
             continue
-        through_i: dict[Optional[Scalar], list[int]] = {}
+        first: dict[Optional[Scalar], int] = {}
+        rich: dict[int, list[int]] = {}
         for j, key in zip(later, ratios(rbs, ras)):
-            through_i.setdefault(key, []).append(j)
-        for group in through_i.values():
-            if len(group) > 1:
-                for u, v in combinations(group, 2):
-                    on_a_line[u][v] = 1
-            yield (i, *group)
+            g = first.setdefault(key, j)
+            if g != j:
+                group = rich.get(g)
+                if group is None:
+                    rich[g] = [g, j]
+                else:
+                    group.append(j)
+        for group in rich.values():
+            for u, v in combinations(group, 2):
+                on_a_line[u][v] = 1
+        yield i, first, rich
 
 
 def hesse_configuration() -> PointConfig:

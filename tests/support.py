@@ -1,4 +1,5 @@
-"""What the test modules share: two work counters, QQ constructors and a rank oracle.
+"""What the test modules share: two work counters, QQ constructors, a rank oracle and
+plane point sets.
 
 Test modules import these names from here and never from one another, so a fault that
 breaks one module's import-time constants fails only that module's tests.  pytest does
@@ -8,8 +9,10 @@ not collect this module: its name has no ``test_`` prefix.
 import inspect
 import math
 from collections import Counter
+from fractions import Fraction
 
 from lowdeg.fields import QQ
+from lowdeg.lemma52 import random_point
 from lowdeg.projective import ProjPoint, ProjSubspace
 
 
@@ -19,6 +22,38 @@ def qpoint(*coords):
 
 def qspace(ambient, *vectors):
     return ProjSubspace.from_vectors(QQ, ambient, vectors)
+
+
+def affine_plane(field):
+    """Every point (x, y, 1) of AG(2, p), in coordinate order."""
+    return [ProjPoint(field, (x, y, 1)) for x in range(field.p) for y in range(field.p)]
+
+
+def projective_plane(field):
+    """Every point of PG(2, p): the affine plane, then the line at infinity."""
+    at_infinity = [ProjPoint(field, (1, x, 0)) for x in range(field.p)]
+    return affine_plane(field) + at_infinity + [ProjPoint(field, (0, 1, 0))]
+
+
+def planted_lines(rng, field, count):
+    """Up to seven points on each of ``count`` random lines, then a few
+    random points; coinciding points are kept once."""
+    coords = {}
+    for _ in range(count):
+        a, b = (random_point(rng, field, 2).coords for _ in range(2))
+        for _ in range(rng.randint(3, 7)):
+            if field == QQ:
+                t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            else:
+                t = rng.randrange(field.p)
+            raw = tuple(field.reduce(x + t * y) for x, y in zip(a, b))
+            if any(raw):
+                point = ProjPoint(field, raw)
+                coords.setdefault(point.coords, point)
+    for _ in range(rng.randint(0, 4)):
+        point = random_point(rng, field, 2)
+        coords.setdefault(point.coords, point)
+    return list(coords.values())
 
 
 def int_rank(rows, p):

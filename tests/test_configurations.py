@@ -45,43 +45,20 @@ from lowdeg.projective import (
     span,
 )
 from lowdeg.sym2_lattice import fiber_class, pair, section_class
-from support import count_calls, counting_field, int_rank, qpoint, qspace
+from support import (
+    affine_plane,
+    count_calls,
+    counting_field,
+    int_rank,
+    planted_lines,
+    projective_plane,
+    qpoint,
+    qspace,
+)
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
-
-
-def affine_plane(field):
-    """Every point (x, y, 1) of AG(2, p), in coordinate order."""
-    return [ProjPoint(field, (x, y, 1)) for x in range(field.p) for y in range(field.p)]
-
-
-def projective_plane(field):
-    """Every point of PG(2, p): the affine plane, then the line at infinity."""
-    at_infinity = [ProjPoint(field, (1, x, 0)) for x in range(field.p)]
-    return affine_plane(field) + at_infinity + [ProjPoint(field, (0, 1, 0))]
-
-
-def planted_lines(rng, field, count):
-    """Up to seven points on each of ``count`` random lines, then a few
-    random points; coinciding points are kept once."""
-    coords = {}
-    for _ in range(count):
-        a, b = (random_point(rng, field, 2).coords for _ in range(2))
-        for _ in range(rng.randint(3, 7)):
-            if field == QQ:
-                t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            else:
-                t = rng.randrange(field.p)
-            raw = tuple(field.reduce(x + t * y) for x, y in zip(a, b))
-            if any(raw):
-                point = ProjPoint(field, raw)
-                coords.setdefault(point.coords, point)
-    for _ in range(rng.randint(0, 4)):
-        point = random_point(rng, field, 2)
-        coords.setdefault(point.coords, point)
-    return list(coords.values())
 
 
 def sizes_in_order(lines):

@@ -61,6 +61,7 @@ RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
 RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
 PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lift"
+PLANE_ORACLE = "tests/test_plane.py::test_line_counts_match_the_fold_of_the_lines"
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
 )
@@ -119,6 +120,13 @@ CATALOGUE = (
         "lemma52.py",
         "if lam.dim == ambient - 2:",
         "if False:",
+        LEMMA52_ORACLES,
+    ),
+    Mutant(
+        "image-read-off-the-last-three-columns",
+        "lemma52.py",
+        "free_columns = itemgetter(*(c for c in range(ambient + 1) if c not in lam_pivots))",
+        "free_columns = itemgetter(*range(ambient - 2, ambient + 1))",
         LEMMA52_ORACLES,
     ),
     Mutant(
@@ -229,9 +237,38 @@ CATALOGUE = (
     Mutant(
         "three-point-lines-left-unmarked",
         "plane.py",
-        "if len(group) > 1:",
-        "if len(group) > 2:",
+        "        for group in rich.values():\n            for u, v in",
+        "        for group in (h for h in rich.values() if len(h) > 2):\n            for u, v in",
         (INCIDENCE_THEOREMS,),
+    ),
+    # the counts read off the rich lines, against folding the lines one by one
+    Mutant(
+        "covered-pairs-miscounted",
+        "plane.py",
+        "covered = sum(size * (size - 1) // 2 * count",
+        "covered = sum((size - 1) * count",
+        (PLANE_ORACLE,),
+    ),
+    Mutant(
+        "sizes-in-insertion-order",
+        "plane.py",
+        "for size in sorted(first_line, key=first_line.get)}",
+        "for size in first_line}",
+        (PLANE_ORACLE,),
+    ),
+    Mutant(
+        "sizes-in-numeric-order",
+        "plane.py",
+        "for size in sorted(first_line, key=first_line.get)}",
+        "for size in sorted(first_line)}",
+        (PLANE_ORACLE,),
+    ),
+    Mutant(
+        "witness-only-at-anchors-without-rich-lines",
+        "plane.py",
+        "if witness is None and len(first) > len(rich):",
+        "if witness is None and not rich:",
+        (PLANE_ORACLE,),
     ),
     # the tag that keys a same-lead pair by q - p, against a QQ oracle whose
     # same-lead points lead with equal and with unequal integral entries
@@ -276,12 +313,10 @@ CATALOGUE = (
     Mutant(
         "keys-probed-twice",
         "plane.py",
-        "            through_i.setdefault(key, []).append(j)\n",
-        "            group = through_i.get(key)\n"
-        "            if group is None:\n"
-        "                through_i[key] = [j]\n"
-        "            else:\n"
-        "                group.append(j)\n",
+        "            g = first.setdefault(key, j)\n",
+        "            g = first.get(key)\n"
+        "            if g is None:\n"
+        "                first[key] = g = j\n",
         ("tests/test_configurations.py::TestSylvesterGallai::test_one_hash_per_key",),
     ),
     # the batch division of the pass, against per-pair division
