@@ -31,6 +31,9 @@ from .projective import ProjPoint, ProjSubspace, _det3, _rref, meet
 MAX_REDRAWS = 1000
 # Units of work that a redraw of a quotient point in planted_family costs, about.
 DRAW_WORK = 9
+# The entries of a QQ draw, Fraction(k) at index k + 9 for k in [-9, 9]: built once and
+# shared by every draw, as Fractions are immutable, and picked by the same randint call
+_QQ_ENTRIES = tuple(Fraction(k) for k in range(-9, 10))
 
 
 def common_subspace(subspaces: Iterable[ProjSubspace]) -> ProjSubspace:
@@ -117,7 +120,7 @@ def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar
         if isinstance(field, PrimeField):
             vec: list[Scalar] = [rng.randrange(field.p) for _ in range(length)]
         else:
-            vec = [Fraction(rng.randint(-9, 9)) for _ in range(length)]
+            vec = [_QQ_ENTRIES[rng.randint(-9, 9) + 9] for _ in range(length)]
         if any(vec):
             return vec
 
@@ -224,22 +227,23 @@ def planted_family(
     where ``lead`` falls among the pivots of ``planted``."""
     _check_family_shape(field, ambient, count)
     planted = random_subspace(rng, field, ambient, ambient - 3)
-    points: dict[tuple[Scalar, ...], None] = {}  # a set that keeps the draw order
+    # each point, in draw order, with the column of its leading 1
+    points: dict[tuple[Scalar, ...], int] = {}
     while len(points) < count:
         # one nonzero row of canonical scalars: its echelon form is the point
-        point = _rref([_random_vector(rng, field, 3)], field)[0][0]
+        (point,), (pivot,) = _rref([_random_vector(rng, field, 3)], field)
         on_first_line = len(points) == 2 and not _det3(field, *points, point)
         if not on_first_line:
-            points.setdefault(point)
+            points.setdefault(point, pivot)
     pivots = planted.pivot_columns
     free = [c for c in range(ambient + 1) if c not in pivots]
     zero, submul = field.zero, field.submul
     members = []
-    for point in points:
+    for point, pivot in points.items():
         lift = [zero] * (ambient + 1)
         for c, x in zip(free, point):
             lift[c] = x
-        lead = free[point.index(field.one)]
+        lead = free[pivot]
         after = [k for k in range(lead + 1, ambient + 1) if lift[k]]
         rows = []
         for r in planted.rows:

@@ -22,7 +22,11 @@ Conventions:
   is its one echelon row, its pivot the index of its leading 1;
 * :func:`rref`, whose one elimination loop is ``_rref``, is the one routine
   that puts a point or a subspace in canonical form, and the one that finds
-  pivots: a subspace keeps the pivot columns it returned;
+  pivots: a subspace keeps the pivot columns it returned; ``_rref`` takes a
+  single row, such as a point or a drawn quotient point, outside the loop:
+  its pivot is its first nonzero cell, scaled to 1 with the loop's field
+  calls, one ``inv`` unless it is already 1 and one ``reduce`` per nonzero
+  cell after it;
 * only the public constructor checks that rows are canonical: every other
   constructor and operation takes its rows from ``_rref``, with one
   exception: a member of :func:`~lowdeg.lemma52.planted_family` takes Λ's
@@ -74,14 +78,33 @@ def rref(rows: Sequence[Sequence[Scalar]], field: Field) -> tuple[Matrix, tuple[
 def _rref(mat: list[list[Scalar]], field: Field) -> tuple[Matrix, tuple[int, ...]]:
     """:func:`rref` of a fresh list of equal-length lists of canonical
     scalars, which it eliminates in place.  The pivot of column c is the
-    first row from r on that is nonzero there, r the number of pivots so far."""
+    first row from r on that is nonzero there, r the number of pivots so far.
+
+    One row, such as a drawn point, skips the loop: its pivot is its first
+    nonzero cell, and it makes the loop's field calls, one ``inv`` unless that
+    cell is already 1 and one ``reduce`` per nonzero cell after it.  A zero
+    row gives ``((), ())``."""
     if not mat:
         return (), ()
     width = len(mat[0])
     height = len(mat)
     reduce = field.reduce
-    submul = field.submul
     one = field.one
+    if height == 1:
+        row = mat[0]
+        for c, lead in enumerate(row):
+            if lead:
+                break
+        else:
+            return (), ()
+        if lead != one:
+            scale = field.inv(lead)
+            for k in range(c + 1, width):
+                if row[k]:
+                    row[k] = reduce(scale * row[k])
+            row[c] = one
+        return (tuple(row),), (c,)
+    submul = field.submul
     zero = field.zero
     pivots: list[int] = []
     r = 0

@@ -707,6 +707,21 @@ class TestRandomHelpers:
         lead = next(x for x in p.coords if x != 0)
         assert lead == 1
 
+    def test_qq_draws_match_fresh_fractions(self):
+        # QQ entries come from a shared table of Fractions, picked by the same
+        # randint(-9, 9) call as a fresh Fraction: a twin rng drawing fresh ones,
+        # all-zero vectors redrawn, must give equal Fractions and end in the same state
+        rng, twin = random.Random(42), random.Random(42)
+        for draw in range(1000):
+            length = (1, 2, 3, 6)[draw % 4]
+            while True:
+                fresh = [Fraction(twin.randint(-9, 9)) for _ in range(length)]
+                if any(fresh):
+                    break
+            vec = lemma52._random_vector(rng, QQ, length)
+            assert vec == fresh and all(type(x) is Fraction for x in vec)
+        assert rng.getstate() == twin.getstate()
+
     @staticmethod
     def assert_rejected_before_any_draw(field, ambient, count, match):
         rng = random.Random(0)
@@ -1272,8 +1287,8 @@ class TestSylvesterGallai:
 
     def test_report_keeps_counts_not_lines(self):
         # 100 points in general position: 4950 two-point lines are counted as
-        # they are found, never held.  The scan peaks at about 31 KB; holding
-        # its lines in a tuple raises that to about 322 KB.
+        # they are found, never held.  The scan peaks at about 46 KiB under
+        # Python 3.11; holding its lines in a tuple raises that to about 322 KB.
         rng = random.Random(100)
         big = PrimeField(2147483647)
         coords = {}

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -726,6 +727,58 @@ def test_unit_pivots_match_the_dense_reference():
                 assert counting.calls["coerce"] == 0
                 unit_cases += counting.calls["inv"] < dense_invs
     assert unit_cases >= 200, unit_cases
+
+
+def test_one_row_rref_matches_the_loop():
+    # _rref takes one row outside its elimination loop; the same row over a zero
+    # row takes the loop, which drops the zero row.  Both must give the same rows,
+    # pivots and field calls: one inv when the lead is not 1, one reduce per
+    # nonzero cell after it, and no submul.  Every lead column, unit and other
+    # leads, the zero row and, over QQ, entries of 200 digits or more occur.
+    rng = random.Random(20261023)
+    cases = Counter()
+    for field in (QQ, PrimeField(2), GF3, GF101, BIG_PRIME):
+        counting = counting_field(type(field), *([] if field == QQ else [field.p]))
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if field == QQ:
+                if rng.random() < 0.2:
+                    return long_fraction(rng)
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return rng.randrange(field.p)
+
+        # leads of 1, then other nonzero leads, which GF(2) lacks
+        units = (True, False) if field != PrimeField(2) else (True,)
+        for width in range(1, 8):
+            for lead, unit in product(range(width + 1), units * 4):  # lead == width: zero row
+                row = [field.zero] * width
+                if lead < width:
+                    row[lead + 1 :] = [field.coerce(entry()) for _ in range(width - lead - 1)]
+                    row[lead] = field.one
+                    while not unit and row[lead] in (field.zero, field.one):
+                        row[lead] = field.coerce(entry())
+                counting.calls.clear()
+                one_row = projective._rref([list(row)], counting)
+                calls = Counter(counting.calls)
+                counting.calls.clear()
+                assert projective._rref([list(row), [field.zero] * width], counting) == one_row
+                assert counting.calls == calls
+                if lead == width:
+                    assert one_row == ((), ()) and calls == {}
+                    cases[field, "zero"] += 1
+                    continue
+                after = sum(1 for x in row[lead + 1 :] if x)
+                assert one_row[1] == (lead,) and one_row[0][0][: lead + 1] == (*row[:lead], 1)
+                assert calls == (Counter() if unit else Counter(inv=1, reduce=after))
+                cases[field, "unit" if unit else "scaled", lead] += 1
+                cases["long"] += field == QQ and any(abs(x.numerator) >= 10**99 for x in row)
+    for field in (QQ, GF3, GF101, BIG_PRIME):
+        assert cases[field, "zero"] == 7 * 8
+        assert all(cases[field, kind, lead] >= 4 for kind in ("unit", "scaled") for lead in range(7))
+    assert all(cases[PrimeField(2), "unit", lead] >= 4 for lead in range(7))
+    assert cases["long"] >= 50, cases["long"]
 
 
 def random_row(rng, field, width):

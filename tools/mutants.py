@@ -52,6 +52,8 @@ ELIMINATION_ORACLES = (
     "tests/test_projective.py::test_unit_pivots_match_the_dense_reference",
     *LEMMA52_ORACLES,
 )
+ONE_ROW_ORACLE = "tests/test_projective.py::test_one_row_rref_matches_the_loop"
+TRIAL_WORK = "tests/test_projective.py::TestEliminationWork::test_lemma52_trial_work_is_pinned"
 CONTAINMENT_ORACLE = (
     "tests/test_projective.py::TestContains::test_containment_matches_a_rank_oracle"
 )
@@ -61,6 +63,7 @@ RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
 RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
 PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lift"
+QQ_DRAWS = f"{RANDOM_HELPERS}::test_qq_draws_match_fresh_fractions"
 PLANE_ORACLE = "tests/test_plane.py::test_line_counts_match_the_fold_of_the_lines"
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
@@ -361,8 +364,8 @@ CATALOGUE = (
     Mutant(
         "scaled-pivot-left-unset",
         "projective.py",
-        "            row[c] = one\n",
-        "",
+        "for k in support:\n                row[k] = reduce(scale * row[k])\n            row[c] = one\n",
+        "for k in support:\n                row[k] = reduce(scale * row[k])\n",
         ELIMINATION_ORACLES,
     ),
     Mutant(
@@ -385,6 +388,37 @@ CATALOGUE = (
         "range(c + 1, len(row))",
         "range(c + 2, len(row))",
         ELIMINATION_ORACLES,
+    ),
+    # one row outside the loop, against the loop on that row over a zero row and the
+    # pinned work of a Lemma 5.2 trial
+    Mutant(
+        "one-row-left-unscaled",
+        "projective.py",
+        "        if lead != one:\n",
+        "        if False:\n",
+        (ONE_ROW_ORACLE, PLANTED_DRAWS),
+    ),
+    Mutant(
+        "one-row-scales-its-lead",
+        "projective.py",
+        "for k in range(c + 1, width):\n",
+        "for k in range(c, width):\n",
+        (ONE_ROW_ORACLE, TRIAL_WORK),
+    ),
+    Mutant(
+        "one-row-zero-row-kept",
+        "projective.py",
+        "        else:\n            return (), ()\n",
+        "        else:\n            return (tuple(row),), (c,)\n",
+        (ONE_ROW_ORACLE,),
+    ),
+    # the shared QQ draw entries, against fresh Fractions and the pinned draws
+    Mutant(
+        "qq-draw-table-shifted",
+        "lemma52.py",
+        "for k in range(-9, 10))",
+        "for k in range(-8, 11))",
+        (QQ_DRAWS, PLANTED_DRAWS),
     ),
     # both sides of QQ's cell-update size rule, against the dense reference's operators
     Mutant(
