@@ -12,6 +12,14 @@ member from Λ's echelon rows and one lifted quotient point, with no
 elimination of its own.  :func:`charge_random` and :func:`charge_input` price
 the two jobs of ``lowdeg lemma52`` before they start, in the same units of
 work.
+
+The samplers, :func:`random_point`, :func:`random_subspace` and
+:func:`planted_family`, take ``rng``, a :class:`random.Random`, and draw each
+coordinate as ``rng.randrange(p)`` over GF(p) and as ``rng.randint(-9, 9)``
+over QQ, drawing a vector again while it is all zero.  They make the
+``getrandbits`` calls that ``randrange`` makes, not ``randrange`` itself, so
+the values and the rng's state are the same; a subclass that overrides
+``random()`` but not ``getrandbits()`` draws otherwise than its ``randrange``.
 """
 
 from __future__ import annotations
@@ -32,7 +40,8 @@ MAX_REDRAWS = 1000
 # Units of work that a redraw of a quotient point in planted_family costs, about.
 DRAW_WORK = 9
 # The entries of a QQ draw, Fraction(k) at index k + 9 for k in [-9, 9]: built once and
-# shared by every draw, as Fractions are immutable, and picked by the same randint call
+# shared by every draw, as Fractions are immutable, and picked by randrange(19)'s draw,
+# which is randint(-9, 9) + 9
 _QQ_ENTRIES = tuple(Fraction(k) for k in range(-9, 10))
 
 
@@ -116,11 +125,20 @@ def _shaped(subspaces: Iterable[ProjSubspace]) -> Iterator[ProjSubspace]:
 
 
 def _random_vector(rng: random.Random, field: Field, length: int) -> list[Scalar]:
+    """``length`` entries, not all zero, each ``randrange(n)`` for n = p over GF(p) and
+    ``_QQ_ENTRIES[randrange(19)]`` over QQ, drawn as ``randrange`` draws: ``getrandbits`` of
+    the bits of n, again while it is n or more."""
+    qq = not isinstance(field, PrimeField)
+    n = len(_QQ_ENTRIES) if qq else field.p
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        if isinstance(field, PrimeField):
-            vec: list[Scalar] = [rng.randrange(field.p) for _ in range(length)]
-        else:
-            vec = [_QQ_ENTRIES[rng.randint(-9, 9) + 9] for _ in range(length)]
+        vec: list[Scalar] = []
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            vec.append(_QQ_ENTRIES[r] if qq else r)
         if any(vec):
             return vec
 
@@ -132,13 +150,16 @@ def _plane_size(field: Field) -> int:
 
 
 def random_point(rng: random.Random, field: Field, ambient: int) -> ProjPoint:
+    """The point of one nonzero vector of ``ambient + 1`` coordinates drawn from ``rng``:
+    uniform in GF(p) over GF(p), integers in [-9, 9] over QQ (see the module docstring)."""
     check_int("ambient", ambient, 0, MAX_INPUT)
     return ProjPoint(field, tuple(_random_vector(rng, field, ambient + 1)))
 
 
 def random_subspace(rng: random.Random, field: Field, ambient: int, dim: int) -> ProjSubspace:
-    """Uniform-ish subspace of the requested projective dimension (resamples
-    until the spanning vectors are independent, at most ``MAX_REDRAWS`` times)."""
+    """Uniform-ish subspace of the requested projective dimension, spanned by
+    ``dim + 1`` vectors drawn as :func:`random_point` draws (resamples until they
+    are independent, at most ``MAX_REDRAWS`` times)."""
     check_int("ambient", ambient, 0, MAX_INPUT)
     check_int("dim", dim, -1, ambient)
     if dim == -1:
@@ -218,6 +239,8 @@ def planted_family(
     the family is built, not searched for: three non-collinear quotient
     points, then distinct further ones, each lifted onto the non-pivot
     columns of ``planted`` (the coordinates projection reads back).
+    ``planted`` comes from :func:`random_subspace`, and each quotient point
+    from three coordinates drawn as :func:`random_point` draws them.
 
     A member's echelon basis is known without elimination.  The lift is zero
     on the pivots of ``planted`` and is 1 at ``lead``, the free column where

@@ -708,8 +708,8 @@ class TestRandomHelpers:
         assert lead == 1
 
     def test_qq_draws_match_fresh_fractions(self):
-        # QQ entries come from a shared table of Fractions, picked by the same
-        # randint(-9, 9) call as a fresh Fraction: a twin rng drawing fresh ones,
+        # QQ entries come from a shared table of Fractions, picked by the getrandbits
+        # calls of randint(-9, 9): a twin rng drawing fresh ones with randint,
         # all-zero vectors redrawn, must give equal Fractions and end in the same state
         rng, twin = random.Random(42), random.Random(42)
         for draw in range(1000):
@@ -721,6 +721,29 @@ class TestRandomHelpers:
             vec = lemma52._random_vector(rng, QQ, length)
             assert vec == fresh and all(type(x) is Fraction for x in vec)
         assert rng.getstate() == twin.getstate()
+
+    def test_draws_match_randrange(self):
+        # Entries are drawn with the getrandbits calls of randrange(p) over GF(p) and of
+        # randint(-9, 9) over QQ: a twin rng making those calls, all-zero vectors redrawn,
+        # must give equal entries of the same type and end in the same state
+        for seed, field in enumerate((GF2, GF3, GF5, PrimeField(101), PrimeField(2**31 - 1), QQ)):
+            rng, twin = random.Random(seed), random.Random(seed)
+            redraws = 0
+            for draw in range(350):
+                length = draw % 7 + 1
+                while not any(
+                    expected := [
+                        Fraction(twin.randint(-9, 9)) if field == QQ else twin.randrange(field.p)
+                        for _ in range(length)
+                    ]
+                ):
+                    redraws += 1
+                vec = lemma52._random_vector(rng, field, length)
+                assert vec == expected, (field, draw)
+                assert all(type(x) is type(y) for x, y in zip(vec, expected))
+            assert rng.getstate() == twin.getstate(), field
+            # the all-zero redraw is reached: over GF(2) a short vector is often zero
+            assert redraws > 0 or field != GF2
 
     @staticmethod
     def assert_rejected_before_any_draw(field, ambient, count, match):

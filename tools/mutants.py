@@ -1,7 +1,9 @@
 """Mutation gate: every catalogued mutant of lowdeg must make its named tests fail.
 
 Each entry names a module under ``src/lowdeg``, an exact old text, the new text
-that replaces it, and the pytest node IDs that must fail.  For each entry the
+that replaces it, and the pytest node IDs that must fail.  A mutant is killed when
+one of its named tests fails, but every name is one that fails on the mutant when
+run alone, so the catalogue says which tests guard each mutant.  For each entry the
 script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
 directory, applies the mutant there and runs pytest on the named tests, ``WORKERS``
 mutants at a time.  Before the mutants it runs every named test once on an
@@ -41,17 +43,25 @@ class Mutant(NamedTuple):
 
 
 VALUE_RULE = "tests/test_projective.py::test_value_class_rule"
-LEMMA52_ORACLES = (
-    "tests/test_configurations.py::TestCommonSubspace::test_every_three_lines_of_p3_over_gf2",
-    "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields",
+THREE_LINES = (
+    "tests/test_configurations.py::TestCommonSubspace::test_every_three_lines_of_p3_over_gf2"
 )
+# families of up to five members, repeats among them: THREE_LINES's families are three distinct
+# lines, so it cannot see a check on a fourth member or on a repeated one
+SAMPLED_FAMILIES = (
+    "tests/test_configurations.py::TestCommonSubspace::test_sampled_families_over_the_smallest_fields"
+)
+LEMMA52_ORACLES = (THREE_LINES, SAMPLED_FAMILIES)
 # the one oracle with long rational entries, so the one that reaches both sides of submul's size rule
 DENSE_REFERENCE = "tests/test_projective.py::test_sparse_elimination_matches_the_dense_reference"
-ELIMINATION_ORACLES = (
-    DENSE_REFERENCE,
-    "tests/test_projective.py::test_unit_pivots_match_the_dense_reference",
-    *LEMMA52_ORACLES,
-)
+UNIT_PIVOTS = "tests/test_projective.py::test_unit_pivots_match_the_dense_reference"
+# the references that compare every echelon cell, over QQ too; the Lemma 5.2 oracles run over
+# GF(2) and GF(3) only and compare Λ by the points its rows span, which rows with a pivot cell
+# left unset still span
+DENSE_REFERENCES = (DENSE_REFERENCE, UNIT_PIVOTS)
+ELIMINATION_ORACLES = (*DENSE_REFERENCES, *LEMMA52_ORACLES)
+# ProjSubspace._reduce, which the unit-pivot reference does not run
+REDUCE_ORACLES = (DENSE_REFERENCE, *LEMMA52_ORACLES)
 ONE_ROW_ORACLE = "tests/test_projective.py::test_one_row_rref_matches_the_loop"
 TRIAL_WORK = "tests/test_projective.py::TestEliminationWork::test_lemma52_trial_work_is_pinned"
 CONTAINMENT_ORACLE = (
@@ -64,6 +74,7 @@ RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
 PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lift"
 QQ_DRAWS = f"{RANDOM_HELPERS}::test_qq_draws_match_fresh_fractions"
+RANDRANGE_DRAWS = f"{RANDOM_HELPERS}::test_draws_match_randrange"
 PLANE_ORACLE = "tests/test_plane.py::test_line_counts_match_the_fold_of_the_lines"
 INCIDENCE_THEOREMS = (
     "tests/test_configurations.py::TestSylvesterGallai::test_line_counts_obey_the_incidence_theorems"
@@ -101,7 +112,7 @@ CATALOGUE = (
         "lemma52.py",
         "for image in later)",
         "for image in later[:1])",
-        LEMMA52_ORACLES,
+        (SAMPLED_FAMILIES,),
     ),
     Mutant(
         "member-2-not-tested-for-containment",
@@ -110,7 +121,9 @@ CATALOGUE = (
         "if i > 2 and not s.contains_subspace(lam):",
         LEMMA52_ORACLES,
     ),
-    Mutant("distinct-image-check-removed", "lemma52.py", "if j != i:", "if False:", LEMMA52_ORACLES),
+    Mutant(
+        "distinct-image-check-removed", "lemma52.py", "if j != i:", "if False:", (SAMPLED_FAMILIES,)
+    ),
     Mutant(
         "codimension-3-bound-loosened",
         "lemma52.py",
@@ -123,7 +136,7 @@ CATALOGUE = (
         "lemma52.py",
         "if lam.dim == ambient - 2:",
         "if False:",
-        LEMMA52_ORACLES,
+        (SAMPLED_FAMILIES,),
     ),
     Mutant(
         "image-read-off-the-last-three-columns",
@@ -359,21 +372,21 @@ CATALOGUE = (
         "projective.py",
         "                other[c] = zero\n",
         "",
-        ELIMINATION_ORACLES,
+        DENSE_REFERENCES,
     ),
     Mutant(
         "scaled-pivot-left-unset",
         "projective.py",
         "for k in support:\n                row[k] = reduce(scale * row[k])\n            row[c] = one\n",
         "for k in support:\n                row[k] = reduce(scale * row[k])\n",
-        ELIMINATION_ORACLES,
+        DENSE_REFERENCES,
     ),
     Mutant(
         "reduced-pivot-left-unset",
         "projective.py",
         "                v[c] = zero\n",
         "",
-        ELIMINATION_ORACLES,
+        REDUCE_ORACLES,
     ),
     Mutant(
         "rref-support-skips-a-column",
@@ -387,7 +400,7 @@ CATALOGUE = (
         "projective.py",
         "range(c + 1, len(row))",
         "range(c + 2, len(row))",
-        ELIMINATION_ORACLES,
+        REDUCE_ORACLES,
     ),
     # one row outside the loop, against the loop on that row over a zero row and the
     # pinned work of a Lemma 5.2 trial
@@ -420,13 +433,29 @@ CATALOGUE = (
         "for k in range(-8, 11))",
         (QQ_DRAWS, PLANTED_DRAWS),
     ),
+    # each entry drawn with randrange's getrandbits calls, against a twin rng calling
+    # randrange and the pinned draws
+    Mutant(
+        "draw-bits-one-short",
+        "lemma52.py",
+        "k = n.bit_length()",
+        "k = n.bit_length() - 1",
+        (RANDRANGE_DRAWS, PLANTED_DRAWS),
+    ),
+    Mutant(
+        "draw-accepts-n",
+        "lemma52.py",
+        "while r >= n:",
+        "while r > n:",
+        (RANDRANGE_DRAWS, PLANTED_DRAWS),
+    ),
     # both sides of QQ's cell-update size rule, against the dense reference's operators
     Mutant(
         "submul-numerator-drops-a-denominator",
         "fields.py",
         "x.numerator * fd * yd - f.numerator",
         "x.numerator * fd - f.numerator",
-        ELIMINATION_ORACLES,
+        DENSE_REFERENCES,
     ),
     Mutant(
         "submul-long-entries-add",
@@ -449,7 +478,7 @@ CATALOGUE = (
         "projective.py",
         "if row[c] != one:",
         "if row[c] == one:",
-        ("tests/test_projective.py::test_unit_pivots_match_the_dense_reference",),
+        (UNIT_PIVOTS,),
     ),
     # a column with no pivot is skipped, not the end of elimination
     Mutant(
@@ -457,7 +486,7 @@ CATALOGUE = (
         "projective.py",
         "        else:\n            continue\n",
         "        else:\n            break\n",
-        (LEMMA52_ORACLES[0],),
+        (THREE_LINES,),
     ),
     # two fields are the same by equality, not only by identity
     Mutant(
