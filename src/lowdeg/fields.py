@@ -25,7 +25,8 @@ canonical scalar is truthy, so code holding values from ``coerce`` or
 take unreduced values, such as differences of products, where any multiple of
 ``p``, not only ``0``, is zero in the field.  ``ratios`` is where the two
 kinds differ most: over GF(p) one modular inverse serves the whole batch
-(Montgomery's trick), while over QQ each pair is one reduced ``Fraction``.
+(Montgomery's trick), while over QQ each pair is reduced by one gcd to an int
+pair, the numerator and positive denominator that its ``Fraction`` would hold.
 ``integral`` gives ``ratios`` int arguments over both fields: a prime-field
 row is already ints, and a rational row is scaled by the lcm of its
 denominators, which moves it along its own line and so keeps every ratio.
@@ -146,13 +147,24 @@ class RationalField:
         scale = math.lcm(*(x.denominator for x in row))
         return [x.numerator * (scale // x.denominator) for x in row]
 
-    def ratios(
-        self, nums: Sequence[Scalar], dens: Sequence[Scalar]
-    ) -> list[Optional[Fraction]]:
-        """The reduced ``Fraction`` ``n / d`` for each pair, ``None`` where ``d`` is
-        zero.  The pairs may be ints or Fractions; on ints, as the Sylvester-Gallai
-        pass gives, each quotient is one ``Fraction`` built from two ints."""
-        return [Fraction(n, d) if d else None for n, d in zip(nums, dens)]
+    def ratios(self, nums: Sequence[int], dens: Sequence[int]) -> list[Optional[tuple[int, int]]]:
+        """The ratio ``n / d`` of each pair of ints as the int pair
+        ``(numerator, denominator)`` that ``Fraction(n, d)`` holds, reduced with a
+        positive denominator, or ``None`` where ``d`` is zero, so two keys are
+        equal exactly when their ratios are.  A pair costs one gcd, a sign flip
+        when ``d < 0`` and two exact divisions, and its key hashes in C, where
+        building and hashing a ``Fraction`` runs Python code."""
+        gcd = math.gcd
+        keys: list[Optional[tuple[int, int]]] = []
+        for n, d in zip(nums, dens):
+            if d:
+                g = gcd(n, d)
+                if d < 0:
+                    g = -g
+                keys.append((n // g, d // g))
+            else:
+                keys.append(None)
+        return keys
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)

@@ -10,8 +10,9 @@ the lead index of p, the image of a later point q is read off q - p when q
 leads at k with the same lead entry, off q itself when q leads later, and off
 p[k] q - q[k] p otherwise.  The image is a ratio, and an anchor divides all
 of its pairs in one ``Field.ratios`` batch: one modular inverse per anchor
-over GF(p), one ``Fraction`` of two ints a pair over QQ.  Each line is found
-once at its first point, and the lines come out sorted with n^2 bytes of
+over GF(p), one gcd a pair over QQ, whose key is the reduced int pair of
+numerator and denominator, not a ``Fraction``.  Each line is found once at
+its first point, and the lines come out sorted with n^2 bytes of
 bookkeeping.  Only a key that repeats opens a group: a line of two points is
 its anchor and its one later point, so :func:`line_counts` builds no such
 line.  Any two points lie on exactly one line, so the ordinary lines are the
@@ -28,13 +29,16 @@ This module loads only :mod:`lowdeg.errors`, :mod:`lowdeg.fields` and
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .errors import ConfigurationError, InputError, Value, check_int
 from .fields import Field, PrimeField, Scalar, max_bits, require_same_field
 from .projective import ProjPoint, _det3
 
 Pair = tuple[int, int]
+# the key of a line at its anchor, from ``Field.ratios``: an int over GF(p), a
+# reduced (numerator, denominator) pair over QQ, None when r[a] = 0
+Key = Union[int, Pair, None]
 
 
 class PointConfig(Value):
@@ -140,7 +144,7 @@ def maximal_lines(config: PointConfig) -> tuple[tuple[int, ...], ...]:
 
 def _anchored_groups(
     config: PointConfig,
-) -> Iterator[tuple[int, dict[Optional[Scalar], int], dict[int, list[int]]]]:
+) -> Iterator[tuple[int, dict[Key, int], dict[int, list[int]]]]:
     """``(i, first, rich)`` for each anchor i in turn, the lines on which i is the
     first point: ``first`` maps the key of each such line to its second point g,
     and ``rich`` maps g to the line's points after i, ``[g, ...]``, only when the
@@ -162,23 +166,23 @@ def _anchored_groups(
     for the later points j > i, skipping the pairs already known to share a
     line, so a line is found once, at its first point.  One
     ``ratios(rbs, ras)`` batch gives the anchor all of its keys, with one
-    modular inverse and four reductions a pair over GF(p) and one ``Fraction``
-    of two ints a pair over QQ.  Each point meets its key in ``first`` with one
-    dict probe, in increasing j; only a key already there opens or extends a
-    group, so a line of two points costs no list.  ``first`` holds the lines
-    in increasing order of g, and the anchors increase, so the lines come out
-    sorted.  What is kept from one anchor to the next is one byte per pair of
-    points, set for the pairs of each rich group.
+    modular inverse and four reductions a pair over GF(p) and one gcd a pair
+    over QQ, whose keys are reduced int pairs.  Each point meets its key in
+    ``first`` with one dict probe, in increasing j; only a key already there
+    opens or extends a group, so a line of two points costs no list.
+    ``first`` holds the lines in increasing order of g, and the anchors
+    increase, so the lines come out sorted.  What is kept from one anchor to
+    the next is one byte per pair of points, set for the pairs of each rich
+    group.
     """
     if config.ambient != 2:
         raise ConfigurationError(f"expected points in P^2, got P^{config.ambient}")
     field = config.field
     ratios = field.ratios
-    points = config.points
-    coords = [field.integral(p.coords) for p in points]
+    coords = [field.integral(p.coords) for p in config.points]
     n = len(coords)
-    # points are scaled so their first nonzero coordinate is 1
-    leads = [p.coords.index(field.one) for p in points]
+    # the first nonzero integral coordinate, where the point's own coordinates hold 1
+    leads = [0 if q[0] else 1 if q[1] else 2 for q in coords]
     # the lead index k and the integral lead entry, the lcm of the point's denominators,
     # in one int, so that one compare tells whether two points share both: k < 3
     tags = [3 * q[k] + k for k, q in zip(leads, coords)]
@@ -206,7 +210,7 @@ def _anchored_groups(
             rbs.append(rb)
         if not later:
             continue
-        first: dict[Optional[Scalar], int] = {}
+        first: dict[Key, int] = {}
         rich: dict[int, list[int]] = {}
         for j, key in zip(later, ratios(rbs, ras)):
             g = first.setdefault(key, j)

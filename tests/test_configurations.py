@@ -1330,27 +1330,46 @@ class TestSylvesterGallai:
         assert peak < 128 * 2**10
 
     def test_one_hash_per_key(self, monkeypatch):
-        # 12 QQ points in general position: every pair is keyed, and a key that is a
-        # Fraction, r[b] / r[a] with r[a] != 0, is hashed once, when its point joins its group
+        # 12 QQ points in general position: every pair is keyed, and a key that is an
+        # int pair, r[b] / r[a] reduced with r[a] != 0, is hashed once, when its point
+        # joins its group; a field whose keys count their hashes sees each probe, and
+        # the pass builds and hashes no Fraction
+        probes = Counter()
+
+        class Probed(tuple):
+            def __hash__(self):
+                probes["hashes"] += 1
+                return tuple.__hash__(self)
+
+        class Keyed(RationalField):
+            def ratios(self, nums, dens):
+                keys = super().ratios(nums, dens)
+                probes["keys"] += sum(key is not None for key in keys)
+                return [None if key is None else Probed(key) for key in keys]
+
+        keyed = Keyed()
         rng = random.Random(6)
         coords = {}
         while len(coords) < 12:
             point = random_point(rng, QQ, 2)
-            coords.setdefault(point.coords, point)
+            coords.setdefault(point.coords, ProjPoint(keyed, point.coords))
         config = PointConfig(tuple(coords.values()))
         assert not any(collinear(config, *triple) for triple in combinations(range(12), 3))
-        fraction_keys = 0
+        pair_keys = 0
         for p, q in combinations(coords, 2):
             k = p.index(1)
             a = 1 if k == 0 else 0  # the first coordinate other than the lead of p
-            fraction_keys += q[a] - q[k] * p[a] != 0
-        assert 0 < fraction_keys < math.comb(12, 2)  # both kinds of key occur
-        hashes = count_calls(monkeypatch, "__hash__", Fraction)
+            pair_keys += q[a] - q[k] * p[a] != 0
+        assert 0 < pair_keys < math.comb(12, 2)  # both kinds of key occur
+        fractions = count_calls(monkeypatch, "__new__", Fraction)
+        fraction_hashes = count_calls(monkeypatch, "__hash__", Fraction)
         lines = maximal_lines(config)
         report = check_sylvester_gallai(config)
         monkeypatch.undo()
         assert len(lines) == report.lines_by_size[2] == math.comb(12, 2)
-        assert hashes["calls"] == 2 * fraction_keys
+        assert probes["keys"] == 2 * pair_keys
+        assert probes["hashes"] == 2 * pair_keys
+        assert fractions["calls"] == fraction_hashes["calls"] == 0
 
 
 class TestSym2Model:

@@ -141,15 +141,14 @@ class TestPrimeField:
 
 
 def _ratio_entry(rng, field):
-    """One numerator or denominator of a ``ratios`` batch: unreduced, often zero
-    in the field, negative or past the modulus.  Over QQ it is a Fraction, which
-    ``ratios`` takes beside the ints that the Sylvester-Gallai pass gives it."""
+    """One numerator or denominator of a ``ratios`` batch, an int as the
+    Sylvester-Gallai pass gives it.  Over GF(p) it is unreduced, often zero in
+    the field, negative or past the modulus; over QQ it is zero or has 1 to 20
+    digits, of either sign."""
     if field == QQ:
-        kind = rng.randrange(4)
-        if kind == 0:
-            return Fraction(0)
-        num = rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 20))
-        return Fraction(num, 1 if kind == 1 else rng.randint(1, 10 ** rng.randint(1, 20)))
+        if rng.randrange(4) == 0:
+            return 0
+        return rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 20))
     p = field.p
     kind = rng.randrange(5)
     if kind == 0:
@@ -163,13 +162,26 @@ def _ratio_entry(rng, field):
     return rng.randrange(-(p**2), p**2)
 
 
+def _divided(field, n, d):
+    """The key ``ratios`` owes the pair (n, d), divided on its own: over QQ the
+    terms of ``Fraction(n, d)``, over GF(p) ``reduce(n * inv(d))``; None where d
+    is zero in the field."""
+    if field.is_zero(d):
+        return None
+    if field == QQ:
+        quotient = Fraction(n, d)
+        return quotient.numerator, quotient.denominator
+    return field.reduce(n * field.inv(d))
+
+
 def test_ratios_match_per_pair_division():
-    # each batch against reduce(n * inv(d)) pair by pair, None where d is zero in
-    # the field: the empty batch, batches of one, all-zero batches and mixed ones
+    # each batch against the pairs divided one by one, None where d is zero in
+    # the field: the empty batch, batches of one, all-zero batches and mixed ones;
+    # over QQ, a pair scaled by any nonzero int, of either sign, keeps its key
     rng = random.Random(2323)
     for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(2**31 - 1)):
         answers = Counter()
-        batches = [([], []), ([field.one], [field.zero]), ([field.zero], [field.one])]
+        batches = [([], []), ([1], [0]), ([0], [1])]
         for length in (1, 1, 1, 5, *(rng.randint(2, 60) for _ in range(40))):
             nums = [_ratio_entry(rng, field) for _ in range(length)]
             dens = [_ratio_entry(rng, field) for _ in range(length)]
@@ -180,22 +192,26 @@ def test_ratios_match_per_pair_division():
             batches.append(([1, -p, 2 * p + 1], [p, -5 * p, 0]))  # zero as any multiple of p
         for nums, dens in batches:
             got = field.ratios(nums, dens)
-            expected = [
-                None if field.is_zero(d) else field.reduce(n * field.inv(d))
-                for n, d in zip(nums, dens)
-            ]
-            assert got == expected, (field, nums, dens)
+            assert got == [_divided(field, n, d) for n, d in zip(nums, dens)], (field, nums, dens)
             for answer in got:
-                if answer is not None:
-                    assert type(answer) is type(field.one) and field.coerce(answer) == answer
+                if answer is None:
+                    pass
+                elif field == QQ:
+                    assert type(answer) is tuple and len(answer) == 2
+                    assert all(type(x) is int for x in answer) and answer[1] > 0
+                else:
+                    assert type(answer) is int and field.coerce(answer) == answer
                 answers[answer is None] += 1
+            if field == QQ:
+                for k in (1, -1, 7, -7, -(10**12)):
+                    assert field.ratios([k * n for n in nums], [k * d for d in dens]) == got, k
         assert answers[True] >= 1000 and answers[False] >= 400, (field, answers)
 
 
 def test_integral_rows():
     # over QQ: the row scaled by the lcm of its denominators is ints, the same
     # point (equal rref), primitive when it leads with 1 as a point does, and
-    # divides pair by pair into the same ratios as the Fractions it came from;
+    # its ratios keys are the terms of the quotients of the Fractions it came from;
     # over GF(p): the row object itself
     rng = random.Random(3434)
     leads_seen = Counter()
@@ -216,7 +232,9 @@ def test_integral_rows():
             integral = QQ.integral(row)
             assert all(type(x) is int for x in integral)
             assert rref([integral], QQ) == rref([row], QQ)
-            assert QQ.ratios(integral[1:], integral[:-1]) == QQ.ratios(row[1:], row[:-1])
+            quotients = [n / d if d else None for n, d in zip(row[1:], row[:-1])]
+            keys = [None if f is None else (f.numerator, f.denominator) for f in quotients]
+            assert QQ.ratios(integral[1:], integral[:-1]) == keys
         integral = QQ.integral(point)
         lead = next(x for x in integral if x)
         assert lead == math.lcm(*(x.denominator for x in point))

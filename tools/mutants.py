@@ -2,16 +2,19 @@
 
 Each entry names a module under ``src/lowdeg``, an exact old text, the new text
 that replaces it, and the pytest node IDs that must fail.  A mutant is killed when
-one of its named tests fails, but every name is one that fails on the mutant when
-run alone, so the catalogue says which tests guard each mutant.  For each entry the
-script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary
-directory, applies the mutant there and runs pytest on the named tests, ``WORKERS``
-mutants at a time.  Before the mutants it runs every named test once on an
-unmutated copy, since a test that already fails would kill any mutant.
+every one of its named tests fails, so the catalogue says which tests guard each
+mutant.  For each entry the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a fresh temporary directory, applies the mutant there and
+runs pytest once on the named tests, to the end, ``WORKERS`` mutants at a time; the
+failed node IDs are read off pytest's ``-rf`` summary, and a named class or
+function fails when one of its tests or parametrized cases does.  Before the
+mutants it runs every named test once on an unmutated copy, since a test that
+already fails would kill any mutant.
 
-The gate fails (exit 1) when a mutant survives, when its old text does not
-occur exactly once in its module (so a refactor that moves the code must update
-the catalogue), or when pytest ends other than by failing tests.  Stdlib only:
+The gate fails (exit 1) when a named test passes on its mutant, when a mutant's
+old text does not occur exactly once in its module (so a refactor that moves the
+code must update the catalogue), or when pytest ends other than by failing tests.
+Stdlib only:
 
     python tools/mutants.py
 """
@@ -70,6 +73,7 @@ CONTAINMENT_ORACLE = (
 CHECK_INT_RULE = "tests/test_errors.py::test_check_int_rule"
 HOSTILE_SWEEP = "tests/test_errors.py::test_hostile_arguments"
 RATIOS_ORACLE = "tests/test_fields.py::test_ratios_match_per_pair_division"
+INTEGRAL_ROWS = "tests/test_fields.py::test_integral_rows"
 RANDOM_HELPERS = "tests/test_configurations.py::TestRandomHelpers"
 PLANTED_DRAWS = f"{RANDOM_HELPERS}::test_planted_family_draws_are_pinned"
 PLANTED_LIFT = f"{RANDOM_HELPERS}::test_planted_members_match_the_eliminated_lift"
@@ -349,6 +353,21 @@ CATALOGUE = (
         "before.append(product)\n            if d:\n                product = product * d % p\n",
         "if d:\n                product = product * d % p\n            before.append(product)\n",
         (RATIOS_ORACLE,),
+    ),
+    # QQ's keys are the terms of Fraction(n, d), against the per-pair Fractions
+    Mutant(
+        "ratios-key-sign-unnormalized",
+        "fields.py",
+        "                if d < 0:\n                    g = -g\n",
+        "",
+        (RATIOS_ORACLE, INTEGRAL_ROWS),
+    ),
+    Mutant(
+        "ratios-key-unreduced",
+        "fields.py",
+        "                g = gcd(n, d)\n",
+        "                g = 1\n",
+        (RATIOS_ORACLE, INTEGRAL_ROWS),
     ),
     # an anchor with no later point makes no batch, against the count of batches
     Mutant(
@@ -758,11 +777,11 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _pytest(cwd: Path, tests: tuple[str, ...]) -> tuple[int, str]:
-    """pytest's exit code on ``tests`` in ``cwd`` (-1 on timeout) and its output's last lines.
+    """pytest's exit code on ``tests`` in ``cwd`` (-1 on timeout) and its output.
 
     Plugin autoload is off, as loading every installed plugin costs more than most
     named tests; hypothesis's plugin is loaded by name, since the tests use it."""
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider"]
     command += ["-p", "_hypothesis_pytestplugin", *tests]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     try:
@@ -771,7 +790,24 @@ def _pytest(cwd: Path, tests: tuple[str, ...]) -> tuple[int, str]:
         )
     except subprocess.TimeoutExpired:
         return -1, f"timed out after {TIMEOUT_S} s"
-    return done.returncode, "\n".join((done.stdout + done.stderr).splitlines()[-15:])
+    return done.returncode, done.stdout + done.stderr
+
+
+def _tail(output: str) -> str:
+    return "\n".join(output.splitlines()[-15:])
+
+
+def _passed(tests: tuple[str, ...], output: str) -> list[str]:
+    """The names in ``tests`` that no ``FAILED`` line of pytest's ``-rf`` summary
+    names, nor a method or parametrized case of."""
+    failed = [line[len("FAILED ") :] for line in output.splitlines() if line.startswith("FAILED ")]
+    return [
+        test
+        for test in tests
+        if not any(
+            f == test or f.startswith((f"{test} ", f"{test}::", f"{test}[")) for f in failed
+        )
+    ]
 
 
 def run_mutant(mutant: Mutant) -> str | None:
@@ -784,12 +820,13 @@ def run_mutant(mutant: Mutant) -> str | None:
         if count != 1:
             return f"its old text occurs {count} times in {mutant.module}, not once"
         path.write_text(source.replace(mutant.old, mutant.new))
-        code, tail = _pytest(Path(tmp), mutant.tests)
-    if code == 1:  # tests ran and some failed
-        return None
-    if code == 0:
-        return "survived: every named test passed"
-    return f"pytest exited {code}:\n{tail}"
+        code, output = _pytest(Path(tmp), mutant.tests)
+    if code not in (0, 1):  # 1: tests ran and some failed
+        return f"pytest exited {code}:\n{_tail(output)}"
+    passed = _passed(mutant.tests, output)
+    if passed:
+        return f"survived: {', '.join(passed)} passed\n{_tail(output)}"
+    return None
 
 
 def _timed(mutant: Mutant) -> tuple[str | None, float]:
@@ -803,9 +840,9 @@ def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="lowdeg-mutant-") as tmp:
         _copy_tree(Path(tmp))
-        code, tail = _pytest(Path(tmp), tests)
+        code, output = _pytest(Path(tmp), tests)
     if code != 0:
-        print(f"the named tests do not pass unmutated (pytest exited {code}):\n{tail}")
+        print(f"the named tests do not pass unmutated (pytest exited {code}):\n{_tail(output)}")
         return 1
     print(f"baseline: {len(tests)} named tests pass unmutated ({time.perf_counter() - start:.1f} s)")
     failures = 0
